@@ -9,6 +9,10 @@ conjugate gradient so convergence is guaranteed on SPS systems even when the
 hierarchy is weak.  Singular systems with the all-ones null vector are
 handled by deflation onto the zero-mean subspace; all-zero rows and degree-1
 nodes are eliminated exactly before the hierarchy is built.
+
+Each Gauss-Seidel triangle is prepared once for SuperLU's triangular-solve
+kernel ``gstrs`` (the one ``spsolve_triangular`` ends in), so a sweep costs
+one sparse product, one substitution and one diagonal rescale.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg._dsolve import _superlu
 
 __all__ = [
     "SolverParams",
@@ -68,34 +73,85 @@ class SolveStats:
     converged: bool
 
 
-def _csr32(M):
-    """CSR with 32-bit indices (required by spsolve_triangular)."""
-    M = sp.csr_array(M)
-    M.indices = M.indices.astype(np.int32)
-    M.indptr = M.indptr.astype(np.int32)
-    return M
+def _as_intc(index):
+    """Index array as C ``int``, the index type of SuperLU.
+
+    Raises ValueError where a plain cast would wrap (values above 2**31 - 1).
+    """
+    index = np.asarray(index)
+    limit = np.iinfo(np.intc).max
+    if index.size and index.max() > limit:
+        raise ValueError(
+            f"index value {int(index.max())} exceeds the C int limit {limit} of SuperLU"
+        )
+    return index.astype(np.intc, copy=False)
+
+
+class _Sweep:
+    """Gauss-Seidel sweeps on L in one direction, prepared once for SuperLU.
+
+    A forward sweep solves with tril(L), a backward one with triu(L).
+    ``spsolve_triangular`` redoes the preparation on every call: it
+    transposes the CSR triangle to CSC (solving with ``trans="T"``), scales it
+    to unit diagonal, sums duplicates and lays it out as SuperLU L/U arrays
+    with C-int indices.  Doing the same steps once here and then calling the
+    ``gstrs`` kernel it ends in keeps every sweep bit-identical to a sweep
+    through ``spsolve_triangular``.
+    """
+
+    def __init__(self, L, lower):
+        n = L.shape[0]
+        T = sp.tril(L, k=0, format="csr") if lower else sp.triu(L, k=0, format="csr")
+        self.rest = sp.triu(L, k=1, format="csr") if lower else sp.tril(L, k=-1, format="csr")
+        diag = T.diagonal()
+        if np.any(diag == 0):
+            raise np.linalg.LinAlgError("Gauss-Seidel triangle is singular: zero entry on diagonal")
+        self.invdiag = 1 / diag
+        A = (T @ sp.diags_array(self.invdiag)).T  # CSC, so a lower T becomes upper
+        A.sum_duplicates()
+        if lower:
+            lf = sp.eye_array(n, format="csc")
+            uf = A
+            uf.setdiag(0)
+        else:
+            lf = A
+            uf = sp.csc_array((n, n))
+        self.factors = (
+            n, lf.nnz, lf.data, _as_intc(lf.indices), _as_intc(lf.indptr),
+            n, uf.nnz, uf.data, _as_intc(uf.indices), _as_intc(uf.indptr),
+        )
+
+    def run(self, x, b, sweeps):
+        for _ in range(sweeps):
+            y, info = _superlu.gstrs("T", *self.factors, b - self.rest @ x)
+            if info:
+                raise np.linalg.LinAlgError("Gauss-Seidel triangle is singular")
+            x = y * self.invdiag.reshape(-1, *([1] * (y.ndim - 1)))
+        return x
 
 
 class _GaussSeidel:
-    """Triangular-solve based forward/backward sweeps; assumes positive diagonal."""
+    """Forward/backward Gauss-Seidel sweeps on L; assumes a nonzero diagonal.
+
+    Each direction is prepared on its first sweep and reused by every later
+    one, so callers that sweep one way only prepare one triangle.  A zero
+    diagonal raises ``np.linalg.LinAlgError`` on that first sweep.
+    """
 
     def __init__(self, L):
-        L = sp.csr_array(L)
-        self.L = L
-        self.lower = _csr32(sp.tril(L, k=0, format="csr"))
-        self.strict_upper = sp.triu(L, k=1, format="csr")
-        self.upper = _csr32(sp.triu(L, k=0, format="csr"))
-        self.strict_lower = sp.tril(L, k=-1, format="csr")
+        self.L = sp.csr_array(L)
+        self._forward = None
+        self._backward = None
 
     def forward(self, x, b, sweeps=1):
-        for _ in range(sweeps):
-            x = spla.spsolve_triangular(self.lower, b - self.strict_upper @ x, lower=True)
-        return x
+        if self._forward is None:
+            self._forward = _Sweep(self.L, lower=True)
+        return self._forward.run(x, b, sweeps)
 
     def backward(self, x, b, sweeps=1):
-        for _ in range(sweeps):
-            x = spla.spsolve_triangular(self.upper, b - self.strict_lower @ x, lower=False)
-        return x
+        if self._backward is None:
+            self._backward = _Sweep(self.L, lower=False)
+        return self._backward.run(x, b, sweeps)
 
 
 def gauss_seidel(L, b, x0=None, sweeps=1, direction="forward"):
@@ -440,6 +496,9 @@ class SpsSolver:
         allow_stall = self._lu is None and self.params.direct_fallback
         x, it, converged, stalled = self._pcg(br, atol, max_iters, precond, allow_stall)
         if not converged and allow_stall and self.reduced.shape[0] > self.params.coarsest_size:
+            # From here on the LU preconditions every solve; dropping the
+            # V-cycle first lowers the memory peak of the factorization.
+            self.hierarchy = None
             self._build_lu()
             x2, it2, converged, _ = self._pcg(br, atol, max_iters, self._lu_solve, False)
             if np.linalg.norm(br - self.reduced @ x2) <= np.linalg.norm(br - self.reduced @ x):

@@ -88,6 +88,14 @@ def _rng_for(seed, iteration):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(iteration,)))
 
 
+def _off_ids(m, kept_set, blacklist):
+    """Ascending ids in range(m) that are neither kept nor blacklisted."""
+    off = np.ones(m, dtype=bool)
+    off[np.fromiter(kept_set, dtype=np.int64, count=len(kept_set))] = False
+    off[np.fromiter(blacklist, dtype=np.int64, count=len(blacklist))] = False
+    return np.flatnonzero(off)
+
+
 def _evaluate(g, L_Gu, kept_ids, r, t, solver_params, rng):
     """Estimate (mu_max, h vectors) for the subgraph given by kept_ids."""
     S = g.subgraph(kept_ids)
@@ -149,10 +157,7 @@ def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifi
         iteration += 1
         t0 = time.perf_counter()
 
-        off_ids = np.array(
-            [i for i in range(m) if i not in kept_set and i not in blacklist],
-            dtype=np.int64,
-        )
+        off_ids = _off_ids(m, kept_set, blacklist)
         if off_ids.size == 0:
             break
 

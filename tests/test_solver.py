@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from specsparse import (
     DirectedGraph,
@@ -13,6 +14,8 @@ from specsparse import (
     solve_sps,
     symmetrize,
 )
+
+from specsparse.solver import _as_intc, _GaussSeidel, _vcycle
 
 from conftest import random_digraph, strong_digraph
 
@@ -62,6 +65,70 @@ class TestGaussSeidel:
         L = sp.csr_array(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         x = gauss_seidel(L, np.array([1.0, 1.0]), np.zeros(2), sweeps=1, direction="backward")
         np.testing.assert_allclose(x, [0.75, 0.5])
+
+
+class TestPreparedTriangles:
+    """The prepared sweeps call SuperLU's private ``gstrs`` kernel directly.
+
+    These pin that binding: a change to ``gstrs`` must fail here, bit for
+    bit, rather than shift the smoother unnoticed.
+    """
+
+    @staticmethod
+    def reference(L, x, b, sweeps, direction):
+        if direction == "forward":
+            tri, rest, lower = sp.tril(L, k=0, format="csr"), sp.triu(L, k=1, format="csr"), True
+        else:
+            tri, rest, lower = sp.triu(L, k=0, format="csr"), sp.tril(L, k=-1, format="csr"), False
+        for _ in range(sweeps):
+            x = spla.spsolve_triangular(tri, b - rest @ x, lower=lower)
+        return x
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("sweeps", [1, 3])
+    @pytest.mark.parametrize("width", [None, 5])
+    def test_bit_identical_to_spsolve_triangular(self, rng, direction, sweeps, width):
+        Lu = sp.csr_array(connected_symmetrized(rng, 60))
+        shape = (60,) if width is None else (60, width)
+        x0 = rng.standard_normal(shape)
+        b = rng.standard_normal(shape)
+        gs = _GaussSeidel(Lu)
+        sweep = gs.forward if direction == "forward" else gs.backward
+        expected = self.reference(Lu, x0, b, sweeps, direction)
+        for _ in range(2):  # the second call reuses the prepared triangle
+            got = sweep(x0, b, sweeps)
+            assert got.shape == shape
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_zero_diagonal_raises_linalg_error(self, direction):
+        L = sp.csr_array(np.array([[2.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 2.0]]))
+        gs = _GaussSeidel(L)
+        sweep = gs.forward if direction == "forward" else gs.backward
+        with pytest.raises(np.linalg.LinAlgError, match="zero entry on diagonal") as info:
+            sweep(np.zeros(3), np.ones(3))
+        # sparsify reads a RuntimeError as an ill-posed pencil and returns the seed
+        assert not isinstance(info.value, RuntimeError)
+
+    def test_zero_diagonal_on_hierarchy_level_raises(self):
+        n = 12
+        main = np.full(n, 2.0)
+        main[5] = 0.0
+        off = np.full(n - 1, -1.0)
+        L = sp.diags_array([off, main, off], offsets=[-1, 0, 1]).tocsr()
+        h = build_hierarchy(L, SolverParams(coarsest_size=2, theta=0.0))
+        assert len(h.levels) >= 2
+        with pytest.raises(np.linalg.LinAlgError, match="zero entry on diagonal"):
+            _vcycle(h, 0, np.ones(n))
+
+    def test_index_cast_refuses_to_wrap(self):
+        big = np.array([0, 2**31], dtype=np.int64)
+        with pytest.raises(ValueError, match="C int limit"):
+            _as_intc(big)
+        edge = _as_intc(np.array([0, 2**31 - 1], dtype=np.int64))
+        assert edge.dtype == np.intc
+        assert edge[-1] == 2**31 - 1
+        assert _as_intc(np.array([], dtype=np.int64)).dtype == np.intc
 
 
 class TestNodeAffinity:
@@ -256,3 +323,20 @@ class TestSolveSps:
         b -= b.mean()
         x, stats = solve_sps(Lsu, b, tol=1e-8)
         assert stats.residual <= 1e-6
+
+    def test_fallback_releases_hierarchy(self):
+        from specsparse import build_seed
+
+        rng = np.random.default_rng(3)
+        g = strong_digraph(rng, 400)
+        Lsu = symmetrize(laplacian(build_seed(g).graph))
+        # a stall check after two iterations forces the LU fallback
+        solver = SpsSolver(Lsu, SolverParams(coarsest_size=50, stall_check=2, stall_ratio=1e-6))
+        assert solver.hierarchy is not None
+        for _ in range(2):
+            b = Lsu @ rng.standard_normal(400)
+            b -= b.mean()
+            x, stats = solver.solve(b)
+            assert stats.converged
+            assert solver._lu is not None
+            assert solver.hierarchy is None

@@ -9,6 +9,7 @@ from specsparse import (
     sparsify,
     symmetrize,
 )
+from specsparse.sparsify import _off_ids
 from specsparse.synth import banded_digraph
 
 from conftest import dense_pencil, strong_digraph
@@ -31,6 +32,20 @@ class TestParams:
         assert p.resolve_r(100) == 7
         assert p.resolve_r(10**6) == 16
         assert SparsifyParams(r=3).resolve_r(10**6) == 3
+
+
+class TestOffIds:
+    def test_matches_loop_reference(self, rng):
+        for m in (0, 1, 7, 200):
+            for _ in range(5):
+                kept = {int(i) for i in rng.integers(0, m, size=m // 2)} if m else set()
+                blacklist = {int(i) for i in rng.integers(0, m, size=m // 4)} if m else set()
+                expected = np.array(
+                    [i for i in range(m) if i not in kept and i not in blacklist], dtype=np.int64
+                )
+                got = _off_ids(m, kept, blacklist)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, expected)
 
 
 class TestSparsify:
