@@ -6,6 +6,12 @@ The directed Laplacian solve goes through the symmetrized system (solve
 L_Su y = b, smooth on L_Gu, map back with x = L_G^T y).  Partitioning embeds
 nodes with the low eigenvectors of the symmetrized Laplacian, collapsing
 repeated eigenvalues into distinct groups, and clusters them with k-means.
+
+The partition's eigensolve takes one of three routes: a dense ``eigh`` up to
+``dense_cutoff`` nodes; above it, shift-invert Lanczos on one sparse factor
+of L_u when L_u has at most ``SHIFT_INVERT_NNZ_PER_ROW`` nonzeros per row
+(sparsifiers), else plain Lanczos on the operator v -> L (L^T v) (dense
+inputs, whose factor would fill).
 """
 
 from __future__ import annotations
@@ -38,6 +44,13 @@ DANGLING_LOOP_SCALE = 1e-6
 # Eigenvalues closer than this (relative to the spectral radius) collapse
 # into one distinct value.
 EIGENVALUE_GROUP_TOL = 1e-8
+
+# spectral_partition factors L_u for shift-invert when it has at most this
+# many nonzeros per row.  Sparsifiers from `sparsify` measure 5.7-6.7 per row
+# and factor cheaply (0.5 M nonzeros on a 4000-node one); the graphs they
+# sparsify measure 37-40, where the factor fills to 8 M nonzeros at 4000
+# nodes and 42 M (about 1 GB) at 12000, so those stay on plain Lanczos.
+SHIFT_INVERT_NNZ_PER_ROW = 16
 
 
 @dataclass
@@ -212,6 +225,34 @@ def _distinct_groups(eigenvalues):
     return groups
 
 
+def _low_eigenpairs(L, Lu, want, v0):
+    """The ``want`` smallest eigenpairs of L_u = L L^T, in ascending order.
+
+    Sparse L_u: shift-invert Lanczos with one SuperLU factor of
+    L_u - sigma I, in a symmetric ordering with diagonal pivots (half the
+    fill of the default COLAMD factor).  The factor is freed on return.
+    Dense L_u: Lanczos for the smallest eigenvalues on v -> L (L^T v).
+    """
+    n = Lu.shape[0]
+    if Lu.nnz <= SHIFT_INVERT_NNZ_PER_ROW * n:
+        # Just below the spectrum of the PSD L_u: L_u - sigma I is SPD
+        # although L_u is singular.
+        sigma = -1e-8 * spla.norm(Lu, 1)
+        lu = spla.splu(
+            (Lu - sigma * sp.eye_array(n, format="csr")).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+        vals, vecs = spla.eigsh(Lu, k=want, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
+    else:
+        op = spla.LinearOperator((n, n), matvec=lambda v: L @ (L.T @ v), dtype=np.float64)
+        vals, vecs = spla.eigsh(op, k=want, which="SA", v0=v0)
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
 def spectral_partition(g: DirectedGraph, k, seed=0, dense_cutoff=2000) -> Partitioning:
     """Cluster nodes with eigenvectors of the first k distinct eigenvalues.
 
@@ -220,19 +261,23 @@ def spectral_partition(g: DirectedGraph, k, seed=0, dense_cutoff=2000) -> Partit
     columns are taken group by group in ascending order (truncating inside
     the final group) so that exactly k coordinates are used, then clustered
     by seeded k-means with 10 restarts.
+
+    The eigensolve is dense (``eigh``) for n <= ``dense_cutoff``.  Above it,
+    ARPACK finds max(4k, 2k + 10) eigenpairs: by shift-invert on a sparse
+    factor when L_u has at most ``SHIFT_INVERT_NNZ_PER_ROW`` nonzeros per
+    row, else by Lanczos for the smallest eigenvalues on v -> L (L^T v).
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    Lu = symmetrize(laplacian(g))
+    L = laplacian(g)
+    Lu = symmetrize(L)
     n = g.n
     if n <= dense_cutoff:
         vals, vecs = np.linalg.eigh(Lu.toarray())
     else:
         want = min(n - 1, max(4 * k, 2 * k + 10))
         v0 = np.random.default_rng(seed).standard_normal(n)
-        vals, vecs = spla.eigsh(Lu.tocsc(), k=want, which="SA", v0=v0)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+        vals, vecs = _low_eigenpairs(L, Lu, want, v0)
     vals = np.maximum(vals, 0.0)
 
     groups = _distinct_groups(vals)

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from specsparse import (
     DirectedGraph,
@@ -10,9 +13,13 @@ from specsparse import (
     laplacian,
     pagerank,
     pagerank_correlation,
+    read_matrix_market,
     sparsify,
     spectral_partition,
+    symmetrize,
 )
+
+from specsparse import apps
 
 from conftest import random_digraph, strong_digraph
 
@@ -151,13 +158,53 @@ class TestDirectedSolve:
         np.testing.assert_allclose(got, explicit, rtol=1e-10, atol=1e-10)
 
 
+def _eigsh_spy(monkeypatch):
+    """Record (sigma, (vals, vecs)) of every eigsh call spectral_partition makes."""
+    calls = []
+    real = spla.eigsh
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((kwargs.get("sigma"), out))
+        return out
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    return calls
+
+
+def _sparse_matches_dense(monkeypatch, g, k, shift_invert):
+    """Partition g through ARPACK (dense_cutoff=0) and check it against eigh.
+
+    The route taken must be the expected one, the eigenvalues and indices
+    must agree, and each chosen eigenvector must lie in the dense eigenspace
+    of its eigenvalue (any orthonormal basis of a repeated eigenvalue is
+    valid, so the vectors themselves need not agree).  Returns both results.
+    """
+    dense = spectral_partition(g, k, seed=0)
+    calls = _eigsh_spy(monkeypatch)
+    sparse = spectral_partition(g, k, seed=0, dense_cutoff=0)
+    assert len(calls) == 1
+    sigma, (vals, vecs) = calls[0]
+    assert (sigma is not None) == shift_invert
+
+    w, V = np.linalg.eigh(symmetrize(laplacian(g)).toarray())
+    scale = max(abs(w).max(), 1e-300)
+    assert sparse.eigvec_indices == dense.eigvec_indices
+    np.testing.assert_allclose(sparse.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-8 * scale)
+    X = vecs[:, np.argsort(vals)][:, sparse.eigvec_indices]
+    for x, lam in zip(X.T, sparse.eigenvalues):
+        Z = V[:, np.abs(np.maximum(w, 0.0) - lam) <= 1e-8 * scale]
+        assert np.linalg.norm(x - Z @ (Z.T @ x)) <= 1e-6
+    return dense, sparse
+
+
 class TestSpectralPartition:
-    def test_disconnected_cycles_separate_exactly(self):
+    def test_disconnected_cycles_separate_exactly(self, monkeypatch):
         g = DirectedGraph(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 2.0), (3, 2, 2.0)])
-        part = spectral_partition(g, 2, seed=0)
-        assert part.assignment[0] == part.assignment[1]
-        assert part.assignment[2] == part.assignment[3]
-        assert part.assignment[0] != part.assignment[2]
+        for part in _sparse_matches_dense(monkeypatch, g, 2, shift_invert=True):
+            assert part.assignment[0] == part.assignment[1]
+            assert part.assignment[2] == part.assignment[3]
+            assert part.assignment[0] != part.assignment[2]
 
     def test_every_node_assigned_dense_ids(self, rng):
         g = strong_digraph(rng, 25)
@@ -188,9 +235,29 @@ class TestSpectralPartition:
         # two disconnected 2-cycles: eigenvalue 0 has multiplicity 2 but is
         # one distinct value, so indices 0 and 1 are both used for k=2
         g = DirectedGraph(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)])
-        part = spectral_partition(g, 2, seed=0)
-        assert part.eigvec_indices == [0, 1]
-        np.testing.assert_allclose(part.eigenvalues, 0.0, atol=1e-9)
+        for dense_cutoff in (2000, 0):
+            part = spectral_partition(g, 2, seed=0, dense_cutoff=dense_cutoff)
+            assert part.eigvec_indices == [0, 1]
+            np.testing.assert_allclose(part.eigenvalues, 0.0, atol=1e-9)
+
+    def test_shift_invert_route_matches_dense_synth32(self, monkeypatch):
+        g = read_matrix_market(Path(__file__).parent / "data" / "synth32.mtx")
+        dense, sparse = _sparse_matches_dense(monkeypatch, g, 4, shift_invert=True)
+        assert adjusted_rand_index(dense.assignment, sparse.assignment) == 1.0
+
+    def test_lanczos_route_matches_dense_on_dense_laplacian(self, rng, monkeypatch):
+        g = strong_digraph(rng, 300, extra_factor=12)
+        assert symmetrize(laplacian(g)).nnz > apps.SHIFT_INVERT_NNZ_PER_ROW * g.n
+        dense, sparse = _sparse_matches_dense(monkeypatch, g, 4, shift_invert=False)
+        assert adjusted_rand_index(dense.assignment, sparse.assignment) == 1.0
+
+    def test_multi_attractor_converges_by_shift_invert(self, monkeypatch):
+        # Zero has multiplicity 20 here; plain Lanczos for the smallest
+        # eigenvalues stalled on it (ArpackNoConvergence).  Any basis of the
+        # null space is valid, and k-means on another basis clusters
+        # differently, so only the eigenvalues and the subspace are compared.
+        g = random_digraph(np.random.default_rng(3), 300)
+        _sparse_matches_dense(monkeypatch, g, 4, shift_invert=True)
 
 
 class TestKmeans:
