@@ -1,6 +1,6 @@
 """Spectral sparsification of directed graphs via Laplacian symmetrization."""
 
-from .graphs import DirectedGraph, adjacency, laplacian, symmetrize, incidence_factorization
+from .graphs import DirectedGraph, adjacency, laplacian, symmetrize, symmetrized_operator, incidence_factorization
 from .mmio import ParseError, read_matrix_market, write_matrix_market, write_sparsifier
 from .seed import SeedSubgraph, build_seed, maximum_spanning_structure, symmetrized_transition
 from .solver import (
@@ -16,13 +16,12 @@ from .solver import (
 from .sensitivity import (
     EdgeScore,
     EigPair,
-    edge_embedding,
-    edge_sensitivity,
     filter_similar_edges,
     power_iterate,
+    score_edges,
     spectral_similarity,
 )
-from .sparsify import IterationReport, Sparsifier, SparsifyParams, condition_metrics, sparsify
+from .sparsify import IterationReport, Sparsifier, SparsifyParams, estimate_mu, sparsify
 from .apps import (
     PageRankResult,
     Partitioning,

@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .graphs import DirectedGraph, adjacency, laplacian, symmetrize
+from .graphs import DirectedGraph, adjacency, laplacian, symmetrize, symmetrized_operator
 from .solver import SolverParams, SpsSolver, _GaussSeidel
 from .sparsify import Sparsifier
 
@@ -247,8 +246,7 @@ def _low_eigenpairs(L, Lu, want, v0):
         OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
         vals, vecs = spla.eigsh(Lu, k=want, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
     else:
-        op = spla.LinearOperator((n, n), matvec=lambda v: L @ (L.T @ v), dtype=np.float64)
-        vals, vecs = spla.eigsh(op, k=want, which="SA", v0=v0)
+        vals, vecs = spla.eigsh(symmetrized_operator(L), k=want, which="SA", v0=v0)
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 

@@ -14,11 +14,10 @@ import sys
 import numpy as np
 
 from .apps import pagerank, pagerank_correlation, spectral_partition, directed_solve
-from .graphs import DirectedGraph, laplacian, symmetrize
+from .graphs import laplacian, symmetrize, symmetrized_operator
 from .mmio import ParseError, read_matrix_market, write_matrix_market
-from .sensitivity import power_iterate
 from .solver import SolverParams, SpsSolver
-from .sparsify import SparsifyParams, sparsify
+from .sparsify import SparsifyParams, estimate_mu, sparsify
 
 __all__ = ["main", "console_main"]
 
@@ -192,33 +191,28 @@ def _cmd_partition(args):
 
 def _cmd_spectrum(args):
     g = read_matrix_market(args.input)
-    Lu = symmetrize(laplacian(g))
+    L = laplacian(g)
     lines = []
     if args.sparsifier:
         s = read_matrix_market(args.sparsifier)
         if s.n != g.n:
             raise ValueError(f"sparsifier has {s.n} nodes, graph has {g.n}")
         Su = symmetrize(laplacian(s))
-        solver = SpsSolver(Su)
-        rng = np.random.default_rng(args.seed)
-        mus = sorted(
-            (
-                power_iterate(Lu, Su, rng.uniform(-1, 1, g.n), t=3, solver=solver).mu
-                for _ in range(args.top)
-            ),
-            reverse=True,
-        )
+        starts = np.random.default_rng(args.seed).uniform(-1, 1, size=(max(args.top, 0), g.n))
+        pairs = estimate_mu(L, Su, starts, 3, SpsSolver(Su))
+        mus = sorted((pair.mu for pair in pairs), reverse=True)
         lines.append("index,mu_estimate")
         for i, mu in enumerate(mus):
             lines.append(f"{i},{_fmt(mu)}")
     else:
-        vals = np.linalg.eigvalsh(Lu.toarray()) if g.n <= 2000 else None
-        if vals is None:
+        if g.n <= 2000:
+            vals = np.linalg.eigvalsh(symmetrize(L).toarray())
+        else:
             import scipy.sparse.linalg as spla
 
             k = min(args.top, g.n - 1)
             v0 = np.random.default_rng(args.seed).standard_normal(g.n)
-            vals = np.sort(spla.eigsh(Lu.tocsc(), k=k, which="SA", v0=v0)[0])
+            vals = np.sort(spla.eigsh(symmetrized_operator(L), k=k, which="SA", v0=v0)[0])
         lines.append("index,eigenvalue")
         for i, ev in enumerate(vals[: args.top]):
             lines.append(f"{i},{_fmt(max(ev, 0.0))}")

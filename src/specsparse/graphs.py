@@ -5,19 +5,22 @@ out-degrees, so every *column* of L sums to zero.  Symmetrizing it as
 L_u = L L^T yields a symmetric positive semidefinite matrix with the all-ones
 vector in its null space; L_u behaves like an undirected Laplacian except that
 off-diagonals may turn positive (negative undirected edge weights) when the
-out-edges of a shared tail couple.
+out-edges of a shared tail couple.  ``symmetrized_operator`` applies L_u as
+two products with L instead, for L_u that are only ever multiplied.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 __all__ = [
     "DirectedGraph",
     "adjacency",
     "laplacian",
     "symmetrize",
+    "symmetrized_operator",
     "incidence_factorization",
 ]
 
@@ -86,12 +89,12 @@ class DirectedGraph:
         return np.bincount(self.tails, weights=self.weights, minlength=self.n)
 
     def subgraph(self, edge_ids):
-        """Graph on the same node set keeping only the given edge ids."""
-        ids = np.asarray(sorted(edge_ids), dtype=np.int64)
-        return DirectedGraph(
-            self.n,
-            zip(self.tails[ids], self.heads[ids], self.weights[ids]),
-        )
+        """Graph on the same node set keeping the given edge ids, each once;
+        canonical arrays sliced at ascending ids stay canonical."""
+        ids = np.unique(np.fromiter(edge_ids, dtype=np.int64))
+        sub = DirectedGraph(self.n, ())
+        sub.tails, sub.heads, sub.weights = self.tails[ids], self.heads[ids], self.weights[ids]
+        return sub
 
     def __eq__(self, other):
         if not isinstance(other, DirectedGraph):
@@ -161,6 +164,20 @@ def symmetrize(L: sp.sparray) -> sp.csr_array:
     ).tocsr()
     out.eliminate_zeros()
     return out
+
+
+def symmetrized_operator(L: sp.sparray) -> spla.LinearOperator:
+    """L_u = L L^T as the operator v -> L (L^T v) on vectors and n x k
+    blocks; L^T is built once.  Not formed, so no cancellation is dropped."""
+    L = sp.csr_array(L)
+    if L.shape[0] != L.shape[1]:
+        raise ValueError(f"expected square matrix, got {L.shape}")
+    LT = L.T.tocsr()
+
+    def apply(v):
+        return L @ (LT @ v)
+
+    return spla.LinearOperator(L.shape, matvec=apply, matmat=apply, dtype=np.float64)
 
 
 def incidence_factorization(g: DirectedGraph):

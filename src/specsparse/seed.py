@@ -80,19 +80,21 @@ def maximum_spanning_structure(P: sp.sparray) -> list[tuple[int, int]]:
     i.e. exactly n - #components edges as (i, j) pairs with i < j.
     """
     C = sp.coo_array(P)
-    pair_weights = {}
-    for i, j, v in zip(C.row, C.col, C.data):
-        if i == j or v == 0:
-            continue
-        key = (min(i, j), max(i, j))
-        pair_weights[key] = pair_weights.get(key, 0.0) + float(v)
+    keep = (C.row != C.col) & (C.data != 0)
+    lo = np.minimum(C.row, C.col)[keep].astype(np.int64)
+    hi = np.maximum(C.row, C.col)[keep].astype(np.int64)
+    # A canonical P holds at most two entries per pair, P[i, j] and P[j, i],
+    # and a sum of two does not depend on their order.
+    keys, inverse = np.unique(lo * P.shape[0] + hi, return_inverse=True)
+    weights = np.bincount(inverse, weights=C.data[keep], minlength=keys.size)
+    lo, hi = np.divmod(keys, P.shape[0])
 
-    ranked = sorted(pair_weights.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = np.lexsort((hi, lo, -weights))
     uf = _UnionFind(P.shape[0])
     forest = []
-    for (i, j), _ in ranked:
-        if uf.union(int(i), int(j)):
-            forest.append((int(i), int(j)))
+    for i, j in zip(lo[ranked].tolist(), hi[ranked].tolist()):
+        if uf.union(i, j):
+            forest.append((i, j))
     return forest
 
 
@@ -111,6 +113,20 @@ def _sink_flags(n_comp, labels, tails, heads):
     cross = labels[tails] != labels[heads]
     has_exit[labels[tails[cross]]] = True
     return ~has_exit
+
+
+def _run_starts(sorted_values):
+    """Mask of the first entry of each run of equal values."""
+    first = np.ones(sorted_values.size, dtype=bool)
+    first[1:] = sorted_values[1:] != sorted_values[:-1]
+    return first
+
+
+def _heaviest_per_group(g, ids, groups):
+    """Per group (``groups`` labels ``ids``), in group order, the heaviest
+    edge id; ties go to the smaller tail, then the smaller head."""
+    pick = np.lexsort((g.heads[ids], g.tails[ids], -g.weights[ids], groups))
+    return ids[pick[_run_starts(groups[pick])]]
 
 
 def _rank_repair(g, kept_set):
@@ -143,14 +159,8 @@ def _rank_repair(g, kept_set):
         # Inside each original sink component, keep one anchor seed sink
         # (smallest node id) and drain the rest.
         sink_ids = np.nonzero(sink_s & sink_g[gcomp])[0]
-        order = np.lexsort((comp_min[sink_ids], gcomp[sink_ids]))
-        seen = set()
-        for cid in sink_ids[order]:
-            gc = int(gcomp[cid])
-            if gc in seen:
-                spurious[cid] = True
-            else:
-                seen.add(gc)
+        sink_ids = sink_ids[np.lexsort((comp_min[sink_ids], gcomp[sink_ids]))]
+        spurious[sink_ids[~_run_starts(gcomp[sink_ids])]] = True
         if not spurious.any():
             break
 
@@ -162,12 +172,7 @@ def _rank_repair(g, kept_set):
         cand_ids = np.nonzero(cand)[0]
         if cand_ids.size == 0:
             break
-        comps = lab_s[g.tails[cand_ids]]
-        pick = np.lexsort((g.heads[cand_ids], g.tails[cand_ids], -g.weights[cand_ids], comps))
-        comps_sorted = comps[pick]
-        first = np.ones(pick.size, dtype=bool)
-        first[1:] = comps_sorted[1:] != comps_sorted[:-1]
-        chosen = cand_ids[pick[first]]
+        chosen = _heaviest_per_group(g, cand_ids, lab_s[g.tails[cand_ids]])
         in_seed[chosen] = True
         added.extend(int(e) for e in chosen)
     return added
@@ -184,28 +189,16 @@ def build_seed(g: DirectedGraph) -> SeedSubgraph:
     edges until the sink-component counts coincide.
     """
     P = symmetrized_transition(g)
-    forest = set(maximum_spanning_structure(P))
-
-    kept = []
-    for eid in range(g.num_edges):
-        t, h = int(g.tails[eid]), int(g.heads[eid])
-        if (min(t, h), max(t, h)) in forest:
-            kept.append(eid)
+    forest = np.array(maximum_spanning_structure(P), dtype=np.int64).reshape(-1, 2)
+    lo = np.minimum(g.tails, g.heads)
+    hi = np.maximum(g.tails, g.heads)
+    on_forest = np.isin(lo * g.n + hi, forest[:, 0] * g.n + forest[:, 1])
+    kept = np.flatnonzero(on_forest).tolist()
 
     has_out = np.zeros(g.n, dtype=bool)
-    for eid in kept:
-        has_out[g.tails[eid]] = True
-
-    best = {}  # node -> edge id of heaviest outgoing edge
-    for eid in range(g.num_edges):
-        t = int(g.tails[eid])
-        if has_out[t]:
-            continue
-        cur = best.get(t)
-        if cur is None or (g.weights[eid], -g.heads[eid]) > (g.weights[cur], -g.heads[cur]):
-            best[t] = eid
-
-    dangling = sorted(best.values())
+    has_out[g.tails[on_forest]] = True
+    bare = np.flatnonzero(~has_out[g.tails])
+    dangling = np.sort(_heaviest_per_group(g, bare, g.tails[bare])).tolist()
     kept_set = set(kept) | set(dangling)
     rank_fix = [] if g.num_edges == 0 else _rank_repair(g, kept_set)
     kept_set.update(rank_fix)

@@ -3,10 +3,11 @@
 The dominant eigenvalue mu_max of the pencil (L_Gu, L_Su) measures how far
 the subgraph's symmetrized Laplacian is from the original's.  A few steps of
 generalized power iteration (multiply by L_Gu, solve with L_Su) give a vector
-h_t rich in the top eigenvector directions; first-order perturbation of the
-pencil then scores every off-subgraph edge by how much adding it would move
-mu_max, and an r-dimensional embedding of the same quadratic forms lets the
-selection step skip edges that perturb the same spectral directions.
+h_t rich in the top eigenvector directions (L_Gu may be an operator that is
+never formed); ``score_edges`` then scores all off-subgraph edges at once by
+first-order perturbation of the pencil, with an r-dimensional embedding of
+the same quadratic forms that lets the selection step skip edges that
+perturb the same spectral directions.
 """
 
 from __future__ import annotations
@@ -14,17 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graphs import DirectedGraph, laplacian
 from .solver import SpsSolver
 
 __all__ = [
     "EigPair",
     "EdgeScore",
     "power_iterate",
-    "edge_sensitivity",
-    "edge_embedding",
+    "score_edges",
     "spectral_similarity",
     "filter_similar_edges",
 ]
@@ -56,8 +54,9 @@ def _deflate(v):
 def power_iterate(L_Gu, L_Su, h0, t=3, solver: SpsSolver | None = None, residual_cap=1e-3) -> EigPair:
     """t alternations of (multiply by L_Gu, solve with L_Su) from h0.
 
-    h0 is deflated to zero mean up front and the iterate renormalized each
-    step (the Rayleigh quotient is scale-invariant).  mu is estimated as
+    L_Gu and L_Su may be any operands of ``@``.  h0 is deflated to zero
+    mean up front and the iterate renormalized each step (the Rayleigh
+    quotient is scale-invariant).  mu is estimated as
     (h^T L_Gu h) / (h^T L_Su h), which is at least 1 - eps whenever S is a
     subgraph of G with matching null space.
 
@@ -68,8 +67,6 @@ def power_iterate(L_Gu, L_Su, h0, t=3, solver: SpsSolver | None = None, residual
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    L_Gu = sp.csr_array(L_Gu)
-    L_Su = sp.csr_array(L_Su)
     if solver is None:
         solver = SpsSolver(L_Su)
     h = _deflate(np.asarray(h0, dtype=np.float64))
@@ -91,47 +88,21 @@ def power_iterate(L_Gu, L_Su, h0, t=3, solver: SpsSolver | None = None, residual
     return EigPair(mu=mu, h=h, t=t)
 
 
-def _tail_forms(L_S, h):
-    """(D_S - A_S) h, i.e. L_S^T h: per node p the sum over S-edges (p, q)
-    of w (h_p - h_q).  Shared workhorse of sensitivity and embedding."""
-    return L_S.T @ h
+def score_edges(h_list, L_S, tails, heads, weights):
+    """(sensitivities, embeddings) of the off-subgraph edges (tails, heads).
 
-
-def edge_sensitivity(h, edge, w_pq, L_S) -> float:
-    """First-order change of mu_max from adding off-subgraph edge (p, q).
-
-    Evaluates h^T (dL_S L_S^T + L_S dL_S^T) h for the rank-one perturbation
-    dL_S = w (e_p - e_q) e_p^T, which collapses to
-    2 w (h_p - h_q) (L_S^T h)_p -- only the tail's column of L_S is touched.
+    Adding edge (p, q) perturbs L_S by dL_S = w (e_p - e_q) e_p^T, and
+    h^T (dL_S L_S^T + L_S dL_S^T) h collapses to 2 w (h_p - h_q) (L_S^T h)_p.
+    Embedding component k is that form without w at h = h_list[k] (zero when
+    p has no out-edge in S); the sensitivity is w times their mean.
     """
-    p, q = edge
-    L_S = sp.csr_array(L_S)
-    if L_S[q, p] != 0:
-        raise ValueError(f"edge ({p}, {q}) is already in the subgraph")
-    h = np.asarray(h, dtype=np.float64)
-    g = _tail_forms(L_S, h)
-    return float(2.0 * w_pq * (h[p] - h[q]) * g[p])
-
-
-def edge_embedding(h_list, edge, S: DirectedGraph) -> np.ndarray:
-    """r-dimensional spectral embedding of the off-subgraph edge (p, q).
-
-    Component k couples (p, q) with the subgraph edges sharing its tail p
-    through the eigenvector estimate h^(k):
-
-        sum_j w_{p,qj} h^T (e_pq e_pqj^T + e_pqj e_pq^T) h
-          = 2 (h_p - h_q) (L_S^T h)_p
-
-    Tails with no outgoing subgraph edges give zero components.
-    """
-    p, q = edge
-    L_S = laplacian(S)
-    out = np.empty(len(h_list))
-    for k, h in enumerate(h_list):
-        h = np.asarray(h, dtype=np.float64)
-        g = _tail_forms(L_S, h)
-        out[k] = 2.0 * (h[p] - h[q]) * g[p]
-    return out
+    H = np.column_stack(h_list)
+    Y = L_S.T @ H
+    embeddings = H[tails]
+    embeddings -= H[heads]
+    embeddings *= 2.0
+    embeddings *= Y[tails]
+    return weights * embeddings.mean(axis=1), embeddings
 
 
 def spectral_similarity(s1, s2) -> float:

@@ -4,9 +4,11 @@ Starting from the spanning-structure seed, each iteration scores the
 off-subgraph edges by spectral sensitivity, keeps the top slice, prunes
 spectrally-similar ones, tentatively adds the survivors and re-estimates the
 dominant generalized eigenvalue; the addition sticks only if the eigenvalue
-dropped.  Rejected batches are blacklisted until the next accepted batch,
-which rules out livelock without discarding edges forever.  Kept edges always
-retain their original weights.
+dropped.  ``estimate_mu`` runs the power iteration from each of r random
+starts, applying L_Gu = L_G L_G^T as two sparse products, so only the
+subgraph's L_Su is ever formed.  Rejected batches are blacklisted until the
+next accepted batch, which rules out livelock without discarding edges
+forever.  Kept edges always retain their original weights.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import DirectedGraph, laplacian, symmetrize
+from .graphs import DirectedGraph, laplacian, symmetrize, symmetrized_operator
 from .seed import build_seed
-from .sensitivity import EdgeScore, filter_similar_edges, power_iterate
+from .sensitivity import EdgeScore, filter_similar_edges, power_iterate, score_edges
 from .solver import SolverParams, SpsSolver
 
-__all__ = ["SparsifyParams", "IterationReport", "Sparsifier", "sparsify", "condition_metrics"]
+__all__ = ["SparsifyParams", "IterationReport", "Sparsifier", "sparsify", "estimate_mu"]
 
 
 @dataclass
@@ -96,20 +98,25 @@ def _off_ids(m, kept_set, blacklist):
     return np.flatnonzero(off)
 
 
-def _evaluate(g, L_Gu, kept_ids, r, t, solver_params, rng):
+def estimate_mu(L_G, L_Su, starts, t, solver):
+    """t-step power-iteration estimates for the pencil (L_G L_G^T, L_Su).
+
+    Returns one ``EigPair`` per row of ``starts``; L_G L_G^T is applied as
+    ``symmetrized_operator(L_G)`` and never formed.
+    """
+    L_Gu = symmetrized_operator(L_G)
+    return [power_iterate(L_Gu, L_Su, h0, t=t, solver=solver) for h0 in starts]
+
+
+def _evaluate(g, L_G, kept_ids, r, t, solver_params, rng):
     """Estimate (mu_max, h vectors) for the subgraph given by kept_ids."""
     S = g.subgraph(kept_ids)
     L_S = laplacian(S)
     L_Su = symmetrize(L_S)
     solver = SpsSolver(L_Su, params=solver_params)
-    h_list = []
-    mu = 0.0
-    for _ in range(r):
-        h0 = rng.uniform(-1.0, 1.0, size=g.n)
-        pair = power_iterate(L_Gu, L_Su, h0, t=t, solver=solver)
-        h_list.append(pair.h)
-        mu = max(mu, pair.mu)
-    return mu, h_list, S, L_S
+    pairs = estimate_mu(L_G, L_Su, rng.uniform(-1.0, 1.0, size=(r, g.n)), t, solver)
+    mu = max(0.0, *(pair.mu for pair in pairs))
+    return mu, [pair.h for pair in pairs], S, L_S
 
 
 def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifier:
@@ -131,13 +138,12 @@ def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifi
         return Sparsifier(graph, kept, report, 1.0, 1.0)
 
     L_G = laplacian(g)
-    L_Gu = symmetrize(L_G)
     r = params.resolve_r(g.n)
 
     t0 = time.perf_counter()
     try:
         mu, h_list, S, L_S = _evaluate(
-            g, L_Gu, kept, r, params.t, params.solver, _rng_for(params.seed, 0)
+            g, L_G, kept, r, params.t, params.solver, _rng_for(params.seed, 0)
         )
     except RuntimeError:
         # Pencil is ill-posed (e.g. several attractor components whose null
@@ -164,11 +170,7 @@ def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifi
         tails = g.tails[off_ids]
         heads = g.heads[off_ids]
         weights = g.weights[off_ids]
-        base = np.empty((off_ids.size, len(h_list)))
-        for k, h in enumerate(h_list):
-            y = L_S.T @ h
-            base[:, k] = 2.0 * (h[tails] - h[heads]) * y[tails]
-        sens = weights * base.mean(axis=1)
+        sens, embeddings = score_edges(h_list, L_S, tails, heads, weights)
 
         order = np.lexsort((off_ids, -sens))
         n_top = max(1, int(np.floor(params.alpha_percent / 100.0 * off_ids.size)))
@@ -180,7 +182,7 @@ def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifi
                 head=int(heads[i]),
                 weight=float(weights[i]),
                 sensitivity=float(sens[i]),
-                embedding=base[i],
+                embedding=embeddings[i],
             )
             for i in top
         ]
@@ -196,7 +198,7 @@ def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifi
         tentative = sorted(kept_set | set(new_ids))
         try:
             mu_new, h_new, S_new, L_S_new = _evaluate(
-                g, L_Gu, tentative, r, params.t, params.solver, _rng_for(params.seed, iteration)
+                g, L_G, tentative, r, params.t, params.solver, _rng_for(params.seed, iteration)
             )
         except RuntimeError:
             reports.append(
@@ -228,20 +230,3 @@ def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifi
         mu_initial=mu_initial,
         mu_final=mu,
     )
-
-
-def condition_metrics(L_Gu, L_Su, mu_initial=None, t=3, r=8, seed=0, solver_params=None):
-    """Estimate mu_max for the pencil (L_Gu, L_Su) plus its reduction ratio.
-
-    The ratio is mu_initial / mu_current (1.0 when no baseline is supplied,
-    i.e. at iteration 0 by definition).
-    """
-    solver = SpsSolver(L_Su, params=solver_params or SolverParams())
-    rng = np.random.default_rng(seed)
-    mu = 0.0
-    n = L_Gu.shape[0]
-    for _ in range(r):
-        pair = power_iterate(L_Gu, L_Su, rng.uniform(-1, 1, size=n), t=t, solver=solver)
-        mu = max(mu, pair.mu)
-    ratio = (mu_initial / mu) if mu_initial is not None else 1.0
-    return mu, ratio

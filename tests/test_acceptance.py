@@ -106,14 +106,10 @@ def test_criterion_03_eigen_oracle_equivalence():
         true_top = max(exact, key=lambda e: exact[e])
 
         solver = SpsSolver(Lsu)
-        L_S = ss.laplacian(seed.graph)
-        approx = np.zeros(len(off))
-        for _ in range(8):
-            pair = ss.power_iterate(Lgu, Lsu, rng.uniform(-1, 1, n), t=3, solver=solver)
-            y = L_S.T @ pair.h
-            for i, eid in enumerate(off):
-                p, q, w = int(g.tails[eid]), int(g.heads[eid]), g.weights[eid]
-                approx[i] += 2 * w * (pair.h[p] - pair.h[q]) * y[p]
+        pairs = ss.estimate_mu(ss.laplacian(g), Lsu, rng.uniform(-1, 1, size=(8, n)), 3, solver)
+        approx, _ = ss.score_edges(
+            [pair.h for pair in pairs], ss.laplacian(seed.graph), g.tails[off], g.heads[off], g.weights[off]
+        )
         rank = np.argsort(-approx)
         pos = int(np.nonzero(np.array(off)[rank] == true_top)[0][0])
         trials += 1

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 
-from specsparse import DirectedGraph, adjacency, incidence_factorization, laplacian, symmetrize
+from specsparse import (
+    DirectedGraph,
+    adjacency,
+    incidence_factorization,
+    laplacian,
+    symmetrize,
+    symmetrized_operator,
+)
 
 from conftest import random_digraph
 
@@ -30,6 +38,16 @@ class TestDirectedGraph:
         g = DirectedGraph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)])
         s = g.subgraph([0, 2])
         assert s.edges == [(0, 1, 1.0), (2, 0, 3.0)]
+
+    def test_subgraph_keeps_repeated_id_once(self, rng):
+        g = DirectedGraph(3, [(0, 1, 1.5), (1, 2, 2.0)])
+        assert g.subgraph([0, 0]).edges == [(0, 1, 1.5)]
+        for _ in range(10):
+            g = random_digraph(rng, int(rng.integers(1, 30)))
+            ids = rng.integers(0, max(g.num_edges, 1), size=g.num_edges).tolist() if g.num_edges else []
+            rebuilt = DirectedGraph(g.n, [g.edges[i] for i in set(ids)])
+            assert g.subgraph(ids) == rebuilt
+            assert g.subgraph(iter(set(ids))) == rebuilt
 
 
 class TestAdjacency:
@@ -147,6 +165,41 @@ class TestSymmetrize:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="square"):
             symmetrize(sp.csr_array(np.ones((2, 3))))
+
+
+def assert_operator_matches(L, V):
+    """symmetrized_operator(L) @ V against symmetrize(L) @ V and the dense
+    L L^T V, relative to the magnitude |L| |L|^T |V| of the terms summed."""
+    Ld = L.toarray()
+    got = symmetrized_operator(L) @ V
+    assert got.shape == V.shape
+    tol = 1e-12 * max((np.abs(Ld) @ (np.abs(Ld).T @ np.abs(V))).max(), 1e-300)
+    assert np.abs(got - symmetrize(L) @ V).max() <= tol
+    assert np.abs(got - (Ld @ Ld.T) @ V).max() <= tol
+
+
+class TestSymmetrizedOperator:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 50), graph_seed=st.integers(0, 2**32 - 1), block=st.integers(0, 3))
+    @example(n=1, graph_seed=0, block=0)
+    @example(n=2, graph_seed=0, block=0)
+    @example(n=2, graph_seed=1, block=2)
+    def test_matches_formed_and_dense_product(self, n, graph_seed, block):
+        rng = np.random.default_rng(graph_seed)
+        g = random_digraph(rng, n)
+        V = rng.standard_normal(n if block == 0 else (n, block))
+        assert_operator_matches(laplacian(g), V)
+
+    def test_hub_with_2000_out_edges(self, rng):
+        d = 2000
+        edges = [(0, i, float(w)) for i, w in enumerate(rng.uniform(0.1, 2.0, d), start=1)]
+        edges += [(i, i + 1, 1.0) for i in range(1, d)]
+        L = laplacian(DirectedGraph(d + 1, edges))
+        assert_operator_matches(L, rng.standard_normal(d + 1))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="square"):
+            symmetrized_operator(sp.csr_array(np.ones((2, 3))))
 
 
 class TestIncidenceFactorization:

@@ -161,3 +161,93 @@ class TestBuildSeed:
         assert a.kept_edge_ids == b.kept_edge_ids
         assert a.added_for_dangling == b.added_for_dangling
         assert a.added_for_rank == b.added_for_rank
+
+
+def tied_digraph(rng, n):
+    """Random digraph with integer weights 1-3, so pair weights and heaviest
+    out-edges tie often."""
+    edges = {}
+    for _ in range(int(rng.integers(0, 4 * n + 1))):
+        t, h = rng.integers(0, n, 2)
+        if t != h:
+            edges[(int(t), int(h))] = float(rng.integers(1, 4))
+    return DirectedGraph(n, [(t, h, w) for (t, h), w in edges.items()])
+
+
+def forest_loop_reference(P):
+    """The per-entry dict merge and sort that maximum_spanning_structure
+    vectorizes, followed by the same Kruskal pass."""
+    import scipy.sparse as sp
+
+    C = sp.coo_array(P)
+    pair_weights = {}
+    for i, j, v in zip(C.row, C.col, C.data):
+        if i == j or v == 0:
+            continue
+        key = (min(i, j), max(i, j))
+        pair_weights[key] = pair_weights.get(key, 0.0) + float(v)
+    ranked = sorted(pair_weights.items(), key=lambda kv: (-kv[1], kv[0]))
+    parent = list(range(P.shape[0]))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    forest = []
+    for (i, j), _ in ranked:
+        ri, rj = find(int(i)), find(int(j))
+        if ri != rj:
+            parent[ri] = rj
+            forest.append((int(i), int(j)))
+    return forest
+
+
+def seed_loop_reference(g, forest):
+    """The per-edge loops that build_seed vectorizes: edges on the forest,
+    then the heaviest out-edge (smaller head on ties) of each tail left
+    without one."""
+    forest = set(forest)
+    kept = []
+    for eid in range(g.num_edges):
+        t, h = int(g.tails[eid]), int(g.heads[eid])
+        if (min(t, h), max(t, h)) in forest:
+            kept.append(eid)
+    has_out = np.zeros(g.n, dtype=bool)
+    for eid in kept:
+        has_out[g.tails[eid]] = True
+    best = {}
+    for eid in range(g.num_edges):
+        t = int(g.tails[eid])
+        if has_out[t]:
+            continue
+        cur = best.get(t)
+        if cur is None or (g.weights[eid], -g.heads[eid]) > (g.weights[cur], -g.heads[cur]):
+            best[t] = eid
+    return kept, sorted(best.values())
+
+
+class TestVectorizedAgainstLoops:
+    def test_forest_matches_loop(self, rng):
+        import scipy.sparse as sp
+
+        for _ in range(60):
+            g = tied_digraph(rng, int(rng.integers(1, 40)))
+            P = symmetrized_transition(g)
+            assert maximum_spanning_structure(P) == forest_loop_reference(P)
+        # asymmetric P with tied pair sums and explicit zeros
+        for _ in range(20):
+            n = int(rng.integers(2, 15))
+            M = rng.integers(0, 3, size=(n, n)).astype(float)
+            P = sp.csr_array(M)
+            P.data[::3] = 0.0
+            assert maximum_spanning_structure(P) == forest_loop_reference(P)
+
+    def test_seed_matches_loop(self, rng):
+        for trial in range(80):
+            n = int(rng.integers(1, 40))
+            g = tied_digraph(rng, n) if trial % 2 else random_digraph(rng, n)
+            seed = build_seed(g)
+            kept, dangling = seed_loop_reference(g, forest_loop_reference(symmetrized_transition(g)))
+            assert seed.added_for_dangling == dangling
+            assert seed.kept_edge_ids == sorted(set(kept) | set(dangling) | set(seed.added_for_rank))

@@ -5,11 +5,11 @@ from specsparse import (
     DirectedGraph,
     EdgeScore,
     build_seed,
-    edge_embedding,
-    edge_sensitivity,
+    estimate_mu,
     filter_similar_edges,
     laplacian,
     power_iterate,
+    score_edges,
     spectral_similarity,
     symmetrize,
 )
@@ -73,14 +73,19 @@ class TestPowerIterate:
             power_iterate(Lu, Lu, np.ones(5), t=0)
 
 
+def score_one(h_list, g, eid, L_S, weight=None):
+    """score_edges on the single edge eid of g: (sensitivity, embedding)."""
+    w = g.weights[[eid]] if weight is None else np.array([weight])
+    sens, emb = score_edges(h_list, L_S, g.tails[[eid]], g.heads[[eid]], w)
+    return sens[0], emb[0]
+
+
 class TestEdgeSensitivity:
     def test_allones_vector_gives_zero(self, rng):
         g, seed, off = seeded_case(rng, 8)
         L_S = laplacian(seed.graph)
-        for eid in off[:3]:
-            p, q = int(g.tails[eid]), int(g.heads[eid])
-            s = edge_sensitivity(np.ones(8), (p, q), g.weights[eid], L_S)
-            assert s == 0.0
+        sens, _ = score_edges([np.ones(8)], L_S, g.tails[off[:3]], g.heads[off[:3]], g.weights[off[:3]])
+        np.testing.assert_array_equal(sens, 0.0)
 
     def test_matches_dense_assembly(self, rng):
         for _ in range(5):
@@ -89,33 +94,35 @@ class TestEdgeSensitivity:
             Ld = L_S.toarray()
             h = rng.standard_normal(7)
             h -= h.mean()
-            for eid in off:
+            got, _ = score_edges([h], L_S, g.tails[off], g.heads[off], g.weights[off])
+            for i, eid in enumerate(off):
                 p, q, w = int(g.tails[eid]), int(g.heads[eid]), g.weights[eid]
                 e = np.zeros(7)
                 e[p], e[q] = 1.0, -1.0
                 dLs = w * np.outer(e, np.eye(7)[p])
                 dLsu = dLs @ Ld.T + Ld @ dLs.T
                 expected = h @ dLsu @ h
-                got = edge_sensitivity(h, (p, q), w, L_S)
-                assert got == pytest.approx(expected, abs=1e-10 * max(1, abs(expected)))
+                assert got[i] == pytest.approx(expected, abs=1e-10 * max(1, abs(expected)))
 
     def test_linear_in_weight(self, rng):
         g, seed, off = seeded_case(rng, 8)
         L_S = laplacian(seed.graph)
         h = rng.standard_normal(8)
-        eid = off[0]
-        p, q = int(g.tails[eid]), int(g.heads[eid])
-        s1 = edge_sensitivity(h, (p, q), 1.0, L_S)
-        s2 = edge_sensitivity(h, (p, q), 2.0, L_S)
+        s1, _ = score_one([h], g, off[0], L_S, weight=1.0)
+        s2, _ = score_one([h], g, off[0], L_S, weight=2.0)
         assert s2 == pytest.approx(2 * s1)
 
-    def test_edge_in_subgraph_rejected(self, rng):
-        g, seed, _ = seeded_case(rng, 8)
+    def test_mean_over_vectors(self, rng):
+        g, seed, off = seeded_case(rng, 8)
         L_S = laplacian(seed.graph)
-        eid = seed.kept_edge_ids[0]
-        p, q = int(g.tails[eid]), int(g.heads[eid])
-        with pytest.raises(ValueError, match="already"):
-            edge_sensitivity(np.ones(8), (p, q), 1.0, L_S)
+        hs = [rng.standard_normal(8) for _ in range(4)]
+        sens, emb = score_edges(hs, L_S, g.tails[off], g.heads[off], g.weights[off])
+        singles = []
+        for k, h in enumerate(hs):
+            single, single_emb = score_edges([h], L_S, g.tails[off], g.heads[off], g.weights[off])
+            np.testing.assert_array_equal(single_emb[:, 0], emb[:, k])
+            singles.append(single)
+        np.testing.assert_allclose(sens, np.mean(singles, axis=0), rtol=1e-12, atol=1e-15)
 
 
 class TestEdgeEmbedding:
@@ -123,22 +130,21 @@ class TestEdgeEmbedding:
         g = DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
         S = g.subgraph([2])  # only edge (1, 2): node 0 has no out-edge in S
         h = np.array([0.5, -0.2, -0.3])
-        emb = edge_embedding([h], (0, 1), S)
+        _, emb = score_one([h], g, 0, laplacian(S))  # edge (0, 1)
         np.testing.assert_array_equal(emb, [0.0])
 
     def test_single_shared_edge_formula(self):
         g = DirectedGraph(3, [(0, 1, 2.0), (0, 2, 1.0)])
         S = g.subgraph([0])  # keeps (0, 1, 2.0)
         h = np.array([0.7, -0.1, -0.6])
-        emb = edge_embedding([h], (0, 2), S)
+        _, emb = score_one([h], g, 1, laplacian(S))  # edge (0, 2)
         expected = 2 * 2.0 * (h[0] - h[2]) * (h[0] - h[1])
         assert emb[0] == pytest.approx(expected)
 
     def test_length_matches_vector_count(self, rng):
         g, seed, off = seeded_case(rng, 8)
         hs = [rng.standard_normal(8) for _ in range(5)]
-        eid = off[0]
-        emb = edge_embedding(hs, (int(g.tails[eid]), int(g.heads[eid])), seed.graph)
+        _, emb = score_one(hs, g, off[0], laplacian(seed.graph))
         assert emb.shape == (5,)
 
 
@@ -239,14 +245,10 @@ class TestRankingAgainstExactOracle:
             true_top = max(exact, key=lambda e: exact[e])
 
             solver = SpsSolver(Lsu)
-            L_S = laplacian(seed.graph)
-            approx = np.zeros(len(off))
-            for _ in range(8):
-                pair = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, g.n), t=3, solver=solver)
-                y = L_S.T @ pair.h
-                for i, eid in enumerate(off):
-                    p, q, w = int(g.tails[eid]), int(g.heads[eid]), g.weights[eid]
-                    approx[i] += 2 * w * (pair.h[p] - pair.h[q]) * y[p]
+            pairs = estimate_mu(laplacian(g), Lsu, rng.uniform(-1, 1, size=(8, g.n)), 3, solver)
+            approx, _ = score_edges(
+                [pair.h for pair in pairs], laplacian(seed.graph), g.tails[off], g.heads[off], g.weights[off]
+            )
             rank = np.argsort(-approx)
             pos = int(np.nonzero(np.array(off)[rank] == true_top)[0][0])
             trials += 1

@@ -1,10 +1,15 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specsparse import (
     DirectedGraph,
     SparsifyParams,
-    condition_metrics,
+    SpsSolver,
+    build_seed,
+    estimate_mu,
     laplacian,
     sparsify,
     symmetrize,
@@ -12,7 +17,11 @@ from specsparse import (
 from specsparse.sparsify import _off_ids
 from specsparse.synth import banded_digraph
 
-from conftest import dense_pencil, strong_digraph
+from conftest import dense_pencil, random_digraph, strong_digraph
+
+# The package attribute ``specsparse.sparsify`` is the function; the spies
+# below patch globals of the module.
+sparsify_module = importlib.import_module("specsparse.sparsify")
 
 
 class TestParams:
@@ -176,28 +185,66 @@ class TestSparsify:
         assert res.mu_final >= mu_true / 5
 
 
-class TestConditionMetrics:
-    def test_identity_case(self, rng):
-        g = strong_digraph(rng, 15)
-        Lu = symmetrize(laplacian(g))
-        mu, ratio = condition_metrics(Lu, Lu, mu_initial=123.0, seed=1)
-        assert mu == pytest.approx(1.0, abs=1e-9)
-        assert ratio == pytest.approx(123.0, rel=1e-9)
-
-    def test_iteration_zero_normalization(self, rng):
-        g = strong_digraph(rng, 15)
-        from specsparse import build_seed
-
-        seed = build_seed(g)
-        Lgu = symmetrize(laplacian(g))
-        Lsu = symmetrize(laplacian(seed.graph))
-        mu, ratio = condition_metrics(Lgu, Lsu, seed=2)
-        assert ratio == 1.0
-        assert mu >= 1 - 1e-9
-
     def test_banded_115_reduction(self):
         # the bundled 115-node stand-in reaches a large reduction with the
         # documented parameters (full strength asserted in the acceptance suite)
         g = banded_digraph(n=115, avg_out=3.7, seed=7)
         res = sparsify(g, SparsifyParams(iter_max=10, mu_limit=1.0, seed=0, alpha_percent=10))
         assert res.mu_final < res.mu_initial / 50
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 40), graph_seed=st.integers(0, 2**32 - 1))
+    def test_original_laplacian_never_symmetrized(self, n, graph_seed):
+        g = random_digraph(np.random.default_rng(graph_seed), n)
+        original_laplacians, symmetrized = [], []
+
+        def laplacian_spy(graph):
+            L = laplacian(graph)
+            if graph is g:
+                original_laplacians.append(L)
+            return L
+
+        def symmetrize_spy(L):
+            symmetrized.append(L)
+            return symmetrize(L)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(sparsify_module, "laplacian", laplacian_spy)
+            m.setattr(sparsify_module, "symmetrize", symmetrize_spy)
+            sparsify(g, SparsifyParams(iter_max=3, mu_limit=1.0, seed=0, alpha_percent=20))
+        assert bool(original_laplacians) == (len(build_seed(g).kept_edge_ids) < g.num_edges)
+        assert bool(symmetrized) == bool(original_laplacians)
+        assert not any(L is L_G for L in symmetrized for L_G in original_laplacians)
+
+
+class TestEstimateMu:
+    def test_identity_case(self, rng):
+        g = strong_digraph(rng, 15)
+        L = laplacian(g)
+        Lu = symmetrize(L)
+        pairs = estimate_mu(L, Lu, rng.uniform(-1, 1, size=(8, g.n)), 3, SpsSolver(Lu))
+        assert len(pairs) == 8
+        for pair in pairs:
+            assert pair.mu == pytest.approx(1.0, abs=1e-9)
+
+    def test_one_bounded_estimate_per_start(self, rng, monkeypatch):
+        g = strong_digraph(rng, 15)
+        seed = build_seed(g)
+        Lgu = symmetrize(laplacian(g))
+        Lsu = symmetrize(laplacian(seed.graph))
+        mu_true, _ = dense_pencil(Lgu, Lsu)
+        calls = []
+        power_iterate = sparsify_module.power_iterate
+
+        def power_iterate_spy(*args, **kwargs):
+            calls.append(args)
+            return power_iterate(*args, **kwargs)
+
+        monkeypatch.setattr(sparsify_module, "power_iterate", power_iterate_spy)
+        starts = rng.uniform(-1, 1, size=(5, g.n))
+        pairs = estimate_mu(laplacian(g), Lsu, starts, 3, SpsSolver(Lsu))
+        assert len(calls) == len(pairs) == 5
+        for start, call, pair in zip(starts, calls, pairs):
+            assert np.array_equal(call[2], start)
+            assert pair.t == 3 and pair.h.shape == (g.n,)
+            assert 1 - 1e-9 <= pair.mu <= mu_true * (1 + 1e-9)
