@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .graphs import DirectedGraph, adjacency, laplacian, symmetrize, symmetrized_operator
-from .solver import SolverParams, SpsSolver, _GaussSeidel
+from .solver import SolverParams, SpsSolver, _GaussSeidel, _shifted_factor
 from .sparsify import Sparsifier
 
 __all__ = [
@@ -228,8 +228,8 @@ def _low_eigenpairs(L, Lu, want, v0):
     """The ``want`` smallest eigenpairs of L_u = L L^T, in ascending order.
 
     Sparse L_u: shift-invert Lanczos with one SuperLU factor of
-    L_u - sigma I, in a symmetric ordering with diagonal pivots (half the
-    fill of the default COLAMD factor).  The factor is freed on return.
+    L_u - sigma I, made by the solver's ``_shifted_factor``.  The factor is
+    freed on return.
     Dense L_u: Lanczos for the smallest eigenvalues on v -> L (L^T v).
     """
     n = Lu.shape[0]
@@ -237,12 +237,7 @@ def _low_eigenpairs(L, Lu, want, v0):
         # Just below the spectrum of the PSD L_u: L_u - sigma I is SPD
         # although L_u is singular.
         sigma = -1e-8 * spla.norm(Lu, 1)
-        lu = spla.splu(
-            (Lu - sigma * sp.eye_array(n, format="csr")).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        lu = _shifted_factor(Lu, -sigma)
         OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
         vals, vecs = spla.eigsh(Lu, k=want, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
     else:

@@ -34,6 +34,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _count(text):
+    """argparse type for a count: an int that is not negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def build_parser():
     parser = _Parser(prog="specsparse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -76,7 +84,7 @@ def build_parser():
 
     p = sub.add_parser("spectrum", help="leading eigenvalue estimates for plotting")
     p.add_argument("--input", required=True)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_count, default=10)
     p.add_argument("--sparsifier", help="report generalized eigenvalue estimates against this subgraph")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="CSV destination (default stdout)")
@@ -103,7 +111,7 @@ def _cmd_sparsify(args):
         t=args.t,
         r=args.r,
         seed=args.seed,
-        solver=SolverParams(tol=args.solver_tol, seed=args.seed),
+        solver=SolverParams(tol=args.solver_tol),
     )
     result = sparsify(g, params)
     if args.output:
@@ -198,7 +206,7 @@ def _cmd_spectrum(args):
         if s.n != g.n:
             raise ValueError(f"sparsifier has {s.n} nodes, graph has {g.n}")
         Su = symmetrize(laplacian(s))
-        starts = np.random.default_rng(args.seed).uniform(-1, 1, size=(max(args.top, 0), g.n))
+        starts = np.random.default_rng(args.seed).uniform(-1, 1, size=(args.top, g.n))
         pairs = estimate_mu(L, Su, starts, 3, SpsSolver(Su))
         mus = sorted((pair.mu for pair in pairs), reverse=True)
         lines.append("index,mu_estimate")

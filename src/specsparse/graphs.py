@@ -46,23 +46,35 @@ class DirectedGraph:
             raise ValueError(f"node count must be >= 0, got {n}")
         self.n = int(n)
 
-        merged = {}
-        for tail, head, weight in edges:
-            tail = int(tail)
-            head = int(head)
+        edges = list(edges)
+        arr = np.array(edges, dtype=np.float64).reshape(len(edges), 3)
+        tails = arr[:, 0].astype(np.int64)
+        heads = arr[:, 1].astype(np.int64)
+        weights = arr[:, 2]
+        bad = (tails < 0) | (tails >= self.n) | (heads < 0) | (heads >= self.n) | ~(weights > 0)
+        if not allow_self_loops:
+            bad |= tails == heads
+        if bad.any():
+            # Rebuild the first failing edge's message from its own values.
+            tail, head, weight = edges[int(np.argmax(bad))]
+            tail, head = int(tail), int(head)
             if not (0 <= tail < self.n and 0 <= head < self.n):
                 raise ValueError(f"edge ({tail}, {head}) out of range for n={self.n}")
             if tail == head and not allow_self_loops:
                 raise ValueError(f"self-loop at node {tail} not allowed")
-            if not weight > 0:
-                raise ValueError(f"edge ({tail}, {head}) has non-positive weight {weight}")
-            key = (tail, head)
-            merged[key] = merged.get(key, 0.0) + float(weight)
+            raise ValueError(f"edge ({tail}, {head}) has non-positive weight {weight}")
 
-        items = sorted(merged.items())
-        self.tails = np.array([t for (t, _), _ in items], dtype=np.int64)
-        self.heads = np.array([h for (_, h), _ in items], dtype=np.int64)
-        self.weights = np.array([w for _, w in items], dtype=np.float64)
+        # A stable sort by (tail, head), without a tail * n + head key that
+        # could wrap; bincount sums each pair's weights in input order (and
+        # returns int64 when there are none, hence the cast).
+        order = np.lexsort((heads, tails))
+        tails, heads = tails[order], heads[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (tails[1:] != tails[:-1]) | (heads[1:] != heads[:-1])
+        pair = np.empty(order.size, dtype=np.int64)
+        pair[order] = np.cumsum(first) - 1
+        self.tails, self.heads = tails[first], heads[first]
+        self.weights = np.bincount(pair, weights=weights).astype(np.float64, copy=False)
 
     @property
     def num_edges(self):

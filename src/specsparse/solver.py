@@ -1,23 +1,22 @@
-"""Multilevel solver for SPS Laplacian-like systems, negative weights included.
+"""Preconditioned conjugate gradient for SPS Laplacian-like systems.
 
 Symmetrized Laplacians L_u = L L^T may carry positive off-diagonals, which
-rules out M-matrix-only methods.  The solver here combines affinity-guided
-node aggregation (smooth test vectors decide which neighbors merge), Galerkin
-coarse operators, Gauss-Seidel smoothing and a dense direct solve at the
-coarsest level, and wraps the resulting V-cycle as a preconditioner for
-conjugate gradient so convergence is guaranteed on SPS systems even when the
-hierarchy is weak.  Singular systems with the all-ones null vector are
-handled by deflation onto the zero-mean subspace; all-zero rows and degree-1
-nodes are eliminated exactly before the hierarchy is built.
+rules out M-matrix-only methods.  ``SpsSolver`` drops the all-zero rows and
+runs conjugate gradient on the remaining (active) system, preconditioned by
+one operator built once per matrix: the dense pseudo-inverse up to
+``DENSE_MAX`` nodes, otherwise one SuperLU factor of the system shifted by
+1e-8 of its largest diagonal.  Singular systems with the all-ones null
+vector are handled by deflation onto the zero-mean subspace.
 
-Each Gauss-Seidel triangle is prepared once for SuperLU's triangular-solve
-kernel ``gstrs`` (the one ``spsolve_triangular`` ends in), so a sweep costs
-one sparse product, one substitution and one diagonal rescale.
+Gauss-Seidel sweeps, which the PageRank smoothing uses, prepare each
+triangle once for SuperLU's triangular-solve kernel ``gstrs`` (the one
+``spsolve_triangular`` ends in), so a sweep costs one sparse product, one
+substitution and one diagonal rescale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,43 +26,23 @@ from scipy.sparse.linalg._dsolve import _superlu
 __all__ = [
     "SolverParams",
     "SolveStats",
-    "AggregationHierarchy",
     "SpsSolver",
     "gauss_seidel",
-    "node_affinity",
-    "build_hierarchy",
     "solve_sps",
 ]
+
+# Active systems up to this many nodes are preconditioned by their dense
+# pseudo-inverse, which solves them in one CG step; larger ones are factored.
+DENSE_MAX = 200
 
 
 @dataclass
 class SolverParams:
-    """Tunables for the multilevel SPS solver.
-
-    The defaults (8 test vectors, 3 relaxations for affinities, threshold
-    0.4, 2+2 smoothing sweeps, coarsest size 200) are engineering choices;
-    every one of them can be overridden.
-    """
+    """Stopping rule of the conjugate gradient: relative residual ``tol``
+    within ``max_iters`` steps."""
 
     tol: float = 1e-8
     max_iters: int = 400
-    affinity_vectors: int = 8
-    affinity_sweeps: int = 3
-    theta: float = 0.4
-    pre_sweeps: int = 2
-    post_sweeps: int = 2
-    coarsest_size: int = 200
-    max_levels: int = 30
-    max_aggregate: int = 8
-    max_direct: int = 2000
-    eliminate_degree_one: bool = True
-    seed: int = 0
-    # Escape hatch for matrices the aggregation cycle cannot handle (heavily
-    # tree-like symmetrized subgraphs): when CG progress stalls, switch the
-    # preconditioner to a shifted sparse factorization.
-    direct_fallback: bool = True
-    stall_check: int = 40
-    stall_ratio: float = 1e-2
 
 
 @dataclass
@@ -191,191 +170,47 @@ def gauss_seidel(L, b, x0=None, sweeps=1, direction="forward"):
     return gs.forward(x, b, sweeps) if direction == "forward" else gs.backward(x, b, sweeps)
 
 
-def node_affinity(L, K=8, sweeps=3, seed=0):
-    """Affinity scores c_uv on the off-diagonal pattern of L.
+def _shifted_factor(A, shift):
+    """SuperLU factor of A + shift I, for a symmetric A.
 
-    K random vectors are relaxed a few sweeps on L x = 0; after relaxation
-    only smooth error survives, so strongly connected node pairs show highly
-    correlated values.  c_uv = |<X_u, X_v>|^2 / (<X_u, X_u> <X_v, X_v>) lies
-    in [0, 1] and is exactly symmetric; pairs with an identically-zero vector
-    get affinity 0.
+    Minimum degree on A^T + A with diagonal pivots (``SymmetricMode``,
+    ``diag_pivot_thresh=0``) keeps the ordering symmetric; on symmetrized
+    Laplacians it fills far less than scipy's default COLAMD ordering.
     """
-    if K < 2:
-        raise ValueError("need at least 2 test vectors")
-    L = sp.csr_array(L, dtype=np.float64)
-    n = L.shape[0]
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-1.0, 1.0, size=(n, K))
-
-    diag = L.diagonal()
-    act = np.nonzero(diag != 0)[0]
-    if act.size:
-        gs = _GaussSeidel(L[np.ix_(act, act)])
-        X[act] = gs.forward(X[act], np.zeros((act.size, K)), sweeps)
-
-    C = sp.coo_array(L)
-    off = C.row != C.col
-    rows, cols = C.row[off], C.col[off]
-    num = np.einsum("ij,ij->i", X[rows], X[cols])
-    den = np.einsum("ij,ij->i", X[rows], X[rows]) * np.einsum("ij,ij->i", X[cols], X[cols])
-    c = np.zeros(rows.size)
-    ok = den > 0
-    c[ok] = np.clip(num[ok] ** 2 / den[ok], 0.0, 1.0)
-    out = sp.coo_array((c, (rows, cols)), shape=L.shape).tocsr()
-    out.sum_duplicates()
-    return out
-
-
-@dataclass
-class _Level:
-    matrix: sp.csr_array
-    aggregates: np.ndarray | None  # fine node -> coarse node, None at coarsest
-    prolongation: sp.csr_array | None
-    smoother: _GaussSeidel | None = None
-
-
-@dataclass
-class AggregationHierarchy:
-    levels: list[_Level]
-    pre_sweeps: int = 2
-    post_sweeps: int = 2
-    coarse_solver: object = field(default=None, repr=False)
-
-    @property
-    def sizes(self):
-        return [lvl.matrix.shape[0] for lvl in self.levels]
-
-
-def _best_neighbors(affinity):
-    """Per node, the neighbor with maximal affinity (ties to smaller id)."""
-    C = sp.coo_array(affinity)
-    n = affinity.shape[0]
-    best = np.full(n, -1, dtype=np.int64)
-    best_c = np.full(n, -1.0)
-    order = np.lexsort((C.col, -C.data, C.row))  # by row, then affinity desc, then col asc
-    rows = C.row[order]
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    best[rows[first]] = C.col[order][first]
-    best_c[rows[first]] = C.data[order][first]
-    return best, best_c
-
-
-def _aggregate(affinity, theta, max_aggregate):
-    """Greedy aggregation pass; returns fine->coarse map and coarse count."""
-    n = affinity.shape[0]
-    best, best_c = _best_neighbors(affinity)
-    agg = np.full(n, -1, dtype=np.int64)
-    size = []
-
-    def new_aggregate(*nodes):
-        aid = len(size)
-        size.append(len(nodes))
-        for u in nodes:
-            agg[u] = aid
-        return aid
-
-    for u in range(n):
-        if agg[u] != -1:
-            continue
-        v = int(best[u])
-        if v < 0 or best_c[u] < theta:
-            new_aggregate(u)
-        elif agg[v] == -1:
-            new_aggregate(u, v)
-        elif size[agg[v]] < max_aggregate:
-            agg[u] = agg[v]
-            size[agg[v]] += 1
-        else:
-            new_aggregate(u)
-
-    # Force lone nodes into their best neighbor's aggregate when the pass
-    # barely coarsened; keeps level sizes strictly decreasing.
-    if len(size) > 0.95 * n:
-        for u in range(n):
-            if size[agg[u]] != 1:
-                continue
-            v = int(best[u])
-            if v >= 0 and agg[v] != agg[u] and size[agg[v]] < 2 * max_aggregate:
-                size[agg[u]] -= 1
-                agg[u] = agg[v]
-                size[agg[v]] += 1
-        keep = np.unique(agg)
-        remap = np.full(len(size), -1, dtype=np.int64)
-        remap[keep] = np.arange(keep.size)
-        agg = remap[agg]
-        return agg, keep.size
-    return agg, len(size)
-
-
-def build_hierarchy(L, params: SolverParams | None = None) -> AggregationHierarchy:
-    """Build the aggregation hierarchy for an SPS matrix.
-
-    Coarsening stops at ``coarsest_size`` unknowns, at ``max_levels`` or when
-    a pass fails to shrink the level (stall), whichever comes first.
-    """
-    params = params or SolverParams()
-    L = sp.csr_array(L, dtype=np.float64)
-    if L.shape[0] != L.shape[1]:
-        raise ValueError(f"expected square matrix, got {L.shape}")
-    levels = []
-    current = L
-    for depth in range(params.max_levels):
-        n = current.shape[0]
-        if n <= params.coarsest_size:
-            break
-        aff = node_affinity(
-            current,
-            K=params.affinity_vectors,
-            sweeps=params.affinity_sweeps,
-            seed=params.seed + depth,
-        )
-        agg, nc = _aggregate(aff, params.theta, params.max_aggregate)
-        if nc >= n:
-            break
-        P = sp.coo_array((np.ones(n), (np.arange(n), agg)), shape=(n, nc)).tocsr()
-        coarse = (P.T @ current @ P).tocsr()
-        coarse = ((coarse + coarse.T) * 0.5).tocsr()
-        coarse.eliminate_zeros()
-        levels.append(_Level(matrix=current, aggregates=agg, prolongation=P))
-        current = coarse
-    levels.append(_Level(matrix=current, aggregates=None, prolongation=None))
-
-    for lvl in levels[:-1]:
-        lvl.smoother = _GaussSeidel(lvl.matrix)
-    coarsest = levels[-1].matrix
-    nc = coarsest.shape[0]
-    if nc == 0:
-        coarse_solver = None
-    elif nc <= params.max_direct:
-        inv = np.linalg.pinv(coarsest.toarray(), hermitian=True)
-        coarse_solver = lambda b: inv @ b
-    else:
-        # Stalled coarsening on a huge level: fall back to an iterative
-        # solve, symmetric so the enclosing CG stays well defined.
-        gs = _GaussSeidel(coarsest)
-        levels[-1].smoother = gs
-        coarse_solver = lambda b: gs.backward(gs.forward(np.zeros_like(b), b, 10), b, 10)
-    return AggregationHierarchy(
-        levels=levels,
-        pre_sweeps=params.pre_sweeps,
-        post_sweeps=params.post_sweeps,
-        coarse_solver=coarse_solver,
+    n = A.shape[0]
+    return spla.splu(
+        (A + shift * sp.eye_array(n, format="csr")).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
     )
 
 
-def _vcycle(h: AggregationHierarchy, depth, b):
-    lvl = h.levels[depth]
-    if depth == len(h.levels) - 1:
-        return h.coarse_solver(b) if h.coarse_solver is not None else np.zeros_like(b)
-    x = lvl.smoother.forward(np.zeros_like(b), b, h.pre_sweeps)
-    r = b - lvl.matrix @ x
-    x = x + lvl.prolongation @ _vcycle(h, depth + 1, lvl.prolongation.T @ r)
-    return lvl.smoother.backward(x, b, h.post_sweeps)
+def build_hierarchy(L):
+    """Preconditioner for the square CSR SPS matrix L, as a function r -> M r.
+
+    Up to ``DENSE_MAX`` nodes M is the pseudo-inverse of L.  Larger L get one
+    shifted factor, M = (L + 1e-8 max(diag L) I)^-1, which keeps M positive
+    definite when L is singular.
+
+    The name predates this design: the benchmark's tracer
+    (``perfbench/tracer.py``) wraps ``specsparse.solver.build_hierarchy`` as
+    its span ``solver.hierarchy``, so the name stays until the benchmark
+    renames that span.
+    """
+    if L.shape[0] <= DENSE_MAX:
+        inv = np.linalg.pinv(L.toarray(), hermitian=True)
+        return lambda r: inv @ r
+    return _shifted_factor(L, 1e-8 * max(L.diagonal().max(), 1e-300)).solve
 
 
 class SpsSolver:
-    """Reusable solver for one SPS matrix; build once, solve many right-hand sides."""
+    """Reusable solver for one SPS matrix; build once, solve many right-hand sides.
+
+    The preconditioner is built here, once, by ``build_hierarchy`` on the
+    active system.  It is called through the module global so that the
+    benchmark's tracer, which wraps that global by name, sees every build.
+    """
 
     def __init__(self, L, params: SolverParams | None = None, singular="auto"):
         self.params = params or SolverParams()
@@ -396,64 +231,8 @@ class SpsSolver:
             self.singular = bool(singular)
 
         self.active = np.nonzero(diag > 0)[0]
-        self._eliminations = []  # (u, parent, diag_u, w_uv) in elimination order
-        reduced = L[np.ix_(self.active, self.active)].tocsr() if self.active.size else None
-        ids = self.active
-        if reduced is not None and self.params.eliminate_degree_one:
-            reduced, ids = self._peel(reduced, ids)
-        self.reduced_ids = ids
-        self.reduced = reduced
-        self._lu = None
-        if reduced is not None and reduced.shape[0] > 0:
-            self.hierarchy = build_hierarchy(reduced, self.params)
-        else:
-            self.hierarchy = None
-
-    def _peel(self, M, ids, max_rounds=10):
-        """Exactly eliminate degree-1 nodes (no fill is created)."""
-        orig_diag_floor = 1e-12 * max(M.diagonal().max(), 1e-300)
-        for _ in range(max_rounds):
-            if M.shape[0] <= self.params.coarsest_size:
-                break
-            C = sp.coo_array(M)
-            off = (C.row != C.col) & (C.data != 0)
-            offdeg = np.bincount(C.row[off], minlength=M.shape[0])
-            diag = M.diagonal()
-            leaves = np.nonzero((offdeg == 1) & (diag > orig_diag_floor))[0]
-            if leaves.size == 0:
-                break
-            neighbor = np.full(M.shape[0], -1, dtype=np.int64)
-            offw = np.zeros(M.shape[0])
-            neighbor[C.row[off]] = C.col[off]
-            offw[C.row[off]] = C.data[off]
-
-            gone = np.zeros(M.shape[0], dtype=bool)
-            diag_update = np.zeros(M.shape[0])
-            for u in leaves:
-                v = int(neighbor[u])
-                if gone[u] or gone[v]:
-                    continue
-                w = float(offw[u])
-                d = float(diag[u])
-                self._eliminations.append((int(ids[u]), int(ids[v]), d, w))
-                diag_update[v] -= w * w / d
-                gone[u] = True
-            if not gone.any():
-                break
-            keep = np.nonzero(~gone)[0]
-            M = M[np.ix_(keep, keep)].tocsr() + sp.diags_array(diag_update[keep]).tocsr()
-            M.eliminate_zeros()
-            ids = ids[keep]
-            # Nodes isolated by the peel (tiny diagonal, no neighbors) drop out.
-            C = sp.coo_array(M)
-            off = (C.row != C.col) & (C.data != 0)
-            offdeg = np.bincount(C.row[off], minlength=M.shape[0])
-            floating = (offdeg == 0) & (M.diagonal() <= orig_diag_floor)
-            if floating.any():
-                keep = np.nonzero(~floating)[0]
-                M = M[np.ix_(keep, keep)].tocsr()
-                ids = ids[keep]
-        return M, ids
+        self.reduced = L[np.ix_(self.active, self.active)].tocsr()
+        self._precond = build_hierarchy(self.reduced)
 
     def solve(self, b, tol=None, max_iters=None):
         """Solve L x = b; returns (x, SolveStats).
@@ -473,52 +252,17 @@ class SpsSolver:
         if bnorm == 0:
             return np.zeros(self.n), SolveStats(0, 0.0, True)
 
-        work = b.copy()
-        for u, v, d, w in self._eliminations:
-            work[v] -= (w / d) * work[u]
-
         x = np.zeros(self.n)
-        iters = 0
-        converged = True
-        if self.reduced is not None and self.reduced.shape[0] > 0:
-            br = work[self.reduced_ids]
-            xr, iters, converged = self._solve_reduced(br, tol * bnorm, max_iters)
-            x[self.reduced_ids] = xr
-        for u, v, d, w in reversed(self._eliminations):
-            x[u] = (work[u] - w * x[v]) / d
+        x[self.active], iters, converged = self._pcg(b[self.active], tol * bnorm, max_iters)
         if self.singular:
             x = x - x.mean()
         residual = float(np.linalg.norm(b - self.L @ x) / bnorm)
         return x, SolveStats(iters, residual, converged and residual <= tol * (1 + 1e-9))
 
-    def _solve_reduced(self, br, atol, max_iters):
-        precond = self._lu_solve if self._lu is not None else self._apply_m
-        allow_stall = self._lu is None and self.params.direct_fallback
-        x, it, converged, stalled = self._pcg(br, atol, max_iters, precond, allow_stall)
-        if not converged and allow_stall and self.reduced.shape[0] > self.params.coarsest_size:
-            # From here on the LU preconditions every solve; dropping the
-            # V-cycle first lowers the memory peak of the factorization.
-            self.hierarchy = None
-            self._build_lu()
-            x2, it2, converged, _ = self._pcg(br, atol, max_iters, self._lu_solve, False)
-            if np.linalg.norm(br - self.reduced @ x2) <= np.linalg.norm(br - self.reduced @ x):
-                x = x2
-            return x, it + it2, converged
-        return x, it, converged
-
-    def _build_lu(self):
-        shift = 1e-8 * max(self.reduced.diagonal().max(), 1e-300)
-        shifted = (self.reduced + shift * sp.eye_array(self.reduced.shape[0])).tocsc()
-        self._lu = spla.splu(sp.csc_matrix(shifted))
-
-    def _lu_solve(self, r):
-        return self._lu.solve(r)
-
-    def _pcg(self, b, atol, max_iters, precond, allow_stall):
+    def _pcg(self, b, atol, max_iters):
         A = self.reduced
+        precond = self._precond
         deflate = self.singular
-        check = self.params.stall_check
-        stall_cut = self.params.stall_ratio
 
         def project(v):
             return v - v.mean() if deflate else v
@@ -529,7 +273,7 @@ class SpsSolver:
         r0 = np.linalg.norm(r)
         best_x, best_r = x, r0
         if r0 <= atol:
-            return x, 0, True, False
+            return x, 0, True
         z = project(precond(r))
         rz = float(r @ z)
         if rz <= 0:
@@ -547,9 +291,7 @@ class SpsSolver:
             if rn < best_r:
                 best_x, best_r = x, rn
             if rn <= atol:
-                return x, it, True, False
-            if allow_stall and it == check and best_r > stall_cut * r0:
-                return best_x, it, False, True
+                return x, it, True
             z = project(precond(r))
             rz_new = float(r @ z)
             if rz_new <= 0:
@@ -557,12 +299,7 @@ class SpsSolver:
                 rz_new = float(r @ r)
             p = z + (rz_new / rz) * p
             rz = rz_new
-        return best_x, max_iters, False, False
-
-    def _apply_m(self, r):
-        if self.hierarchy is None:
-            return r.copy()
-        return _vcycle(self.hierarchy, 0, r)
+        return best_x, max_iters, False
 
 
 def solve_sps(L, b, tol=1e-8, max_iters=400, params: SolverParams | None = None, singular="auto"):

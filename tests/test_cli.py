@@ -200,3 +200,11 @@ class TestSpectrumCommand:
         vals = [float(l.split(",")[1]) for l in lines[1:]]
         assert vals == sorted(vals, reverse=True)
         assert all(v >= 1 - 1e-6 for v in vals)
+
+    @pytest.mark.parametrize("with_sparsifier", [False, True])
+    def test_negative_top_is_usage_error(self, capsys, graph_file, with_sparsifier):
+        extra = ["--sparsifier", graph_file] if with_sparsifier else []
+        code, out, err = run(capsys, "spectrum", "--input", graph_file, "--top", -1, *extra)
+        assert code == 1
+        assert "usage" in err and "--top" in err
+        assert out == ""

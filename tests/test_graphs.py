@@ -50,6 +50,78 @@ class TestDirectedGraph:
             assert g.subgraph(iter(set(ids))) == rebuilt
 
 
+def loop_reference(n, edges, allow_self_loops=False):
+    """The per-edge dict loop ``DirectedGraph`` used to merge edges with."""
+    merged = {}
+    for tail, head, weight in edges:
+        tail = int(tail)
+        head = int(head)
+        if not (0 <= tail < n and 0 <= head < n):
+            raise ValueError(f"edge ({tail}, {head}) out of range for n={n}")
+        if tail == head and not allow_self_loops:
+            raise ValueError(f"self-loop at node {tail} not allowed")
+        if not weight > 0:
+            raise ValueError(f"edge ({tail}, {head}) has non-positive weight {weight}")
+        key = (tail, head)
+        merged[key] = merged.get(key, 0.0) + float(weight)
+    return [(t, h, w) for (t, h), w in sorted(merged.items())]
+
+
+def outcome(build, *args, **kwargs):
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+class TestVectorizedAgainstLoops:
+    @staticmethod
+    def merged(n, edges, allow_self_loops=False):
+        return DirectedGraph(n, edges, allow_self_loops=allow_self_loops).edges
+
+    def test_empty_and_zero_nodes(self):
+        for n, edges in [(0, []), (0, ()), (5, []), (0, [(0, 0, 1.0)]), (0, [(0, 1, 1.0)])]:
+            assert outcome(self.merged, n, edges) == outcome(loop_reference, n, edges)
+        g = DirectedGraph(0, iter([]))
+        assert g.tails.dtype == g.heads.dtype == np.int64 and g.weights.dtype == np.float64
+
+    def test_duplicates_sum_in_input_order(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(1, 8))
+            m = int(rng.integers(0, 40))
+            # weights far apart in magnitude make the summation order visible
+            edges = [
+                (int(rng.integers(n)), int(rng.integers(n)), float(10.0 ** rng.integers(-16, 17) * rng.uniform(0.5, 2.0)))
+                for _ in range(m)
+            ]
+            for loops in (True, False):
+                if not loops:
+                    edges = [e for e in edges if e[0] != e[1]]
+                assert self.merged(n, edges, loops) == loop_reference(n, edges, loops)
+
+    def test_node_ids_beyond_the_square_root_of_int64(self):
+        # tail * n + head would wrap in int64 here
+        n = 2**40
+        edges = [(n - 1, 3, 1.0), (5, n - 2, 2.0), (n - 1, 3, 0.5), (n - 1, 2, 4.0), (5, n - 3, 1.0)]
+        assert self.merged(n, edges) == loop_reference(n, edges)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(3, 1, 1.0), (1, -1, 1.0), (2, 2, 1.0), (0, 1, 0.0), (0, 2, -1), (1, 2, float("nan")), (5, 5, -2.0)],
+    )
+    def test_first_bad_edge_in_input_order(self, rng, bad):
+        n = 3
+        good = [(0, 1, 1.0), (1, 2, 0.5), (2, 0, 2.0)]
+        for at in range(len(good) + 1):
+            later = [(2, 2, 1.0), (0, 7, 1.0), (1, 0, -3.0)][at % 3]
+            edges = good[:at] + [bad] + good[at:] + [later]
+            want = outcome(loop_reference, n, edges)
+            assert want[0] == "ValueError"
+            assert outcome(self.merged, n, edges) == want
+        if bad[0] == bad[1] and bad[2] > 0:
+            assert self.merged(n, [bad], True) == loop_reference(n, [bad], True)
+
+
 class TestAdjacency:
     def test_single_edge(self):
         g = DirectedGraph(2, [(0, 1, 1.0)])

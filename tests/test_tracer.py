@@ -54,6 +54,7 @@ def test_tracer_spans_fire_and_uninstall_restores():
         "graphs.subgraph",
         "seed.build",
         "solver.solve",
+        "solver.hierarchy",
     ):
         assert totals.get(name, 0.0) > 0.0, name
     assert tracer.counters["solves"] > 0
