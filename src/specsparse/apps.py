@@ -251,9 +251,10 @@ def spectral_partition(g: DirectedGraph, k, seed=0, dense_cutoff=2000) -> Partit
 
     Eigenvalues of the symmetrized Laplacian come with multiplicities; values
     within a relative 1e-8 band collapse into one distinct group.  Embedding
-    columns are taken group by group in ascending order (truncating inside
-    the final group) so that exactly k coordinates are used, then clustered
-    by seeded k-means with 10 restarts.
+    columns are taken group by group in ascending order so that exactly k
+    coordinates are used, then clustered by seeded k-means with 10 restarts.
+    A k that ends inside a group raises ValueError: any basis of that
+    eigenspace is valid, so part of it would give an arbitrary split.
 
     The eigensolve is dense (``eigh``) for n <= ``dense_cutoff``.  Above it,
     ARPACK finds max(4k, 2k + 10) eigenpairs: by shift-invert on a sparse
@@ -280,8 +281,12 @@ def spectral_partition(g: DirectedGraph, k, seed=0, dense_cutoff=2000) -> Partit
         )
     cols = []
     for group in groups:
-        take = min(len(group), k - len(cols))
-        cols.extend(group[:take])
+        if len(cols) + len(group) > k:
+            raise ValueError(
+                f"k={k} would take {k - len(cols)} of the {len(group)} eigenvectors of "
+                f"eigenvalue {vals[group[0]]:.3g}; choose k to end at a whole group"
+            )
+        cols.extend(group)
         if len(cols) == k:
             break
     X = vecs[:, cols]

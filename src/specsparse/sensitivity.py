@@ -4,10 +4,11 @@ The dominant eigenvalue mu_max of the pencil (L_Gu, L_Su) measures how far
 the subgraph's symmetrized Laplacian is from the original's.  A few steps of
 generalized power iteration (multiply by L_Gu, solve with L_Su) give a vector
 h_t rich in the top eigenvector directions (L_Gu may be an operator that is
-never formed); ``score_edges`` then scores all off-subgraph edges at once by
-first-order perturbation of the pencil, with an r-dimensional embedding of
-the same quadratic forms that lets the selection step skip edges that
-perturb the same spectral directions.
+never formed); ``power_iterate`` runs r starts as one n x r block, so a step
+is one product and one block solve.  ``score_edges`` then scores all
+off-subgraph edges at once by first-order perturbation of the pencil, with
+an r-dimensional embedding of the same quadratic forms that lets the
+selection step skip edges that perturb the same spectral directions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import SpsSolver
+from .solver import SpsSolver, _coldot, _colnorm
 
 __all__ = [
     "EigPair",
@@ -47,18 +48,19 @@ class EdgeScore:
     embedding: np.ndarray
 
 
-def _deflate(v):
-    return v - v.mean()
-
-
-def power_iterate(L_Gu, L_Su, h0, t=3, solver: SpsSolver | None = None, residual_cap=1e-3) -> EigPair:
+def power_iterate(
+    L_Gu, L_Su, h0, t=3, solver: SpsSolver | None = None, residual_cap=1e-3
+) -> EigPair | list[EigPair]:
     """t alternations of (multiply by L_Gu, solve with L_Su) from h0.
 
-    L_Gu and L_Su may be any operands of ``@``.  h0 is deflated to zero
-    mean up front and the iterate renormalized each step (the Rayleigh
-    quotient is scale-invariant).  mu is estimated as
-    (h^T L_Gu h) / (h^T L_Su h), which is at least 1 - eps whenever S is a
-    subgraph of G with matching null space.
+    h0 is one start vector, or an r x n array with one start per row; the
+    result is one ``EigPair``, or a list of r of them.  The r starts run as
+    one n x r block, so each step makes one product with L_Gu and one block
+    solve.  L_Gu and L_Su may be any operands of ``@``.  The starts are
+    deflated to zero mean up front and each iterate renormalized every step
+    (the Rayleigh quotient is scale-invariant); a column whose norm reaches
+    0 stays 0.  mu is estimated as (h^T L_Gu h) / (h^T L_Su h), which is at
+    least 1 - eps whenever S is a subgraph of G with matching null space.
 
     Badly conditioned subgraph systems can bottom out above the solver's
     tolerance in double precision; since only an approximate eigenvector is
@@ -69,23 +71,28 @@ def power_iterate(L_Gu, L_Su, h0, t=3, solver: SpsSolver | None = None, residual
         raise ValueError("t must be >= 1")
     if solver is None:
         solver = SpsSolver(L_Su)
-    h = _deflate(np.asarray(h0, dtype=np.float64))
+    h0 = np.asarray(h0, dtype=np.float64)
+    H = np.atleast_2d(h0).T.copy()
+    H -= H.mean(axis=0)
     for _ in range(t):
-        y = L_Gu @ h
-        h, stats = solver.solve(y)
+        # Rebinding H frees each block as soon as the next one exists.
+        H = L_Gu @ H
+        H, stats = solver.solve(H)
         if not stats.converged and stats.residual > residual_cap:
             raise RuntimeError(
                 f"subgraph solve stalled at residual {stats.residual:.3e}"
             )
-        h = _deflate(h)
-        norm = np.linalg.norm(h)
-        if norm == 0:
-            break
-        h = h / norm
-    num = float(h @ (L_Gu @ h))
-    den = float(h @ (L_Su @ h))
-    mu = num / den if den > 0 else np.inf
-    return EigPair(mu=mu, h=h, t=t)
+        H -= H.mean(axis=0)
+        norms = _colnorm(H)
+        np.divide(H, norms, out=H, where=norms > 0)
+    num = _coldot(H, L_Gu @ H)
+    den = _coldot(H, L_Su @ H)
+    mu = np.divide(num, den, out=np.full_like(num, np.inf), where=den > 0)
+    # Copies, so that the block is freed here: the loop keeps the accepted
+    # vectors, and a block kept alive by views of it raised the peak RSS of
+    # later runs in the same process by fragmenting the heap.
+    pairs = [EigPair(mu=float(mu[j]), h=H[:, j].copy(), t=t) for j in range(H.shape[1])]
+    return pairs[0] if h0.ndim == 1 else pairs
 
 
 def score_edges(h_list, L_S, tails, heads, weights):
@@ -138,20 +145,26 @@ def filter_similar_edges(candidates, epsilon, d_out, out_degrees=None):
     ]
     if not pool:
         return []
-    kept = [pool[0]]
-    kept_mat = [pool[0].embedding]
-    kept_norms = [np.linalg.norm(pool[0].embedding)]
-    for cand in pool[1:]:
-        e = cand.embedding
-        en = np.linalg.norm(e)
-        M = np.asarray(kept_mat)
-        norms = np.asarray(kept_norms)
-        denom = np.maximum(norms, en)
-        dist = np.linalg.norm(M - e, axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sims = np.where(denom > 0, 1.0 - dist / denom, 1.0)
-        if np.all(sims < epsilon):
-            kept.append(cand)
-            kept_mat.append(e)
-            kept_norms.append(en)
+    # Kept embeddings and norms fill the first rows of arrays of pool size;
+    # ``diff`` is a work buffer for the distances.  Norms and distances are
+    # computed with the operations of ``np.linalg.norm``, so they are equal
+    # to its results, and a tie at epsilon is decided as it decides it.
+    kept = []
+    kept_mat = np.empty((len(pool), pool[0].embedding.size))
+    kept_norms = np.empty(len(pool))
+    diff = np.empty_like(kept_mat)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for cand in pool:
+            e = cand.embedding
+            en = np.sqrt(e.dot(e))
+            n_kept = len(kept)
+            d = np.subtract(kept_mat[:n_kept], e, out=diff[:n_kept])
+            d *= d
+            dist = np.sqrt(d.sum(axis=1))
+            # Two zero embeddings give 0 / 0 = nan, which is not below
+            # epsilon, as a similarity of 1 would not be.
+            if (1.0 - dist / np.maximum(kept_norms[:n_kept], en) < epsilon).all():
+                kept_mat[n_kept] = e
+                kept_norms[n_kept] = en
+                kept.append(cand)
     return kept

@@ -5,8 +5,11 @@ rules out M-matrix-only methods.  ``SpsSolver`` drops the all-zero rows and
 runs conjugate gradient on the remaining (active) system, preconditioned by
 one operator built once per matrix: the dense pseudo-inverse up to
 ``DENSE_MAX`` nodes, otherwise one SuperLU factor of the system shifted by
-1e-8 of its largest diagonal.  Singular systems with the all-ones null
-vector are handled by deflation onto the zero-mean subspace.
+``FACTOR_SHIFT`` (1e-12) of its largest diagonal.  Singular systems with the
+all-ones null vector are handled by deflation onto the zero-mean subspace.
+The right-hand side may be an n x k block: its columns run through one
+column-wise conjugate gradient, one product and one preconditioner call per
+step for all columns still running.
 
 Gauss-Seidel sweeps, which the PageRank smoothing uses, prepare each
 triangle once for SuperLU's triangular-solve kernel ``gstrs`` (the one
@@ -35,6 +38,12 @@ __all__ = [
 # pseudo-inverse, which solves them in one CG step; larger ones are factored.
 DENSE_MAX = 200
 
+# Shift of the factor, relative to the largest diagonal.  It keeps the factor
+# of a singular system definite; the inverse of a larger shift damps the
+# near-null directions that power-iteration right-hand sides are rich in,
+# which costs PCG steps.
+FACTOR_SHIFT = 1e-12
+
 
 @dataclass
 class SolverParams:
@@ -50,6 +59,15 @@ class SolveStats:
     iterations: int
     residual: float
     converged: bool
+
+
+def _coldot(U, V):
+    """Dot products of the matching columns of two n x k blocks."""
+    return np.einsum("ij,ij->j", U, V)
+
+
+def _colnorm(U):
+    return np.sqrt(_coldot(U, U))
 
 
 def _as_intc(index):
@@ -190,8 +208,9 @@ def build_hierarchy(L):
     """Preconditioner for the square CSR SPS matrix L, as a function r -> M r.
 
     Up to ``DENSE_MAX`` nodes M is the pseudo-inverse of L.  Larger L get one
-    shifted factor, M = (L + 1e-8 max(diag L) I)^-1, which keeps M positive
-    definite when L is singular.
+    shifted factor, M = (L + FACTOR_SHIFT max(diag L) I)^-1, which keeps M
+    positive definite when L is singular.  M applies to vectors and to
+    n x k blocks alike.
 
     The name predates this design: the benchmark's tracer
     (``perfbench/tracer.py``) wraps ``specsparse.solver.build_hierarchy`` as
@@ -201,7 +220,7 @@ def build_hierarchy(L):
     if L.shape[0] <= DENSE_MAX:
         inv = np.linalg.pinv(L.toarray(), hermitian=True)
         return lambda r: inv @ r
-    return _shifted_factor(L, 1e-8 * max(L.diagonal().max(), 1e-300)).solve
+    return _shifted_factor(L, FACTOR_SHIFT * max(L.diagonal().max(), 1e-300)).solve
 
 
 class SpsSolver:
@@ -235,71 +254,112 @@ class SpsSolver:
         self._precond = build_hierarchy(self.reduced)
 
     def solve(self, b, tol=None, max_iters=None):
-        """Solve L x = b; returns (x, SolveStats).
+        """Solve L x = b for a vector b or an n x k block b; returns (x, SolveStats).
 
-        Singular systems get b projected onto the zero-mean subspace and the
-        solution deflated to 1^T x = 0.  On non-convergence the best iterate
-        is returned with ``converged=False``.
+        A block is solved column by column: each column has its own step
+        sizes, stopping test and best iterate, but every step makes one
+        product with L and one preconditioner call for all the columns still
+        running, and a column leaves the block when it stops.  Singular
+        systems get b projected onto the zero-mean subspace and the solution
+        deflated to 1^T x = 0.  A column that does not converge returns its
+        best iterate.  The stats cover the whole block: ``iterations`` is the
+        number of block steps, ``residual`` the largest relative residual of
+        a column and ``converged`` true only if every column converged.
         """
         tol = self.params.tol if tol is None else tol
         max_iters = self.params.max_iters if max_iters is None else max_iters
         b = np.asarray(b, dtype=np.float64)
-        if b.shape != (self.n,):
-            raise ValueError(f"rhs has shape {b.shape}, expected ({self.n},)")
-        if self.singular:
-            b = b - b.mean()
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0:
-            return np.zeros(self.n), SolveStats(0, 0.0, True)
+        if b.ndim not in (1, 2) or b.shape[0] != self.n:
+            raise ValueError(f"rhs has shape {b.shape}, expected ({self.n},) or ({self.n}, k)")
+        B = b if b.ndim == 2 else b[:, None]
+        mean = B.mean(axis=0) if self.singular else np.zeros(B.shape[1])
+        bnorm = _colnorm(B - mean)
 
-        x = np.zeros(self.n)
-        x[self.active], iters, converged = self._pcg(b[self.active], tol * bnorm, max_iters)
+        Xa, steps, converged = self._pcg(B[self.active] - mean, tol * bnorm, max_iters)
+        X = np.zeros(B.shape)
+        X[self.active] = Xa
         if self.singular:
-            x = x - x.mean()
-        residual = float(np.linalg.norm(b - self.L @ x) / bnorm)
-        return x, SolveStats(iters, residual, converged and residual <= tol * (1 + 1e-9))
+            X -= X.mean(axis=0)
+        # The residual b - mean - L x, negated and formed in place.
+        T = self.L @ X
+        T -= B
+        T += mean
+        residual = np.divide(_colnorm(T), bnorm, out=np.zeros_like(bnorm), where=bnorm > 0)
+        converged &= residual <= tol * (1 + 1e-9)
+        stats = SolveStats(steps, float(residual.max(initial=0.0)), bool(converged.all()))
+        return X.reshape(b.shape), stats
 
-    def _pcg(self, b, atol, max_iters):
+    def _pcg(self, R, atol, max_iters):
+        """Column-wise PCG on the active system from x = 0.
+
+        R holds one right-hand side per column and becomes the residual
+        block.  Returns (X, block steps, converged per column).  A column is
+        done when its residual reaches its ``atol``; it stops without
+        converging when its curvature p^T A p is not positive or after
+        ``max_iters`` steps, and then returns its best iterate.
+        """
         A = self.reduced
         precond = self._precond
         deflate = self.singular
 
-        def project(v):
-            return v - v.mean() if deflate else v
+        if deflate:
+            R -= R.mean(axis=0)
+        X = np.zeros(R.shape, order="F")
+        converged = np.zeros(R.shape[1], dtype=bool)
+        run = np.arange(R.shape[1])  # the columns still in the block
+        Xr = np.zeros_like(R)
+        P = np.zeros_like(R)  # with rz = 1, the first direction is z itself
+        rz = np.ones(run.size)
+        rn = _colnorm(R)
+        best_r = rn.copy()
+        at_best = np.ones(run.size, dtype=bool)  # is the current iterate the best one?
+        saved = {}  # column -> best iterate, kept once the residual has risen above it
+        curved = np.ones(run.size, dtype=bool)
+        steps = 0
+        while True:
+            done = rn <= atol
+            stop = done | ~curved | (steps == max_iters)
+            if stop.any():
+                X[:, run[stop & at_best]] = Xr[:, stop & at_best]
+                for j in run[stop & ~at_best]:
+                    X[:, j] = saved.pop(j)
+                converged[run[done]] = True
+                keep = ~stop
+                run = run[keep]
+                if not run.size:
+                    return X, steps, converged
+                Xr, R, P = Xr[:, keep], R[:, keep], P[:, keep]
+                atol, rz, rn, best_r, at_best = atol[keep], rz[keep], rn[keep], best_r[keep], at_best[keep]
 
-        b = project(b)
-        x = np.zeros_like(b)
-        r = b.copy()
-        r0 = np.linalg.norm(r)
-        best_x, best_r = x, r0
-        if r0 <= atol:
-            return x, 0, True
-        z = project(precond(r))
-        rz = float(r @ z)
-        if rz <= 0:
-            z, rz = r.copy(), float(r @ r)
-        p = z.copy()
-        for it in range(1, max_iters + 1):
-            Ap = A @ p
-            pAp = float(p @ Ap)
-            if pAp <= 0:
-                break
-            alpha = rz / pAp
-            x = x + alpha * p
-            r = r - alpha * Ap
-            rn = np.linalg.norm(r)
-            if rn < best_r:
-                best_x, best_r = x, rn
-            if rn <= atol:
-                return x, it, True
-            z = project(precond(r))
-            rz_new = float(r @ z)
-            if rz_new <= 0:
-                z = r.copy()
-                rz_new = float(r @ r)
-            p = z + (rz_new / rz) * p
+            Z = precond(R)
+            if deflate:
+                Z -= Z.mean(axis=0)
+            rz_new = _coldot(R, Z)
+            flat = rz_new <= 0  # no descent through the preconditioner: use r itself
+            if flat.any():
+                Z[:, flat] = R[:, flat]
+                rz_new[flat] = _coldot(R[:, flat], R[:, flat])
+            P *= rz_new / rz
+            P += Z
+            del Z
             rz = rz_new
-        return best_x, max_iters, False
+
+            AP = A @ P
+            pAp = _coldot(P, AP)
+            curved = pAp > 0
+            alpha = np.divide(rz, pAp, out=np.zeros_like(rz), where=curved)
+            AP *= alpha
+            R -= AP
+            rn = _colnorm(R)
+            improved = curved & (rn < best_r)
+            for i in np.flatnonzero(at_best & curved & ~improved):
+                saved[run[i]] = Xr[:, i].copy()
+            np.multiply(P, alpha, out=AP)
+            Xr += AP
+            del AP
+            best_r = np.where(improved, rn, best_r)
+            at_best = improved | (at_best & ~curved)
+            steps += 1
 
 
 def solve_sps(L, b, tol=1e-8, max_iters=400, params: SolverParams | None = None, singular="auto"):

@@ -4,11 +4,12 @@ Starting from the spanning-structure seed, each iteration scores the
 off-subgraph edges by spectral sensitivity, keeps the top slice, prunes
 spectrally-similar ones, tentatively adds the survivors and re-estimates the
 dominant generalized eigenvalue; the addition sticks only if the eigenvalue
-dropped.  ``estimate_mu`` runs the power iteration from each of r random
-starts, applying L_Gu = L_G L_G^T as two sparse products, so only the
-subgraph's L_Su is ever formed.  Rejected batches are blacklisted until the
-next accepted batch, which rules out livelock without discarding edges
-forever.  Kept edges always retain their original weights.
+dropped.  ``estimate_mu`` runs the power iteration from r random starts as
+one block: each step applies L_Gu = L_G L_G^T as two sparse products and
+makes one block solve with the subgraph's L_Su, the only Laplacian product
+ever formed.  Rejected batches are blacklisted until the next accepted
+batch, which rules out livelock without discarding edges forever.  Kept
+edges always retain their original weights.
 """
 
 from __future__ import annotations
@@ -101,11 +102,11 @@ def _off_ids(m, kept_set, blacklist):
 def estimate_mu(L_G, L_Su, starts, t, solver):
     """t-step power-iteration estimates for the pencil (L_G L_G^T, L_Su).
 
-    Returns one ``EigPair`` per row of ``starts``; L_G L_G^T is applied as
+    Returns one ``EigPair`` per row of ``starts``.  All rows run through one
+    ``power_iterate`` call as one block; L_G L_G^T is applied as
     ``symmetrized_operator(L_G)`` and never formed.
     """
-    L_Gu = symmetrized_operator(L_G)
-    return [power_iterate(L_Gu, L_Su, h0, t=t, solver=solver) for h0 in starts]
+    return power_iterate(symmetrized_operator(L_G), L_Su, np.atleast_2d(starts), t=t, solver=solver)
 
 
 def _evaluate(g, L_G, kept_ids, r, t, solver_params, rng):

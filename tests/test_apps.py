@@ -256,8 +256,18 @@ class TestSpectralPartition:
         # eigenvalues stalled on it (ArpackNoConvergence).  Any basis of the
         # null space is valid, and k-means on another basis clusters
         # differently, so only the eigenvalues and the subspace are compared.
+        # k = 20 takes the whole null space.
         g = random_digraph(np.random.default_rng(3), 300)
-        _sparse_matches_dense(monkeypatch, g, 4, shift_invert=True)
+        dense, _ = _sparse_matches_dense(monkeypatch, g, 20, shift_invert=True)
+        assert dense.eigvec_indices == list(range(20))
+
+    @pytest.mark.parametrize("dense_cutoff", [2000, 0])
+    def test_k_inside_an_eigenvalue_group_raises(self, dense_cutoff):
+        # k = 4 would take 4 of the 20 null vectors (of those the eigensolver
+        # finds), and the split would depend on which basis it returns.
+        g = random_digraph(np.random.default_rng(3), 300)
+        with pytest.raises(ValueError, match=r"would take 4 of the \d+ eigenvectors"):
+            spectral_partition(g, 4, dense_cutoff=dense_cutoff)
 
 
 class TestKmeans:

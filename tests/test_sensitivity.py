@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specsparse import (
     DirectedGraph,
@@ -221,6 +222,60 @@ class TestFilterSimilarEdges:
     def test_epsilon_validated(self):
         with pytest.raises(ValueError, match="epsilon"):
             filter_similar_edges([], epsilon=1.5, d_out=3)
+
+
+def filter_reference(candidates, epsilon, d_out, out_degrees=None):
+    """The filter as a loop that rebuilds the kept matrix for every candidate."""
+    pool = [c for c in candidates if out_degrees is None or out_degrees[c.tail] < d_out]
+    if not pool:
+        return []
+    kept = [pool[0]]
+    kept_mat = [pool[0].embedding]
+    kept_norms = [np.linalg.norm(pool[0].embedding)]
+    for cand in pool[1:]:
+        e = cand.embedding
+        en = np.linalg.norm(e)
+        M = np.asarray(kept_mat)
+        norms = np.asarray(kept_norms)
+        denom = np.maximum(norms, en)
+        dist = np.linalg.norm(M - e, axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sims = np.where(denom > 0, 1.0 - dist / denom, 1.0)
+        if np.all(sims < epsilon):
+            kept.append(cand)
+            kept_mat.append(e)
+            kept_norms.append(en)
+    return kept
+
+
+class TestFilterAgainstLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(0, 40),
+        r=st.integers(1, 5),
+        epsilon=st.sampled_from([0.1, 0.5, 0.75, 0.9]),
+        d_out=st.integers(1, 4),
+        capped=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_edges_as_the_loop(self, m, r, epsilon, d_out, capped, seed):
+        # Small integer embeddings give zero rows, duplicates and similarities
+        # exactly at epsilon (for example 1 - |(2, 0) - (1, 0)| / 2 = 0.5).
+        rng = np.random.default_rng(seed)
+        cands = scores(rng.integers(-2, 3, size=(m, r)).astype(float).tolist(), tails=rng.integers(0, 6, m).tolist())
+        out_degrees = rng.integers(0, d_out + 2, 6) if capped else None
+        got = filter_similar_edges(cands, epsilon, d_out, out_degrees)
+        want = filter_reference(cands, epsilon, d_out, out_degrees)
+        assert [c.edge_id for c in got] == [c.edge_id for c in want]
+
+    def test_tie_at_epsilon_is_dropped(self):
+        cands = scores([[2.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        kept = filter_similar_edges(cands, epsilon=0.5, d_out=10)
+        assert [c.edge_id for c in kept] == [0, 2] == [c.edge_id for c in filter_reference(cands, 0.5, 10)]
+
+    def test_fully_excluded_pool(self):
+        cands = scores(np.eye(3).tolist(), tails=[0, 1, 2])
+        assert filter_similar_edges(cands, epsilon=0.9, d_out=2, out_degrees=[2, 3, 5]) == []
 
 
 class TestRankingAgainstExactOracle:

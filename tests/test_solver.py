@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from specsparse import (
     DirectedGraph,
+    SolveStats,
+    banded_digraph,
+    build_seed,
     SolverParams,
     SpsSolver,
     gauss_seidel,
@@ -228,3 +232,132 @@ class TestSolveSps:
         b -= b.mean()
         x, stats = solve_sps(Lsu, b, tol=1e-8)
         assert stats.residual <= 1e-6
+
+
+class TestBlockSolve:
+    """A block right-hand side is solved column by column in one PCG run."""
+
+    @staticmethod
+    def assert_columns_match(solver, B, X, stats, rel=1e-10, **kw):
+        singles = [solver.solve(B[:, j], **kw) for j in range(B.shape[1])]
+        for j, (x, _) in enumerate(singles):
+            assert np.linalg.norm(X[:, j] - x) <= rel * np.linalg.norm(x)
+        assert stats.iterations == max(s.iterations for _, s in singles)
+        assert stats.converged == all(s.converged for _, s in singles)
+        assert stats.residual == pytest.approx(max(s.residual for _, s in singles), rel=1e-3, abs=1e-12)
+        return singles
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.one_of(st.integers(4, 49), st.integers(DENSE_MAX + 1, 2 * DENSE_MAX - 1)),
+        k=st.integers(1, 4),
+        zero_at=st.integers(0, 4),
+        singular=st.booleans(),
+        stopped_at=st.sampled_from([None, 1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_equals_column_solves(self, n, k, zero_at, singular, stopped_at, seed):
+        rng = np.random.default_rng(seed)
+        Lu = connected_symmetrized(rng, n)
+        if not singular:
+            Lu = sp.csr_array(Lu + sp.diags_array(rng.uniform(0.1, 1.0, n)))
+        B = Lu @ rng.standard_normal((n, k))
+        B = np.insert(B, min(zero_at, k), 0.0, axis=1)
+        solver = SpsSolver(Lu)
+        assert solver.singular == singular
+        tol, max_iters = 1e-8, 400
+        if stopped_at is not None:
+            # Unpreconditioned, no column gets to 1e-12 within two steps:
+            # max_iters stops every nonzero one, which returns its best iterate.
+            solver._precond = lambda R: R.copy()
+            tol, max_iters = 1e-12, stopped_at
+        X, stats = solver.solve(B, tol=tol, max_iters=max_iters)
+        assert X.shape == B.shape
+        assert np.all(X[:, min(zero_at, k)] == 0.0)
+        singles = self.assert_columns_match(solver, B, X, stats, tol=tol, max_iters=max_iters)
+        for j, (_, s) in enumerate(singles):
+            if j == min(zero_at, k):
+                assert s.converged and s.iterations == 0 and s.residual == 0.0
+            else:
+                assert s.converged == (stopped_at is None)
+                assert s.residual <= (tol if s.converged else 1.0)  # never worse than x = 0
+                if not s.converged:
+                    assert s.iterations == max_iters
+
+    def test_stopped_column_returns_its_best_iterate(self, rng):
+        # Plain CG, whose residual norm rises on some steps, so that columns
+        # stopped by max_iters must hand back an earlier iterate.
+        n = 60
+        Lu = connected_symmetrized(rng, n)
+        solver = SpsSolver(Lu)
+        solver._precond = lambda R: R.copy()
+        B = Lu @ rng.standard_normal((n, 4))
+
+        def residuals(X):
+            return np.linalg.norm(B - Lu @ X, axis=0) / np.linalg.norm(B, axis=0)
+
+        kept_earlier = 0
+        X_prev, res_prev = np.zeros_like(B), np.ones(4)
+        for max_iters in range(1, 25):
+            X, stats = solver.solve(B, tol=1e-14, max_iters=max_iters)
+            assert not stats.converged and stats.iterations == max_iters
+            # Unpreconditioned, the steps amplify the rounding in which block
+            # and column reductions differ, hence the looser match.
+            self.assert_columns_match(solver, B, X, stats, rel=1e-6, tol=1e-14, max_iters=max_iters)
+            res = residuals(X)
+            assert np.all(res <= res_prev * (1 + 1e-12))
+            kept_earlier += int(np.sum(np.all(X == X_prev, axis=0)))
+            X_prev, res_prev = X, res
+        assert kept_earlier > 0
+
+    def test_empty_system(self):
+        solver = SpsSolver(sp.csr_array((0, 0)))
+        for shape in [(0,), (0, 3)]:
+            x, stats = solver.solve(np.zeros(shape))
+            assert x.shape == shape and stats == SolveStats(0, 0.0, True)
+
+    def test_shape_validated(self, rng):
+        solver = SpsSolver(connected_symmetrized(rng, 8))
+        for shape in [(7,), (8, 2, 1), (9, 2)]:
+            with pytest.raises(ValueError, match="rhs has shape"):
+                solver.solve(np.zeros(shape))
+
+
+def disjoint_union(*graphs, isolated=0):
+    """Directed graph made of the given graphs side by side, plus isolated nodes."""
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(t + offset, h + offset, w) for t, h, w in g.edges]
+        offset += g.n
+    return DirectedGraph(offset + isolated, edges)
+
+
+class TestShiftedFactor:
+    """Systems above DENSE_MAX, solved through the shifted factor.
+
+    The shift keeps the factor of a singular system definite; it must stay
+    small enough that a consistent right-hand side converges in one step on
+    singular, disconnected, seed-like and hub systems alike (at a shift of
+    1e-8 of the largest diagonal each of these took two).
+    """
+
+    CASES = {
+        "connected": lambda rng: strong_digraph(rng, 600),
+        "three components": lambda rng: disjoint_union(*(strong_digraph(rng, 250) for _ in range(3))),
+        "50 isolated nodes": lambda rng: disjoint_union(strong_digraph(rng, 300), isolated=50),
+        "banded seed": lambda rng: build_seed(banded_digraph(n=2000, seed=5)).graph,
+        "hub": lambda rng: DirectedGraph(
+            400, [e for i in range(1, 400) for e in ((0, i, float(rng.uniform(0.5, 2.0))), (i, 0, 1.0))]
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_consistent_rhs_converges_in_one_step(self, rng, case):
+        Lu = symmetrize(laplacian(self.CASES[case](rng)))
+        solver = SpsSolver(Lu)
+        assert solver.reduced.shape[0] > DENSE_MAX
+        b = Lu @ rng.standard_normal(Lu.shape[0])
+        x, stats = solver.solve(b, tol=1e-8)
+        assert stats.converged and stats.residual <= 1e-8
+        assert np.linalg.norm(b - Lu @ x) <= 1e-8 * np.linalg.norm(b)
+        assert stats.iterations == 1

@@ -1,4 +1,5 @@
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from specsparse import (
     DirectedGraph,
+    read_matrix_market,
     SparsifyParams,
     SpsSolver,
     build_seed,
@@ -228,6 +230,8 @@ class TestEstimateMu:
             assert pair.mu == pytest.approx(1.0, abs=1e-9)
 
     def test_one_bounded_estimate_per_start(self, rng, monkeypatch):
+        # All starts go through one power_iterate call as one block; each
+        # column matches the same start run alone.
         g = strong_digraph(rng, 15)
         seed = build_seed(g)
         Lgu = symmetrize(laplacian(g))
@@ -243,8 +247,65 @@ class TestEstimateMu:
         monkeypatch.setattr(sparsify_module, "power_iterate", power_iterate_spy)
         starts = rng.uniform(-1, 1, size=(5, g.n))
         pairs = estimate_mu(laplacian(g), Lsu, starts, 3, SpsSolver(Lsu))
-        assert len(calls) == len(pairs) == 5
-        for start, call, pair in zip(starts, calls, pairs):
-            assert np.array_equal(call[2], start)
-            assert pair.t == 3 and pair.h.shape == (g.n,)
+        assert len(calls) == 1 and len(pairs) == 5
+        assert np.array_equal(calls[0][2], starts)
+        for start, pair in zip(starts, pairs):
+            alone = power_iterate(Lgu, Lsu, start, t=3, solver=SpsSolver(Lsu))
+            assert pair.t == alone.t == 3 and pair.h.shape == (g.n,)
+            np.testing.assert_allclose(pair.h, alone.h, rtol=0, atol=1e-10 * np.linalg.norm(alone.h))
+            assert pair.mu == pytest.approx(alone.mu, rel=1e-10)
             assert 1 - 1e-9 <= pair.mu <= mu_true * (1 + 1e-9)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def disagreements(g, params, monkeypatch):
+    """(decisions, decisions that disagree with the dense pencil) of one run.
+
+    A batch is accepted when the estimated mu drops; the oracle accepts it
+    when the exact mu of the pencil (L_Gu, L_Su) drops.
+    """
+    Lgu = symmetrize(laplacian(g))
+    exact = []
+    estimate_mu = sparsify_module.estimate_mu
+
+    def estimate_mu_spy(L_G, L_Su, *args, **kwargs):
+        exact.append(dense_pencil(Lgu, L_Su)[0])
+        return estimate_mu(L_G, L_Su, *args, **kwargs)
+
+    monkeypatch.setattr(sparsify_module, "estimate_mu", estimate_mu_spy)
+    res = sparsify(g, params)
+    monkeypatch.undo()
+    current, tried = exact[0], iter(exact[1:])
+    decisions = wrong = 0
+    for row in res.iterations[1:]:
+        if row.edges_added == row.edges_rejected == 0:
+            continue  # stopped before evaluating a batch
+        mu_new = next(tried)
+        accepted = row.edges_added > 0
+        decisions += 1
+        wrong += accepted != (mu_new < current)
+        if accepted:
+            current = mu_new
+    assert next(tried, None) is None
+    return decisions, wrong
+
+
+class TestDecisionOracle:
+    """How many accept/reject decisions the estimator gets wrong, pinned.
+
+    The counts are those of the per-start power iteration that preceded the
+    block one; a change that moves them changes the loop's decisions.
+    """
+
+    def test_synth115_acceptance_parameters(self, monkeypatch):
+        g = read_matrix_market(DATA / "synth115.mtx")
+        params = dict(d_out=10, iter_max=60, mu_limit=6.0, alpha_percent=10.0, epsilon=0.9, r=16, t=5)
+        counts = [disagreements(g, SparsifyParams(seed=seed, **params), monkeypatch) for seed in range(4)]
+        assert counts == [(15, 0), (15, 1), (15, 0), (16, 0)]
+
+    def test_synth32_criterion_8_parameters(self, monkeypatch):
+        g = read_matrix_market(DATA / "synth32.mtx")
+        params = SparsifyParams(iter_max=20, mu_limit=1.0, seed=0, alpha_percent=15)
+        assert disagreements(g, params, monkeypatch) == (20, 6)

@@ -7,6 +7,7 @@ under another name) silently turns that per-layer metric into 0.
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import specsparse as ss
@@ -58,3 +59,8 @@ def test_tracer_spans_fire_and_uninstall_restores():
     ):
         assert totals.get(name, 0.0) > 0.0, name
     assert tracer.counters["solves"] > 0
+    # The tracer adds and compares SolveStats fields as numbers, so the
+    # stats of a block solve must stay scalar.
+    assert tracer.counters["pcg_iters"] > 0
+    max_residual = tracer.counters["max_residual"]
+    assert isinstance(max_residual, float) and math.isfinite(max_residual)
