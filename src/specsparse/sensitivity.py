@@ -50,17 +50,17 @@ class EdgeScore:
 
 def power_iterate(
     L_Gu, L_Su, h0, t=3, solver: SpsSolver | None = None, residual_cap=1e-3
-) -> EigPair | list[EigPair]:
-    """t alternations of (multiply by L_Gu, solve with L_Su) from h0.
+) -> list[EigPair]:
+    """t alternations of (multiply by L_Gu, solve with L_Su) from the rows of h0.
 
-    h0 is one start vector, or an r x n array with one start per row; the
-    result is one ``EigPair``, or a list of r of them.  The r starts run as
-    one n x r block, so each step makes one product with L_Gu and one block
-    solve.  L_Gu and L_Su may be any operands of ``@``.  The starts are
-    deflated to zero mean up front and each iterate renormalized every step
-    (the Rayleigh quotient is scale-invariant); a column whose norm reaches
-    0 stays 0.  mu is estimated as (h^T L_Gu h) / (h^T L_Su h), which is at
-    least 1 - eps whenever S is a subgraph of G with matching null space.
+    h0 is an r x n array with one start per row; the result is a list of r
+    ``EigPair``.  The r starts run as one n x r block, so each step makes one
+    product with L_Gu and one block solve.  L_Gu and L_Su may be any operands
+    of ``@``.  The starts are deflated to zero mean up front and each iterate
+    renormalized every step (the Rayleigh quotient is scale-invariant); a
+    column whose norm reaches 0 stays 0.  mu is estimated as
+    (h^T L_Gu h) / (h^T L_Su h), which is at least 1 - eps whenever S is a
+    subgraph of G with matching null space.
 
     Badly conditioned subgraph systems can bottom out above the solver's
     tolerance in double precision; since only an approximate eigenvector is
@@ -72,7 +72,9 @@ def power_iterate(
     if solver is None:
         solver = SpsSolver(L_Su)
     h0 = np.asarray(h0, dtype=np.float64)
-    H = np.atleast_2d(h0).T.copy()
+    if h0.ndim != 2:
+        raise ValueError(f"starts must be an r x n array, got shape {h0.shape}")
+    H = h0.T.copy()
     H -= H.mean(axis=0)
     for _ in range(t):
         # Rebinding H frees each block as soon as the next one exists.
@@ -91,8 +93,7 @@ def power_iterate(
     # Copies, so that the block is freed here: the loop keeps the accepted
     # vectors, and a block kept alive by views of it raised the peak RSS of
     # later runs in the same process by fragmenting the heap.
-    pairs = [EigPair(mu=float(mu[j]), h=H[:, j].copy(), t=t) for j in range(H.shape[1])]
-    return pairs[0] if h0.ndim == 1 else pairs
+    return [EigPair(mu=float(mu[j]), h=H[:, j].copy(), t=t) for j in range(H.shape[1])]
 
 
 def score_edges(h_list, L_S, tails, heads, weights):

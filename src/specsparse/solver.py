@@ -308,28 +308,25 @@ class SpsSolver:
         converged = np.zeros(R.shape[1], dtype=bool)
         run = np.arange(R.shape[1])  # the columns still in the block
         Xr = np.zeros_like(R)
+        Xbest = np.zeros_like(R)  # each column's iterate of least residual
         P = np.zeros_like(R)  # with rz = 1, the first direction is z itself
         rz = np.ones(run.size)
         rn = _colnorm(R)
         best_r = rn.copy()
-        at_best = np.ones(run.size, dtype=bool)  # is the current iterate the best one?
-        saved = {}  # column -> best iterate, kept once the residual has risen above it
         curved = np.ones(run.size, dtype=bool)
         steps = 0
-        while True:
+        while run.size:
             done = rn <= atol
             stop = done | ~curved | (steps == max_iters)
             if stop.any():
-                X[:, run[stop & at_best]] = Xr[:, stop & at_best]
-                for j in run[stop & ~at_best]:
-                    X[:, j] = saved.pop(j)
+                X[:, run[stop]] = Xbest[:, stop]
                 converged[run[done]] = True
                 keep = ~stop
                 run = run[keep]
                 if not run.size:
-                    return X, steps, converged
-                Xr, R, P = Xr[:, keep], R[:, keep], P[:, keep]
-                atol, rz, rn, best_r, at_best = atol[keep], rz[keep], rn[keep], best_r[keep], at_best[keep]
+                    break
+                Xr, Xbest, R, P = Xr[:, keep], Xbest[:, keep], R[:, keep], P[:, keep]
+                atol, rz, rn, best_r = atol[keep], rz[keep], rn[keep], best_r[keep]
 
             Z = precond(R)
             if deflate:
@@ -351,15 +348,14 @@ class SpsSolver:
             AP *= alpha
             R -= AP
             rn = _colnorm(R)
-            improved = curved & (rn < best_r)
-            for i in np.flatnonzero(at_best & curved & ~improved):
-                saved[run[i]] = Xr[:, i].copy()
             np.multiply(P, alpha, out=AP)
             Xr += AP
             del AP
+            improved = curved & (rn < best_r)
+            Xbest[:, improved] = Xr[:, improved]
             best_r = np.where(improved, rn, best_r)
-            at_best = improved | (at_best & ~curved)
             steps += 1
+        return X, steps, converged
 
 
 def solve_sps(L, b, tol=1e-8, max_iters=400, params: SolverParams | None = None, singular="auto"):

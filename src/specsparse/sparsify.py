@@ -106,7 +106,7 @@ def estimate_mu(L_G, L_Su, starts, t, solver):
     ``power_iterate`` call as one block; L_G L_G^T is applied as
     ``symmetrized_operator(L_G)`` and never formed.
     """
-    return power_iterate(symmetrized_operator(L_G), L_Su, np.atleast_2d(starts), t=t, solver=solver)
+    return power_iterate(symmetrized_operator(L_G), L_Su, starts, t=t, solver=solver)
 
 
 def _evaluate(g, L_G, kept_ids, r, t, solver_params, rng):

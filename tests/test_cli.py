@@ -202,6 +202,15 @@ class TestSpectrumCommand:
         assert all(v >= 1 - 1e-6 for v in vals)
 
     @pytest.mark.parametrize("with_sparsifier", [False, True])
+    def test_zero_top_writes_only_the_header(self, capsys, graph_file, tmp_path, with_sparsifier):
+        extra = ["--sparsifier", graph_file] if with_sparsifier else []
+        out = tmp_path / "spec.csv"
+        code, _, _ = run(capsys, "spectrum", "--input", graph_file, "--top", 0, "--output", out, *extra)
+        assert code == 0
+        header = "index,mu_estimate" if with_sparsifier else "index,eigenvalue"
+        assert out.read_text().splitlines() == [header]
+
+    @pytest.mark.parametrize("with_sparsifier", [False, True])
     def test_negative_top_is_usage_error(self, capsys, graph_file, with_sparsifier):
         extra = ["--sparsifier", graph_file] if with_sparsifier else []
         code, out, err = run(capsys, "spectrum", "--input", graph_file, "--top", -1, *extra)

@@ -316,6 +316,16 @@ class TestBlockSolve:
             x, stats = solver.solve(np.zeros(shape))
             assert x.shape == shape and stats == SolveStats(0, 0.0, True)
 
+    @pytest.mark.parametrize("n", [12, DENSE_MAX + 30])
+    @pytest.mark.parametrize("singular", [True, False])
+    def test_block_of_no_columns(self, rng, n, singular):
+        # Both preconditioner routes: an n x 0 block is solved at once.
+        Lu = connected_symmetrized(rng, n)
+        if not singular:
+            Lu = sp.csr_array(Lu + sp.eye_array(n))
+        x, stats = SpsSolver(Lu).solve(np.zeros((n, 0)))
+        assert x.shape == (n, 0) and stats == SolveStats(0, 0.0, True)
+
     def test_shape_validated(self, rng):
         solver = SpsSolver(connected_symmetrized(rng, 8))
         for shape in [(7,), (8, 2, 1), (9, 2)]:

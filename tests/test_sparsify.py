@@ -250,7 +250,7 @@ class TestEstimateMu:
         assert len(calls) == 1 and len(pairs) == 5
         assert np.array_equal(calls[0][2], starts)
         for start, pair in zip(starts, pairs):
-            alone = power_iterate(Lgu, Lsu, start, t=3, solver=SpsSolver(Lsu))
+            [alone] = power_iterate(Lgu, Lsu, start[None], t=3, solver=SpsSolver(Lsu))
             assert pair.t == alone.t == 3 and pair.h.shape == (g.n,)
             np.testing.assert_allclose(pair.h, alone.h, rtol=0, atol=1e-10 * np.linalg.norm(alone.h))
             assert pair.mu == pytest.approx(alone.mu, rel=1e-10)
