@@ -5,7 +5,6 @@ from .mmio import ParseError, read_matrix_market, write_matrix_market, write_spa
 from .seed import SeedSubgraph, build_seed, maximum_spanning_structure, symmetrized_transition
 from .solver import SolverParams, SolveStats, SpsSolver, gauss_seidel, solve_sps
 from .sensitivity import (
-    EdgeScore,
     EigPair,
     filter_similar_edges,
     power_iterate,

@@ -88,12 +88,16 @@ def _transition(g: DirectedGraph):
     return (A.T @ sp.dia_array((inv[np.newaxis, :], [0]), shape=(g.n, g.n))).tocsr()
 
 
-def pagerank(g: DirectedGraph, alpha=0.15, personalization=None, tol=1e-10, max_iters=1000) -> PageRankResult:
+def pagerank(
+    g: DirectedGraph, alpha=0.15, personalization=None, tol=1e-10, max_iters=1000, *, transition=None
+) -> PageRankResult:
     """Fixed-point iteration of p = (1 - alpha) A^T D^-1 p + alpha * pr.
 
     ``personalization`` must be a nonnegative distribution summing to 1;
     omitted, the uniform vector is used.  The result is a probability
     distribution; non-convergence is flagged rather than raised.
+    ``transition`` is g's operator A^T D^-1 when the caller has already
+    built it (as ``pagerank_correlation`` has); omitted, it is built here.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
@@ -104,25 +108,33 @@ def pagerank(g: DirectedGraph, alpha=0.15, personalization=None, tol=1e-10, max_
         pr = np.asarray(personalization, dtype=np.float64)
         if pr.shape != (n,) or pr.min() < 0 or abs(pr.sum() - 1.0) > 1e-8:
             raise ValueError("personalization must be a nonnegative distribution over the nodes")
-    M = _transition(g)
+    M = _transition(g) if transition is None else transition
+    damping = 1.0 - alpha
+    restart = alpha * pr
     p = pr.copy()
     residual = np.inf
     for it in range(1, max_iters + 1):
-        p_new = (1.0 - alpha) * (M @ p) + alpha * pr
+        # p_new = (1 - alpha) (M p) + alpha pr, normalized, in place on the
+        # product; the old p then holds |p_new - p|.
+        p_new = M @ p
+        p_new *= damping
+        p_new += restart
         p_new /= p_new.sum()
-        residual = float(np.abs(p_new - p).sum())
+        np.subtract(p_new, p, out=p)
+        residual = float(np.abs(p, out=p).sum())
         p = p_new
         if residual <= tol:
             return PageRankResult(p, alpha, it, residual, True)
     return PageRankResult(p, alpha, max_iters, residual, False)
 
 
-def _pagerank_smoothed(g: DirectedGraph, p0, alpha, pr, sweeps):
-    """Improve a PageRank estimate with Gauss-Seidel sweeps on the original
-    graph's fixed-point system (I - (1-alpha) A^T D^-1) p = alpha * pr."""
-    n = g.n
-    M = sp.eye_array(n, format="csr") - (1.0 - alpha) * _transition(g)
-    p = _GaussSeidel(M.tocsr()).forward(p0.copy(), alpha * pr, sweeps)
+def _pagerank_smoothed(M, p0, alpha, pr, sweeps):
+    """Improve a PageRank estimate with Gauss-Seidel sweeps on the fixed-point
+    system (I - (1-alpha) M) p = alpha * pr of the graph whose transition
+    operator is M."""
+    n = M.shape[0]
+    A = sp.eye_array(n, format="csr") - (1.0 - alpha) * M
+    p = _GaussSeidel(A.tocsr()).forward(p0.copy(), alpha * pr, sweeps)
     s = p.sum()
     return p / s if s != 0 else p
 
@@ -145,10 +157,11 @@ def pagerank_correlation(g: DirectedGraph, s, alpha=0.15, personalization=None, 
     sg = s.graph if isinstance(s, Sparsifier) else s
     n = g.n
     pr = np.full(n, 1.0 / n) if personalization is None else np.asarray(personalization, dtype=np.float64)
-    full = pagerank(g, alpha, personalization, tol, max_iters)
+    M = _transition(g)
+    full = pagerank(g, alpha, personalization, tol, max_iters, transition=M)
     sparse_ = pagerank(sg, alpha, personalization, tol, max_iters)
     raw = _pearson(full.p, sparse_.p)
-    smoothed_p = _pagerank_smoothed(g, sparse_.p, alpha, pr, gs_sweeps)
+    smoothed_p = _pagerank_smoothed(M, sparse_.p, alpha, pr, gs_sweeps)
     smoothed = _pearson(full.p, smoothed_p)
     return raw, smoothed
 
@@ -329,11 +342,10 @@ def kmeans(X, k, seed=0, restarts=10, max_iters=100):
         inertia = float(((X - centers[labels]) ** 2).sum())
         if inertia < best_inertia - 1e-15:
             best_inertia, best_labels = inertia, labels
-    dense = {}
-    out = np.empty(n, dtype=np.int64)
-    for i, lab in enumerate(best_labels):
-        out[i] = dense.setdefault(int(lab), len(dense))
-    return out
+    _, first, inverse = np.unique(best_labels, return_index=True, return_inverse=True)
+    dense = np.empty(first.size, dtype=np.int64)
+    dense[np.argsort(first)] = np.arange(first.size)
+    return dense[inverse.ravel()]
 
 
 def _kmeanspp(X, k, rng):

@@ -45,57 +45,39 @@ def symmetrized_transition(g: DirectedGraph) -> sp.csr_array:
     return P.tocsr()
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 def maximum_spanning_structure(P: sp.sparray) -> list[tuple[int, int]]:
     """Maximum-weight spanning forest of the undirected graph behind P.
 
     P is interpreted as the adjacency of an undirected graph where the pair
     {i, j} carries weight P[i, j] + P[j, i] (P itself may be asymmetric).
-    Kruskal with union-find; ties break on (smaller tail id, smaller head id)
-    so the forest is deterministic.  Returns one tree per connected component,
-    i.e. exactly n - #components edges as (i, j) pairs with i < j.
+    The forest is Kruskal's: pairs ranked by weight, ties broken on (smaller
+    tail id, smaller head id), each taken unless it closes a cycle.  With the
+    ranks as distinct weights that forest is the unique minimum spanning
+    forest, which ``csgraph.minimum_spanning_tree`` finds.  Returns one tree
+    per connected component, i.e. exactly n - #components edges as (i, j)
+    pairs with i < j, in rank order.
     """
+    n = P.shape[0]
     C = sp.coo_array(P)
     keep = (C.row != C.col) & (C.data != 0)
     lo = np.minimum(C.row, C.col)[keep].astype(np.int64)
     hi = np.maximum(C.row, C.col)[keep].astype(np.int64)
     # A canonical P holds at most two entries per pair, P[i, j] and P[j, i],
     # and a sum of two does not depend on their order.
-    keys, inverse = np.unique(lo * P.shape[0] + hi, return_inverse=True)
+    keys, inverse = np.unique(lo * n + hi, return_inverse=True)
     weights = np.bincount(inverse, weights=C.data[keep], minlength=keys.size)
-    lo, hi = np.divmod(keys, P.shape[0])
+    if keys.size == 0:
+        return []
+    lo, hi = np.divmod(keys, n)
 
-    ranked = np.lexsort((hi, lo, -weights))
-    uf = _UnionFind(P.shape[0])
-    forest = []
-    for i, j in zip(lo[ranked].tolist(), hi[ranked].tolist()):
-        if uf.union(i, j):
-            forest.append((i, j))
-    return forest
+    # Keys are unique and ascending, so a stable sort breaks ties on (lo, hi).
+    ranked = np.argsort(-weights, kind="stable")
+    # Rank k (from 1: a zero entry is no edge) as the weight of pair ranked[k - 1].
+    rank = np.arange(1, keys.size + 1, dtype=np.float64)
+    R = sp.csr_array((rank, (lo[ranked], hi[ranked])), shape=(n, n))
+    taken = np.sort(csgraph.minimum_spanning_tree(R).data).astype(np.int64) - 1
+    pairs = ranked[taken]
+    return list(zip(lo[pairs].tolist(), hi[pairs].tolist()))
 
 
 def _scc_labels(n, tails, heads):

@@ -9,10 +9,19 @@ is one product and one block solve.  ``score_edges`` then scores all
 off-subgraph edges at once by first-order perturbation of the pencil, with
 an r-dimensional embedding of the same quadratic forms that lets the
 selection step skip edges that perturb the same spectral directions.
+
+``filter_similar_edges`` makes that selection greedily over the ranked
+candidates.  It compares a candidate only with kept edges whose embedding
+norm lies in its window [f ||e||, ||e|| / f], f just below epsilon: by the
+triangle inequality no edge outside it can be similar enough to matter.  The
+kept norms stay sorted, so each block of candidates finds its windows by
+binary search and computes the similarities of those pairs at once; the
+block's survivors are then resolved against each other in order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +30,20 @@ from .solver import SpsSolver, _coldot, _colnorm
 
 __all__ = [
     "EigPair",
-    "EdgeScore",
     "power_iterate",
     "score_edges",
     "spectral_similarity",
     "filter_similar_edges",
 ]
+
+# Each work buffer of the similarity filter holds at most this many float64
+# values (512 KiB): the pairs of a block of candidates and the kept rows in
+# their norm windows run in pieces of this size, and a block's survivors (at
+# most isqrt(FILTER_BUFFER / r) of them) are compared with each other at once.
+FILTER_BUFFER = 1 << 16
+
+# Margin on epsilon for the norm window of ``_norm_windows``.
+WINDOW_SLACK = 1e-9
 
 
 @dataclass
@@ -36,16 +53,6 @@ class EigPair:
     mu: float
     h: np.ndarray
     t: int
-
-
-@dataclass
-class EdgeScore:
-    edge_id: int
-    tail: int
-    head: int
-    weight: float
-    sensitivity: float
-    embedding: np.ndarray
 
 
 def power_iterate(
@@ -126,46 +133,137 @@ def spectral_similarity(s1, s2) -> float:
     return float(1.0 - np.linalg.norm(s1 - s2) / denom)
 
 
-def filter_similar_edges(candidates, epsilon, d_out, out_degrees=None):
-    """Greedy similarity pruning of a sensitivity-ranked candidate list.
+def filter_similar_edges(embeddings, tails, epsilon, d_out, out_degrees=None):
+    """Greedy similarity pruning of sensitivity-ranked candidate rows.
 
-    Candidates whose tail already has out-degree >= d_out in the subgraph are
-    excluded up front (skipped entirely when ``out_degrees`` is None).  The
-    first survivor is always kept; each further edge is kept only if its
-    spectral similarity to every kept edge stays below epsilon.  Output is a
-    subset of the input in input order.
+    ``embeddings`` holds one row per candidate, best first, and ``tails`` the
+    candidates' tail nodes.  Candidates whose tail already has out-degree
+    >= d_out in the subgraph are excluded up front (skipped entirely when
+    ``out_degrees`` is None).  The first survivor is always kept; each
+    further one is kept only if its spectral similarity to every kept row
+    stays below epsilon.  Returns the kept row indices, ascending.
+
+    The decisions are those of the one-candidate-at-a-time loop, computed
+    with the same operations (norms as ``np.linalg.norm`` of a row, distances
+    as ``d * d`` summed along the row), so a tie at epsilon is decided as
+    that loop decides it.  Candidates run in blocks: a block is compared with
+    the rows kept before it whose norm lies in its window (see
+    ``_norm_windows``), and the block's survivors with each other.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     if d_out < 1:
         raise ValueError("d_out must be >= 1")
-    pool = [
-        c
-        for c in candidates
-        if out_degrees is None or out_degrees[c.tail] < d_out
-    ]
-    if not pool:
-        return []
-    # Kept embeddings and norms fill the first rows of arrays of pool size;
-    # ``diff`` is a work buffer for the distances.  Norms and distances are
-    # computed with the operations of ``np.linalg.norm``, so they are equal
-    # to its results, and a tie at epsilon is decided as it decides it.
+    tails = np.asarray(tails, dtype=np.int64)
+    if out_degrees is None:
+        rows = np.arange(tails.size)
+    else:
+        rows = np.flatnonzero(np.asarray(out_degrees)[tails] < d_out)
+    if rows.size == 0:
+        return rows
+    P = np.ascontiguousarray(np.asarray(embeddings, dtype=np.float64)[rows])
+    r = max(1, P.shape[1])
+    block = max(1, math.isqrt(FILTER_BUFFER // r))
+    pair_budget = max(1, FILTER_BUFFER // r)
     kept = []
-    kept_mat = np.empty((len(pool), pool[0].embedding.size))
-    kept_norms = np.empty(len(pool))
-    diff = np.empty_like(kept_mat)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for cand in pool:
-            e = cand.embedding
-            en = np.sqrt(e.dot(e))
-            n_kept = len(kept)
-            d = np.subtract(kept_mat[:n_kept], e, out=diff[:n_kept])
-            d *= d
-            dist = np.sqrt(d.sum(axis=1))
-            # Two zero embeddings give 0 / 0 = nan, which is not below
-            # epsilon, as a similarity of 1 would not be.
-            if (1.0 - dist / np.maximum(kept_norms[:n_kept], en) < epsilon).all():
-                kept_mat[n_kept] = e
-                kept_norms[n_kept] = en
-                kept.append(cand)
-    return kept
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        # The square root of a BLAS dot per row, as np.linalg.norm of the
+        # row; np.linalg.norm(P, axis=1) sums in another order.
+        norms = np.sqrt(np.matmul(P[:, None, :], P[:, :, None]).ravel())
+        windows = _norm_windows(norms, epsilon, r) if rows.size > block else None
+        b0 = 0
+        while b0 < rows.size:
+            b1 = min(b0 + block, rows.size)
+            survivors = np.arange(b0, b1)
+            if kept:
+                kept_sorted = np.asarray(kept)[np.argsort(norms[kept])]
+                if windows is None:
+                    starts = np.zeros(b1 - b0, dtype=np.int64)
+                    counts = np.full(b1 - b0, len(kept))
+                else:
+                    kept_norms = norms[kept_sorted]
+                    starts = np.searchsorted(kept_norms, windows[0][b0:b1], "left")
+                    counts = np.searchsorted(kept_norms, windows[1][b0:b1], "right") - starts
+                # End the block where its pairs would outgrow the budget (a
+                # single candidate may exceed it; its pairs run in pieces).
+                take = max(1, int(np.searchsorted(np.cumsum(counts), pair_budget, "right")))
+                b1 = b0 + take
+                blocked = _blocked_by_kept(
+                    P, norms, epsilon, b0, starts[:take], counts[:take], kept_sorted, pair_budget
+                )
+                survivors = b0 + np.flatnonzero(~blocked)
+            kept.extend(_resolve_in_order(P, norms, epsilon, survivors))
+            b0 = b1
+    return rows[kept]
+
+
+def _norm_windows(norms, epsilon, r):
+    """Per row, the norms a row may have to be similar to it: (lo, hi).
+
+    By the triangle inequality ||a - b|| >= | ||a|| - ||b|| |, so a pair can
+    only reach similarity >= epsilon when the smaller norm is at least
+    epsilon times the larger.  The window [lo, hi] = [f ||e||, ||e|| / f],
+    with f = epsilon - ``WINDOW_SLACK``, also holds every pair whose
+    similarity computed in floating point reaches epsilon: rounding moves a
+    computed similarity by at most about 8 (r + 3) units of 2^-53, far below
+    the slack for r <= 10^5, as long as the squares that decide a pair stay
+    clear of underflow and overflow.  Returns None, meaning no window, when
+    that cannot be vouched for: f <= 0, r > 10^5, or a nonzero norm outside
+    [1e-100, 1e100] (also nan or inf).
+    """
+    f = epsilon - WINDOW_SLACK
+    nonzero = norms[norms != 0]
+    if f <= 0 or r > 10**5 or (
+        nonzero.size and not (nonzero.min() >= 1e-100 and nonzero.max() <= 1e100)
+    ):
+        return None
+    return f * norms, norms / f
+
+
+def _similar_pairs_ok(P, norms, epsilon, kept_rows, cand_rows):
+    """Per pair (kept_rows[i], cand_rows[i]): is the similarity below epsilon?"""
+    d = P[kept_rows]
+    d -= P[cand_rows]
+    d *= d
+    dist = np.sqrt(d.sum(axis=1))
+    # Two zero embeddings give 0 / 0 = nan, which is not below epsilon, as
+    # a similarity of 1 would not be.
+    return 1.0 - dist / np.maximum(norms[kept_rows], norms[cand_rows]) < epsilon
+
+
+def _blocked_by_kept(P, norms, epsilon, b0, starts, counts, kept_sorted, pair_budget):
+    """Which candidates b0, b0 + 1, ... are similar to a kept row in their
+    window; candidate i's window is kept_sorted[starts[i]:starts[i] + counts[i]]."""
+    blocked = np.zeros(counts.size, dtype=bool)
+    total = int(counts.sum())
+    if total == 0:
+        return blocked
+    cand = np.repeat(np.arange(counts.size), counts)
+    # Position of each pair in kept_sorted: its window start plus its rank
+    # inside the window.
+    pos = np.arange(total) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    for p0 in range(0, total, pair_budget):
+        c = cand[p0 : p0 + pair_budget]
+        ok = _similar_pairs_ok(P, norms, epsilon, kept_sorted[pos[p0 : p0 + pair_budget]], b0 + c)
+        blocked[c[~ok]] = True
+    return blocked
+
+
+def _resolve_in_order(P, norms, epsilon, survivors):
+    """The survivors kept, in order, when each must be dissimilar to the
+    survivors kept before it."""
+    s = survivors.size
+    if s == 0:
+        return []
+    pairs = np.repeat(survivors, s), np.tile(survivors, s)
+    ok = _similar_pairs_ok(P, norms, epsilon, *pairs).reshape(s, s)
+    # ok[k, k] is False (a similarity of 1 or nan), so keeping k also
+    # retires it.
+    alive = np.ones(s, dtype=bool)
+    kept = []
+    while True:
+        k = int(alive.argmax())
+        if not alive[k]:
+            return kept
+        kept.append(int(survivors[k]))
+        alive &= ok[k]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .graphs import DirectedGraph, laplacian, symmetrize, symmetrized_operator
 from .seed import build_seed
-from .sensitivity import EdgeScore, filter_similar_edges, power_iterate, score_edges
+from .sensitivity import filter_similar_edges, power_iterate, score_edges
 from .solver import SolverParams, SpsSolver
 
 __all__ = ["SparsifyParams", "IterationReport", "Sparsifier", "sparsify", "estimate_mu"]
@@ -176,26 +176,17 @@ def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifi
         order = np.lexsort((off_ids, -sens))
         n_top = max(1, int(np.floor(params.alpha_percent / 100.0 * off_ids.size)))
         top = order[:n_top]
-        candidates = [
-            EdgeScore(
-                edge_id=int(off_ids[i]),
-                tail=int(tails[i]),
-                head=int(heads[i]),
-                weight=float(weights[i]),
-                sensitivity=float(sens[i]),
-                embedding=embeddings[i],
-            )
-            for i in top
-        ]
         out_deg = np.bincount(S.tails, minlength=g.n)
-        accepted = filter_similar_edges(candidates, params.epsilon, params.d_out, out_deg)
-        if not accepted:
+        accepted = filter_similar_edges(
+            embeddings[top], tails[top], params.epsilon, params.d_out, out_deg
+        )
+        if accepted.size == 0:
             reports.append(
                 IterationReport(iteration, mu, len(kept_set) / m, time.perf_counter() - t0, 0, 0)
             )
             break
 
-        new_ids = sorted(c.edge_id for c in accepted)
+        new_ids = np.sort(off_ids[top[accepted]]).tolist()
         tentative = sorted(kept_set | set(new_ids))
         try:
             mu_new, h_new, S_new, L_S_new = _evaluate(

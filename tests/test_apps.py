@@ -81,6 +81,41 @@ class TestPageRank:
         np.testing.assert_allclose(res.p, np.full(6, 1 / 6), atol=1e-12)
 
 
+def pagerank_reference(g, alpha, pr, tol=1e-10, max_iters=1000):
+    """The fixed-point loop with a new array for every intermediate."""
+    M = apps._transition(g)
+    p = pr.copy()
+    for it in range(1, max_iters + 1):
+        p_new = (1.0 - alpha) * (M @ p) + alpha * pr
+        p_new /= p_new.sum()
+        residual = float(np.abs(p_new - p).sum())
+        p = p_new
+        if residual <= tol:
+            break
+    return p, it, residual
+
+
+class TestPageRankInPlace:
+    def test_same_bits_as_the_allocating_loop(self, rng):
+        for trial in range(20):
+            n = int(rng.integers(1, 60))
+            g = random_digraph(rng, n)  # dangling nodes included
+            pr = None
+            if trial % 2:
+                pr = rng.uniform(0.0, 1.0, n)
+                pr /= pr.sum()
+            alpha = float(rng.choice([0.15, 0.5, 1.0]))
+            res = pagerank(g, alpha, pr, max_iters=200)
+            p, it, residual = pagerank_reference(g, alpha, np.full(n, 1.0 / n) if pr is None else pr, max_iters=200)
+            np.testing.assert_array_equal(res.p, p)
+            assert (res.iterations, res.residual) == (it, residual)
+
+    def test_given_transition_is_used(self, rng):
+        g, h = random_digraph(rng, 30), random_digraph(rng, 30)
+        np.testing.assert_array_equal(pagerank(g, transition=apps._transition(g)).p, pagerank(g).p)
+        np.testing.assert_array_equal(pagerank(g, transition=apps._transition(h)).p, pagerank(h).p)
+
+
 class TestPageRankCorrelation:
     def test_identity_sparsifier(self, rng):
         g = strong_digraph(rng, 20)
@@ -287,6 +322,15 @@ class TestKmeans:
     def test_k_validated(self, rng):
         with pytest.raises(ValueError):
             kmeans(rng.standard_normal((5, 2)), 6)
+
+    def test_labels_dense_in_order_of_first_appearance(self, rng):
+        for k in (2, 3, 5, 8):
+            X = rng.standard_normal((60, 2)) + rng.integers(0, k, (60, 1)) * 4.0
+            labels = kmeans(X, k, seed=int(rng.integers(100)))
+            values, first = np.unique(labels, return_index=True)
+            assert labels.dtype == np.int64
+            np.testing.assert_array_equal(values, np.arange(values.size))
+            assert np.all(np.diff(first) > 0)
 
 
 class TestAdjustedRandIndex:

@@ -235,6 +235,18 @@ class TestVectorizedAgainstLoops:
             g = tied_digraph(rng, int(rng.integers(1, 40)))
             P = symmetrized_transition(g)
             assert maximum_spanning_structure(P) == forest_loop_reference(P)
+        # n = 0 and 1, and several components of tied weights side by side
+        for n in (0, 1):
+            P = symmetrized_transition(DirectedGraph(n, []))
+            assert maximum_spanning_structure(P) == forest_loop_reference(P) == []
+        for _ in range(20):
+            parts = [tied_digraph(rng, int(rng.integers(1, 12))) for _ in range(int(rng.integers(2, 5)))]
+            edges, base = [], 0
+            for part in parts:
+                edges += [(t + base, h + base, w) for t, h, w in part.edges]
+                base += part.n
+            P = symmetrized_transition(DirectedGraph(base, edges))
+            assert maximum_spanning_structure(P) == forest_loop_reference(P)
         # asymmetric P with tied pair sums and explicit zeros
         for _ in range(20):
             n = int(rng.integers(2, 15))

@@ -1,10 +1,12 @@
+import tracemalloc
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from specsparse import (
     DirectedGraph,
-    EdgeScore,
     build_seed,
     estimate_mu,
     filter_similar_edges,
@@ -14,6 +16,7 @@ from specsparse import (
     spectral_similarity,
     symmetrize,
 )
+from specsparse import sensitivity
 from specsparse.solver import SpsSolver
 
 from conftest import dense_pencil, strong_digraph
@@ -174,115 +177,206 @@ class TestSpectralSimilarity:
             spectral_similarity([1.0], [1.0, 2.0])
 
 
-def scores(embeddings, tails=None):
-    out = []
-    for i, e in enumerate(embeddings):
-        out.append(
-            EdgeScore(
-                edge_id=i,
-                tail=0 if tails is None else tails[i],
-                head=1,
-                weight=1.0,
-                sensitivity=float(len(embeddings) - i),
-                embedding=np.asarray(e, dtype=float),
-            )
-        )
-    return out
+def rows(embeddings):
+    return np.asarray(embeddings, dtype=float).reshape(len(embeddings), -1)
+
+
+def no_tails(embeddings):
+    return np.zeros(len(embeddings), dtype=np.int64)
 
 
 class TestFilterSimilarEdges:
     def test_identical_embeddings_keep_first(self):
-        cands = scores([[1.0, 2.0]] * 4)
-        kept = filter_similar_edges(cands, epsilon=0.9, d_out=10)
-        assert [c.edge_id for c in kept] == [0]
+        E = rows([[1.0, 2.0]] * 4)
+        kept = filter_similar_edges(E, no_tails(E), epsilon=0.9, d_out=10)
+        assert kept.tolist() == [0]
 
     def test_orthogonal_embeddings_keep_all(self):
-        cands = scores(np.eye(4).tolist())
-        kept = filter_similar_edges(cands, epsilon=0.9, d_out=10)
-        assert [c.edge_id for c in kept] == [0, 1, 2, 3]
+        E = np.eye(4)
+        kept = filter_similar_edges(E, no_tails(E), epsilon=0.9, d_out=10)
+        assert kept.tolist() == [0, 1, 2, 3]
 
     def test_single_candidate_kept(self):
-        kept = filter_similar_edges(scores([[0.3, 0.4]]), epsilon=0.5, d_out=1)
-        assert len(kept) == 1
+        kept = filter_similar_edges(rows([[0.3, 0.4]]), [0], epsilon=0.5, d_out=1)
+        assert kept.tolist() == [0]
 
     def test_empty_input(self):
-        assert filter_similar_edges([], epsilon=0.9, d_out=5) == []
+        assert filter_similar_edges(np.empty((0, 3)), [], epsilon=0.9, d_out=5).size == 0
+        assert filter_similar_edges([], [], epsilon=0.9, d_out=5).size == 0
 
     def test_out_degree_cap(self):
-        cands = scores(np.eye(3).tolist(), tails=[0, 1, 0])
-        kept = filter_similar_edges(cands, epsilon=0.9, d_out=2, out_degrees={0: 2, 1: 0})
-        assert [c.edge_id for c in kept] == [1]
+        kept = filter_similar_edges(np.eye(3), [0, 1, 0], epsilon=0.9, d_out=2, out_degrees=np.array([2, 0]))
+        assert kept.tolist() == [1]
 
     def test_subset_in_input_order(self, rng):
-        cands = scores(rng.standard_normal((10, 4)).tolist())
-        kept = filter_similar_edges(cands, epsilon=0.7, d_out=10)
-        ids = [c.edge_id for c in kept]
-        assert ids == sorted(ids)
-        assert set(ids) <= set(range(10))
+        E = rng.standard_normal((10, 4))
+        kept = filter_similar_edges(E, no_tails(E), epsilon=0.7, d_out=10)
+        assert kept.tolist() == sorted(set(kept.tolist()))
+        assert set(kept.tolist()) <= set(range(10))
 
     def test_idempotent(self, rng):
-        cands = scores(rng.standard_normal((12, 3)).tolist())
-        once = filter_similar_edges(cands, epsilon=0.8, d_out=10)
-        twice = filter_similar_edges(once, epsilon=0.8, d_out=10)
-        assert [c.edge_id for c in twice] == [c.edge_id for c in once]
+        E = rng.standard_normal((12, 3))
+        once = filter_similar_edges(E, no_tails(E), epsilon=0.8, d_out=10)
+        twice = filter_similar_edges(E[once], no_tails(once), epsilon=0.8, d_out=10)
+        assert twice.tolist() == list(range(once.size))
 
     def test_epsilon_validated(self):
         with pytest.raises(ValueError, match="epsilon"):
-            filter_similar_edges([], epsilon=1.5, d_out=3)
+            filter_similar_edges(np.empty((0, 1)), [], epsilon=1.5, d_out=3)
 
 
-def filter_reference(candidates, epsilon, d_out, out_degrees=None):
-    """The filter as a loop that rebuilds the kept matrix for every candidate."""
-    pool = [c for c in candidates if out_degrees is None or out_degrees[c.tail] < d_out]
+def filter_reference(E, tails, epsilon, d_out, out_degrees=None):
+    """The filter as a loop over candidates that rebuilds the kept matrix for
+    every candidate; returns the kept row indices."""
+    pool = [i for i in range(len(E)) if out_degrees is None or out_degrees[tails[i]] < d_out]
     if not pool:
         return []
     kept = [pool[0]]
-    kept_mat = [pool[0].embedding]
-    kept_norms = [np.linalg.norm(pool[0].embedding)]
-    for cand in pool[1:]:
-        e = cand.embedding
-        en = np.linalg.norm(e)
-        M = np.asarray(kept_mat)
-        norms = np.asarray(kept_norms)
-        denom = np.maximum(norms, en)
-        dist = np.linalg.norm(M - e, axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for i in pool[1:]:
+            e = E[i]
+            en = np.linalg.norm(e)
+            M = E[kept]
+            norms = np.array([np.linalg.norm(E[j]) for j in kept])
+            denom = np.maximum(norms, en)
+            dist = np.linalg.norm(M - e, axis=1)
             sims = np.where(denom > 0, 1.0 - dist / denom, 1.0)
-        if np.all(sims < epsilon):
-            kept.append(cand)
-            kept_mat.append(e)
-            kept_norms.append(en)
+            if np.all(sims < epsilon):
+                kept.append(i)
     return kept
+
+
+@contextmanager
+def filter_buffer(size):
+    """Run the filter with work buffers of ``size`` values (None: as shipped),
+    so that small pools span several blocks and pieces."""
+    saved = sensitivity.FILTER_BUFFER
+    sensitivity.FILTER_BUFFER = saved if size is None else size
+    try:
+        yield
+    finally:
+        sensitivity.FILTER_BUFFER = saved
+
+
+def clustered_rows(rng, m, r, decades):
+    """m rows around a few centers whose norms span ``decades`` decades, so
+    that similarities fall on both sides of every epsilon."""
+    centers = rng.standard_normal((4, r)) * 10.0 ** rng.uniform(0, decades, (4, 1))
+    pick = rng.integers(0, 4, m)
+    scale = 1.0 + 0.2 * rng.standard_normal((m, 1))
+    noise = rng.standard_normal((m, r)) * rng.uniform(0.0, 0.3, (m, 1))
+    return centers[pick] * scale + noise * np.linalg.norm(centers[pick], axis=1, keepdims=True)
+
+
+def edge_rows(rng, m, r, epsilon):
+    """Rows in collinear pairs a, f a with f at epsilon and one ulp either
+    side, so that similarities land on epsilon and the window's edges."""
+    out = []
+    while len(out) < m:
+        a = rng.standard_normal(r) * 10.0 ** rng.uniform(-3, 3)
+        f = epsilon * np.nextafter(1.0, [0.0, 1.0, 2.0])[rng.integers(0, 3)]
+        out += [a, f * a] if rng.integers(0, 2) else [f * a, a]
+    return rng.permutation(np.asarray(out[:m]))
+
+
+def check_against_loop(E, tails, epsilon, d_out, out_degrees=None, buffer=None):
+    with filter_buffer(buffer):
+        got = filter_similar_edges(E, tails, epsilon, d_out, out_degrees)
+    assert got.tolist() == filter_reference(E, tails, epsilon, d_out, out_degrees)
+
+
+EPSILONS = [0.01, 0.1, 0.5, 0.75, 0.9, 0.999]
 
 
 class TestFilterAgainstLoop:
     @settings(max_examples=200, deadline=None)
     @given(
         m=st.integers(0, 40),
-        r=st.integers(1, 5),
-        epsilon=st.sampled_from([0.1, 0.5, 0.75, 0.9]),
+        r=st.integers(1, 16),
+        epsilon=st.sampled_from(EPSILONS),
         d_out=st.integers(1, 4),
         capped=st.booleans(),
+        buffer=st.sampled_from([1, 16, 256, None]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_same_edges_as_the_loop(self, m, r, epsilon, d_out, capped, seed):
+    def test_same_edges_as_the_loop(self, m, r, epsilon, d_out, capped, buffer, seed):
         # Small integer embeddings give zero rows, duplicates and similarities
         # exactly at epsilon (for example 1 - |(2, 0) - (1, 0)| / 2 = 0.5).
         rng = np.random.default_rng(seed)
-        cands = scores(rng.integers(-2, 3, size=(m, r)).astype(float).tolist(), tails=rng.integers(0, 6, m).tolist())
+        E = rng.integers(-2, 3, size=(m, r)).astype(float)
+        tails = rng.integers(0, 6, m)
         out_degrees = rng.integers(0, d_out + 2, 6) if capped else None
-        got = filter_similar_edges(cands, epsilon, d_out, out_degrees)
-        want = filter_reference(cands, epsilon, d_out, out_degrees)
-        assert [c.edge_id for c in got] == [c.edge_id for c in want]
+        check_against_loop(E, tails, epsilon, d_out, out_degrees, buffer)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(100, 600),
+        r=st.integers(1, 16),
+        epsilon=st.sampled_from(EPSILONS),
+        kind=st.sampled_from(["clustered", "edge"]),
+        buffer=st.sampled_from([64, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_real_pools_over_several_blocks(self, m, r, epsilon, kind, buffer, seed):
+        # r from 8 on sums each row in another order; at the shipped buffer a
+        # block holds at most isqrt(2^16 / r) <= 256 candidates, so m >= 300
+        # spans several blocks for every r.
+        rng = np.random.default_rng(seed)
+        E = clustered_rows(rng, m, r, 4) if kind == "clustered" else edge_rows(rng, m, r, epsilon)
+        check_against_loop(E, np.zeros(m, dtype=np.int64), epsilon, 10, None, buffer)
+
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    @pytest.mark.parametrize("buffer", [16, 64, None])
+    def test_window_edges(self, epsilon, buffer):
+        rng = np.random.default_rng(int(epsilon * 1000))
+        for r in (2, 9, 16):
+            E = edge_rows(rng, 400, r, epsilon)
+            check_against_loop(E, np.zeros(400, dtype=np.int64), epsilon, 10, None, buffer)
+
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    def test_all_equal_norms(self, rng, epsilon):
+        # Sign flips of one row: every norm is equal, so every pair is in
+        # every window.
+        v = rng.standard_normal(8)
+        E = v * rng.choice([-1.0, 1.0], size=(500, 8))
+        E[::7] = 0.0
+        check_against_loop(E, np.zeros(500, dtype=np.int64), epsilon, 10)
+        check_against_loop(E, np.zeros(500, dtype=np.int64), epsilon, 10, buffer=32)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-120, 1e120, 1e160, np.inf])
+    def test_norms_outside_the_window_range(self, rng, scale):
+        # No window for norms whose squares could underflow or overflow (or
+        # a nan or inf row): every pair is compared, as the loop compares it.
+        E = clustered_rows(rng, 300, 4, 2)
+        E[rng.integers(0, 300, 30)] *= scale
+        check_against_loop(E, np.zeros(300, dtype=np.int64), 0.9, 10)
+
+    def test_epsilon_below_the_slack(self, rng):
+        E = clustered_rows(rng, 300, 3, 2)
+        check_against_loop(E, np.zeros(300, dtype=np.int64), 1e-12, 10)
+
+    def test_equal_norms_keep_the_buffers_bounded(self, rng):
+        # 2000 rows of (nearly) one norm, all kept: every pair is in the
+        # window, yet the work buffers stay at the module's bound instead of
+        # growing with candidates x kept rows (about 8 MB per block of 64).
+        E = rng.standard_normal((2000, 8))
+        E /= np.linalg.norm(E, axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            kept = filter_similar_edges(E, np.zeros(2000, dtype=np.int64), 0.999, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept.size == 2000
+        assert peak < 4 * 8 * sensitivity.FILTER_BUFFER + 4 * E.nbytes
 
     def test_tie_at_epsilon_is_dropped(self):
-        cands = scores([[2.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-        kept = filter_similar_edges(cands, epsilon=0.5, d_out=10)
-        assert [c.edge_id for c in kept] == [0, 2] == [c.edge_id for c in filter_reference(cands, 0.5, 10)]
+        E = rows([[2.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        kept = filter_similar_edges(E, no_tails(E), epsilon=0.5, d_out=10)
+        assert kept.tolist() == [0, 2] == filter_reference(E, no_tails(E), 0.5, 10)
 
     def test_fully_excluded_pool(self):
-        cands = scores(np.eye(3).tolist(), tails=[0, 1, 2])
-        assert filter_similar_edges(cands, epsilon=0.9, d_out=2, out_degrees=[2, 3, 5]) == []
+        assert filter_similar_edges(np.eye(3), [0, 1, 2], epsilon=0.9, d_out=2, out_degrees=[2, 3, 5]).size == 0
 
 
 class TestRankingAgainstExactOracle:

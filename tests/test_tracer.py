@@ -51,6 +51,7 @@ def test_tracer_spans_fire_and_uninstall_restores():
         totals[name] = totals.get(name, 0.0) + (end - start)
     for name in (
         "sensitivity.power_iterate",
+        "sensitivity.filter",
         "graphs.symmetrize",
         "graphs.subgraph",
         "seed.build",
@@ -59,6 +60,10 @@ def test_tracer_spans_fire_and_uninstall_restores():
     ):
         assert totals.get(name, 0.0) > 0.0, name
     assert tracer.counters["solves"] > 0
+    # The tracer counts len(args[0]) as candidates and len(result) as kept
+    # edges, so the filter's first argument must hold one row per candidate
+    # and its result one entry per kept edge.
+    assert 0 < tracer.counters["filter_kept"] <= tracer.counters["filter_candidates"]
     # The tracer adds and compares SolveStats fields as numbers, so the
     # stats of a block solve must stay scalar.
     assert tracer.counters["pcg_iters"] > 0
