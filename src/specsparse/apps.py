@@ -75,8 +75,14 @@ def _with_dangling_loops(g: DirectedGraph) -> DirectedGraph:
     if has_out.all():
         return g
     w = DANGLING_LOOP_SCALE * (g.weights.max() if g.num_edges else 1.0)
-    extra = [(i, i, w) for i in np.nonzero(~has_out)[0]]
-    return DirectedGraph(g.n, g.edges + extra, allow_self_loops=True)
+    loops = np.flatnonzero(~has_out)
+    return DirectedGraph.from_arrays(
+        g.n,
+        np.concatenate([g.tails, loops]),
+        np.concatenate([g.heads, loops]),
+        np.concatenate([g.weights, np.full(loops.size, w)]),
+        allow_self_loops=True,
+    )
 
 
 def _transition(g: DirectedGraph):

@@ -29,6 +29,12 @@ __all__ = [
 CANCEL_TOL = 1e-14
 
 
+def _node_count(n):
+    if n < 0:
+        raise ValueError(f"node count must be >= 0, got {n}")
+    return int(n)
+
+
 class DirectedGraph:
     """Weighted directed graph with 0-based node ids.
 
@@ -36,27 +42,45 @@ class DirectedGraph:
     (tail, head) pair merge by weight summation, the list is sorted by
     (tail, head), and all weights must be strictly positive.  Self-loops are
     rejected unless ``allow_self_loops`` is set (only the PageRank dangling
-    fix ever sets it).  Instances are treated as immutable.
+    fix ever sets it).  ``from_arrays`` builds the same graph from parallel
+    arrays in place of an edge list.  Instances are treated as immutable.
     """
 
     __slots__ = ("n", "tails", "heads", "weights")
 
     def __init__(self, n, edges, allow_self_loops=False):
-        if n < 0:
-            raise ValueError(f"node count must be >= 0, got {n}")
-        self.n = int(n)
-
+        self.n = _node_count(n)
         edges = list(edges)
         arr = np.array(edges, dtype=np.float64).reshape(len(edges), 3)
-        tails = arr[:, 0].astype(np.int64)
-        heads = arr[:, 1].astype(np.int64)
-        weights = arr[:, 2]
+        tails, heads = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
+        self._canonicalize(tails, heads, arr[:, 2].copy(), allow_self_loops, edges)
+
+    @classmethod
+    def from_arrays(cls, n, tails, heads, weights, allow_self_loops=False):
+        """Graph from parallel tail, head and weight arrays, validated and
+        canonicalized as the constructor does it with an edge list."""
+        g = cls.__new__(cls)
+        g.n = _node_count(n)
+        tails = np.array(tails, dtype=np.int64)
+        heads = np.array(heads, dtype=np.int64)
+        weights = np.array(weights, dtype=np.float64)
+        if not (tails.ndim == 1 and tails.shape == heads.shape == weights.shape):
+            raise ValueError(
+                f"tails, heads and weights must be 1-D of one length, got shapes "
+                f"{tails.shape}, {heads.shape} and {weights.shape}"
+            )
+        g._canonicalize(tails, heads, weights, allow_self_loops, None)
+        return g
+
+    def _canonicalize(self, tails, heads, weights, allow_self_loops, edges):
+        """Validate the edge arrays and store them merged and sorted.  A bad
+        edge's message quotes ``edges`` (the caller's tuples) when given."""
         bad = (tails < 0) | (tails >= self.n) | (heads < 0) | (heads >= self.n) | ~(weights > 0)
         if not allow_self_loops:
             bad |= tails == heads
         if bad.any():
-            # Rebuild the first failing edge's message from its own values.
-            tail, head, weight = edges[int(np.argmax(bad))]
+            k = int(np.argmax(bad))
+            tail, head, weight = edges[k] if edges is not None else (tails[k], heads[k], float(weights[k]))
             tail, head = int(tail), int(head)
             if not (0 <= tail < self.n and 0 <= head < self.n):
                 raise ValueError(f"edge ({tail}, {head}) out of range for n={self.n}")
@@ -64,6 +88,10 @@ class DirectedGraph:
                 raise ValueError(f"self-loop at node {tail} not allowed")
             raise ValueError(f"edge ({tail}, {head}) has non-positive weight {weight}")
 
+        if np.all((tails[1:] > tails[:-1]) | ((tails[1:] == tails[:-1]) & (heads[1:] > heads[:-1]))):
+            # Already canonical, as every file write_matrix_market writes is.
+            self.tails, self.heads, self.weights = tails, heads, weights
+            return
         # A stable sort by (tail, head), without a tail * n + head key that
         # could wrap; bincount sums each pair's weights in input order (and
         # returns int64 when there are none, hence the cast).

@@ -116,6 +116,38 @@ class TestPageRankInPlace:
         np.testing.assert_array_equal(pagerank(g, transition=apps._transition(h)).p, pagerank(h).p)
 
 
+def tuple_dangling_loops(g):
+    """The dangling fix as it used to be built: the edge tuples plus one
+    self-loop tuple per dangling node, through the constructor."""
+    has_out = np.zeros(g.n, dtype=bool)
+    has_out[g.tails] = True
+    if has_out.all():
+        return g
+    w = apps.DANGLING_LOOP_SCALE * (g.weights.max() if g.num_edges else 1.0)
+    extra = [(i, i, w) for i in np.nonzero(~has_out)[0]]
+    return DirectedGraph(g.n, g.edges + extra, allow_self_loops=True)
+
+
+class TestDanglingLoops:
+    def test_transition_bits_match_the_tuple_construction(self, rng, monkeypatch):
+        graphs = [DirectedGraph(1, []), DirectedGraph(3, []), DirectedGraph(2, [(0, 1, 1.5)])]
+        for _ in range(30):
+            g = random_digraph(rng, int(rng.integers(2, 40)), extra_factor=float(rng.uniform(0.3, 2.5)))
+            sinks = rng.random(g.n) < 0.3
+            graphs.append(g.subgraph(np.flatnonzero(~sinks[g.tails])))
+        dangling = 0
+        for g in graphs:
+            got = apps._transition(g)
+            with monkeypatch.context() as m:
+                m.setattr(apps, "_with_dangling_loops", tuple_dangling_loops)
+                want = apps._transition(g)
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
+            assert got.data.tobytes() == want.data.tobytes()
+            dangling += np.bincount(g.tails, minlength=g.n).min() == 0
+        assert dangling >= 30
+
+
 class TestPageRankCorrelation:
     def test_identity_sparsifier(self, rng):
         g = strong_digraph(rng, 20)

@@ -55,6 +55,39 @@ class TestDataErrors:
         code, _, err = run(capsys, "pagerank", "--input", bad)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "block, line",
+        [
+            ("1 2 1.0\n2 x 1.0\n", 4),  # non-integer index
+            ("1 2 1.0\n2 3\n", 4),  # too few fields
+            ("1 2 1.0\n2 41 1.0\n", 4),  # index out of range
+            ("1 2 1.0\n2 3 abc\n", 4),  # non-numeric value
+            ("1 2 1.0\n2 3 1.0\n3 4 1.0\n", 5),  # one entry too many
+            ("1 2 1.0\n", 3),  # one entry too few
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sparsify", "--input", "{bad}"],
+            ["pagerank", "--input", "{bad}"],
+            ["solve", "--input", "{bad}", "--rhs", "{rhs}"],
+            ["partition", "--input", "{bad}", "-k", "2"],
+            ["spectrum", "--input", "{bad}"],
+            ["pagerank", "--input", "{good}", "--sparsifier", "{bad}"],
+            ["solve", "--input", "{good}", "--sparsifier", "{bad}", "--rhs", "{rhs}"],
+            ["spectrum", "--input", "{good}", "--sparsifier", "{bad}"],
+        ],
+    )
+    def test_malformed_entry_line(self, capsys, graph_file, tmp_path, block, line, argv):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate real general\n40 40 2\n" + block)
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("0.0\n" * 40)
+        code, _, err = run(capsys, *(a.format(bad=bad, good=graph_file, rhs=rhs) for a in argv))
+        assert code == 2
+        assert f"{bad}:{line}:" in err
+
     def test_rhs_size_mismatch(self, capsys, graph_file, tmp_path):
         rhs = tmp_path / "b.txt"
         rhs.write_text("1.0\n2.0\n")

@@ -122,6 +122,54 @@ class TestVectorizedAgainstLoops:
             assert self.merged(n, [bad], True) == loop_reference(n, [bad], True)
 
 
+class TestFromArrays:
+    @staticmethod
+    def from_arrays(n, edges, allow_self_loops=False):
+        arrays = [[e[k] for e in edges] for k in range(3)]
+        return DirectedGraph.from_arrays(n, *arrays, allow_self_loops=allow_self_loops).edges
+
+    def test_same_graph_or_error_as_the_constructor(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(0, 8))
+            m = int(rng.integers(0, 30))
+            edges = [
+                (int(rng.integers(-1, n + 1)), int(rng.integers(-1, n + 1)), float(rng.choice([-1.0, 0.0, 1.0, 2.5])))
+                for _ in range(m)
+            ]
+            if rng.random() < 0.5:
+                edges = [(t, h, w) for t, h, w in edges if 0 <= t < n and 0 <= h < n and w > 0]
+            if rng.random() < 0.3:
+                edges.sort()
+            for loops in (True, False):
+                want = outcome(loop_reference, n, edges, loops)
+                assert outcome(self.from_arrays, n, edges, loops) == want
+                assert outcome(TestVectorizedAgainstLoops.merged, n, edges, loops) == want
+
+    def test_canonical_arrays_skip_the_sort(self, rng, monkeypatch):
+        g = random_digraph(rng, 50)
+
+        def no_sort(*args):
+            raise AssertionError("canonical arrays were sorted")
+
+        monkeypatch.setattr(np, "lexsort", no_sort)
+        h = DirectedGraph.from_arrays(g.n, g.tails, g.heads, g.weights)
+        assert h == g and h.weights.dtype == np.float64
+        with pytest.raises(AssertionError, match="sorted"):
+            DirectedGraph.from_arrays(g.n, g.tails[::-1], g.heads[::-1], g.weights[::-1])
+
+    def test_keeps_its_own_arrays(self):
+        tails, heads, weights = np.array([0, 1]), np.array([1, 0]), np.array([1.0, 2.0])
+        g = DirectedGraph.from_arrays(2, tails, heads, weights)
+        tails[0], weights[0] = 1, 5.0
+        assert g.edges == [(0, 1, 1.0), (1, 0, 2.0)]
+
+    def test_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="1-D of one length"):
+            DirectedGraph.from_arrays(3, [0, 1], [1], [1.0, 1.0])
+        with pytest.raises(ValueError, match="node count"):
+            DirectedGraph.from_arrays(-1, [], [], [])
+
+
 class TestAdjacency:
     def test_single_edge(self):
         g = DirectedGraph(2, [(0, 1, 1.0)])
