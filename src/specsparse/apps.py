@@ -2,10 +2,12 @@
 
 PageRank runs the damped fixed-point iteration on the out-degree transition
 operator; dangling nodes get a tiny self-loop so the degree inverse exists.
-The directed Laplacian solve goes through the symmetrized system (solve
-L_Su y = b, smooth on L_Gu, map back with x = L_G^T y).  Partitioning embeds
-nodes with the low eigenvectors of the symmetrized Laplacian, collapsing
-repeated eigenvalues into distinct groups, and clusters them with k-means.
+The directed Laplacian solve goes through the symmetrized system: solve
+L_Su y = b, smooth with forward Gauss-Seidel sweeps on the formed
+L_Gu = L_G L_G^T through the solver's prepared sweep kernel, and map back
+with x = L_G^T y.  Partitioning embeds nodes with the low eigenvectors of
+the symmetrized Laplacian, collapsing repeated eigenvalues into distinct
+groups, and clusters them with k-means.
 
 The partition's eigensolve takes one of three routes: a dense ``eigh`` up to
 ``dense_cutoff`` nodes; above it, shift-invert Lanczos on one sparse factor
@@ -108,6 +110,8 @@ def pagerank(
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     n = g.n
+    if n == 0:
+        raise ValueError("PageRank needs a graph with at least one node")
     if personalization is None:
         pr = np.full(n, 1.0 / n)
     else:
@@ -153,6 +157,21 @@ def _pearson(a, b):
     return float(np.corrcoef(a, b)[0, 1])
 
 
+def _pagerank_comparison(g, sg, alpha, personalization, gs_sweeps, tol=1e-10, max_iters=1000):
+    """PageRank of g and of its sparsifier sg, each solved once.
+
+    Returns (full, sparse, raw, smoothed): the two ``PageRankResult``s, the
+    correlation of their vectors, and the correlation after ``gs_sweeps``
+    Gauss-Seidel sweeps of g's system applied to sg's vector.
+    """
+    M = _transition(g)
+    full = pagerank(g, alpha, personalization, tol, max_iters, transition=M)
+    sparse_ = pagerank(sg, alpha, personalization, tol, max_iters)
+    pr = np.full(g.n, 1.0 / g.n) if personalization is None else np.asarray(personalization, dtype=np.float64)
+    smoothed_p = _pagerank_smoothed(M, sparse_.p, alpha, pr, gs_sweeps)
+    return full, sparse_, _pearson(full.p, sparse_.p), _pearson(full.p, smoothed_p)
+
+
 def pagerank_correlation(g: DirectedGraph, s, alpha=0.15, personalization=None, gs_sweeps=3, tol=1e-10, max_iters=1000):
     """Pearson correlation of PageRank on g vs on its sparsifier.
 
@@ -161,51 +180,20 @@ def pagerank_correlation(g: DirectedGraph, s, alpha=0.15, personalization=None, 
     applied to the sparsifier's vector.
     """
     sg = s.graph if isinstance(s, Sparsifier) else s
-    n = g.n
-    pr = np.full(n, 1.0 / n) if personalization is None else np.asarray(personalization, dtype=np.float64)
-    M = _transition(g)
-    full = pagerank(g, alpha, personalization, tol, max_iters, transition=M)
-    sparse_ = pagerank(sg, alpha, personalization, tol, max_iters)
-    raw = _pearson(full.p, sparse_.p)
-    smoothed_p = _pagerank_smoothed(M, sparse_.p, alpha, pr, gs_sweeps)
-    smoothed = _pearson(full.p, smoothed_p)
-    return raw, smoothed
-
-
-def _gs_on_symmetrized(L_G, y, b, sweeps):
-    """Gauss-Seidel sweeps on L_Gu y = b with L_Gu = L_G L_G^T never formed.
-
-    Maintains z = L_G^T y; row i of L_Gu applied to y is row_i(L_G) . z and
-    its diagonal is ||row_i(L_G)||^2, so each node update costs O(row nnz).
-    """
-    L = sp.csr_array(L_G)
-    indptr, indices, data = L.indptr, L.indices, L.data
-    z = L.T @ y
-    y = y.copy()
-    row_sq = np.asarray(L.multiply(L).sum(axis=1)).ravel()
-    for _ in range(sweeps):
-        for i in range(L.shape[0]):
-            d = row_sq[i]
-            if d <= 0:
-                continue
-            lo, hi = indptr[i], indptr[i + 1]
-            cols = indices[lo:hi]
-            vals = data[lo:hi]
-            r = b[i] - vals @ z[cols]
-            delta = r / d
-            y[i] += delta
-            z[cols] += delta * vals
-    return y
+    return _pagerank_comparison(g, sg, alpha, personalization, gs_sweeps, tol, max_iters)[2:]
 
 
 def directed_solve(g: DirectedGraph, s, b, gs_sweeps=5, x_true=None, solver_params=None):
     """Solve L_G x = b through the sparsifier's symmetrized system.
 
     Steps: solve L_Su y = b, remove high-frequency error with ``gs_sweeps``
-    Gauss-Seidel sweeps on L_Gu y = b (rows formed on the fly), then map back
-    with x = L_G^T y.  b must lie in the range of L_Gu for the smoothed
-    system to be consistent.  Returns (x, rel_error) where rel_error compares
-    against the min-norm solution derived from ``x_true`` when given, else None.
+    forward Gauss-Seidel sweeps on L_Gu y = b, then map back with
+    x = L_G^T y.  The sweeps run on the formed L_Gu = L_G L_G^T through the
+    solver's prepared sweep kernel, after the L_Su factor is freed, over the
+    rows with a nonzero diagonal; an isolated node keeps its y_i.  b must lie
+    in the range of L_Gu for the smoothed system to be consistent.  Returns
+    (x, rel_error) where rel_error compares against the min-norm solution
+    derived from ``x_true`` when given, else None.
     """
     sg = s.graph if isinstance(s, Sparsifier) else s
     L_G = laplacian(g)
@@ -214,10 +202,18 @@ def directed_solve(g: DirectedGraph, s, b, gs_sweeps=5, x_true=None, solver_para
     solver = SpsSolver(L_Su, params=solver_params or SolverParams())
     b = np.asarray(b, dtype=np.float64)
     y, stats = solver.solve(b)
+    del solver, L_S, L_Su  # free the L_Su factor before L_Gu is formed
     if not stats.converged and stats.residual > 1e-3:
         raise RuntimeError(f"sparsifier solve stalled at residual {stats.residual:.3e}")
     if gs_sweeps > 0:
-        y = _gs_on_symmetrized(L_G, y, b, gs_sweeps)
+        L_Gu = L_G @ L_G.T
+        live = L_Gu.diagonal() > 0
+        if live.all():
+            y = _GaussSeidel(L_Gu).forward(y, b, gs_sweeps)
+        else:
+            # The zero rows are isolated nodes, whose columns are zero too.
+            y = y.copy()
+            y[live] = _GaussSeidel(L_Gu[live][:, live]).forward(y[live], b[live], gs_sweeps)
     x = L_G.T @ y
 
     rel_error = None
@@ -282,6 +278,8 @@ def spectral_partition(g: DirectedGraph, k, seed=0, dense_cutoff=2000) -> Partit
     """
     if k < 2:
         raise ValueError("k must be >= 2")
+    if g.n < k:
+        raise ValueError(f"k={k} clusters need at least {k} nodes, the graph has {g.n}")
     L = laplacian(g)
     Lu = symmetrize(L)
     n = g.n

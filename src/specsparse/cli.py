@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .apps import pagerank, pagerank_correlation, spectral_partition, directed_solve
+from .apps import _pagerank_comparison, directed_solve, pagerank, spectral_partition
 from .graphs import laplacian, symmetrize, symmetrized_operator
 from .mmio import ParseError, read_matrix_market, write_matrix_market
 from .solver import SolverParams, SpsSolver
@@ -149,21 +149,19 @@ def _personalization(arg, n):
 def _cmd_pagerank(args):
     g = read_matrix_market(args.input)
     pr = _personalization(args.personalize, g.n)
-    full = pagerank(g, alpha=args.alpha, personalization=pr)
-    lines = ["node,score"] if not args.sparsifier else ["node,score,score_sparsifier"]
     if args.sparsifier:
         s = read_matrix_market(args.sparsifier)
         if s.n != g.n:
             raise ValueError(f"sparsifier has {s.n} nodes, graph has {g.n}")
-        sparse_ = pagerank(s, alpha=args.alpha, personalization=pr)
-        raw, smoothed = pagerank_correlation(
-            g, s, alpha=args.alpha, personalization=pr, gs_sweeps=args.gs_sweeps
-        )
+        full, sparse_, raw, smoothed = _pagerank_comparison(g, s, args.alpha, pr, args.gs_sweeps)
+        lines = ["node,score,score_sparsifier"]
         for i in range(g.n):
             lines.append(f"{i + 1},{_fmt(full.p[i])},{_fmt(sparse_.p[i])}")
         _write_lines(args.output, lines)
         print(f"correlation raw {_fmt(raw)}, smoothed {_fmt(smoothed)}")
     else:
+        full = pagerank(g, alpha=args.alpha, personalization=pr)
+        lines = ["node,score"]
         for i in range(g.n):
             lines.append(f"{i + 1},{_fmt(full.p[i])}")
         _write_lines(args.output, lines)

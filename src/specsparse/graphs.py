@@ -28,6 +28,8 @@ __all__ = [
 # cancellations and dropped.
 CANCEL_TOL = 1e-14
 
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 def _node_count(n):
     if n < 0:
@@ -52,7 +54,12 @@ class DirectedGraph:
         self.n = _node_count(n)
         edges = list(edges)
         arr = np.array(edges, dtype=np.float64).reshape(len(edges), 3)
-        tails, heads = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
+        ids = arr[:, :2]
+        if ids.size and np.abs(ids).max() >= 2.0**53:
+            # float64 rounds ids from 2**53 up: take them from the tuples.  An
+            # id beyond int64 is out of range; clamped, it still fails the check.
+            ids = np.array([[min(max(int(v), -1), _INT64_MAX) for v in e[:2]] for e in edges])
+        tails, heads = ids[:, 0].astype(np.int64), ids[:, 1].astype(np.int64)
         self._canonicalize(tails, heads, arr[:, 2].copy(), allow_self_loops, edges)
 
     @classmethod

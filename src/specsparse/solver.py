@@ -11,10 +11,13 @@ The right-hand side may be an n x k block: its columns run through one
 column-wise conjugate gradient, one product and one preconditioner call per
 step for all columns still running.
 
-Gauss-Seidel sweeps, which the PageRank smoothing uses, prepare each
-triangle once for SuperLU's triangular-solve kernel ``gstrs`` (the one
-``spsolve_triangular`` ends in), so a sweep costs one sparse product, one
-substitution and one diagonal rescale.
+Forward Gauss-Seidel sweeps, which the PageRank smoothing and the directed
+solve use, prepare the lower triangle once for SuperLU's triangular-solve
+kernel ``gstrs`` (the one ``spsolve_triangular`` ends in).  One mask splits
+the CSR arrays into the triangle and the strict upper part; the triangle's
+CSR arrays are the CSC arrays of its transpose, so only its values are
+scaled and no transposed copy is made.  A sweep then costs one sparse
+product, one substitution and one diagonal rescale.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "SolverParams",
     "SolveStats",
     "SpsSolver",
-    "gauss_seidel",
     "solve_sps",
 ]
 
@@ -85,37 +87,36 @@ def _as_intc(index):
 
 
 class _Sweep:
-    """Gauss-Seidel sweeps on L in one direction, prepared once for SuperLU.
+    """Forward Gauss-Seidel sweeps on L, prepared once for SuperLU.
 
-    A forward sweep solves with tril(L), a backward one with triu(L).
-    ``spsolve_triangular`` redoes the preparation on every call: it
-    transposes the CSR triangle to CSC (solving with ``trans="T"``), scales it
-    to unit diagonal, sums duplicates and lays it out as SuperLU L/U arrays
-    with C-int indices.  Doing the same steps once here and then calling the
-    ``gstrs`` kernel it ends in keeps every sweep bit-identical to a sweep
-    through ``spsolve_triangular``.
+    A sweep solves with tril(L).  ``spsolve_triangular`` redoes the
+    preparation on every call: it transposes the CSR triangle to CSC
+    (solving with ``trans="T"``), scales it to unit diagonal, sums duplicates
+    and lays it out as SuperLU L/U arrays with C-int indices.  Here one
+    ``col <= row`` mask splits the CSR arrays of L into the triangle and the
+    strict upper ``rest``, each with duplicates summed as ``tril``/``triu``
+    sum them.  The triangle's CSR arrays, read as CSC, are the U arrays of
+    its transpose, so they need only the column scaling and a zeroed
+    diagonal.  Every sweep through the ``gstrs`` kernel that
+    ``spsolve_triangular`` ends in is then bit-identical to a sweep through
+    ``spsolve_triangular``.
     """
 
-    def __init__(self, L, lower):
+    def __init__(self, L):
         n = L.shape[0]
-        T = sp.tril(L, k=0, format="csr") if lower else sp.triu(L, k=0, format="csr")
-        self.rest = sp.triu(L, k=1, format="csr") if lower else sp.tril(L, k=-1, format="csr")
-        diag = T.diagonal()
+        lower = L.indices <= np.repeat(np.arange(n), np.diff(L.indptr))
+        tri = _masked(L, lower)
+        self.rest = _masked(L, ~lower)
+        diag = tri.diagonal()
         if np.any(diag == 0):
             raise np.linalg.LinAlgError("Gauss-Seidel triangle is singular: zero entry on diagonal")
         self.invdiag = 1 / diag
-        A = (T @ sp.diags_array(self.invdiag)).T  # CSC, so a lower T becomes upper
-        A.sum_duplicates()
-        if lower:
-            lf = sp.eye_array(n, format="csc")
-            uf = A
-            uf.setdiag(0)
-        else:
-            lf = A
-            uf = sp.csc_array((n, n))
+        data = tri.data * self.invdiag[tri.indices]
+        data[tri.indptr[1:] - 1] = 0  # sorted rows of a triangle end in the diagonal
+        lf = sp.eye_array(n, format="csc")
         self.factors = (
             n, lf.nnz, lf.data, _as_intc(lf.indices), _as_intc(lf.indptr),
-            n, uf.nnz, uf.data, _as_intc(uf.indices), _as_intc(uf.indptr),
+            n, tri.nnz, data, _as_intc(tri.indices), _as_intc(tri.indptr),
         )
 
     def run(self, x, b, sweeps):
@@ -127,65 +128,31 @@ class _Sweep:
         return x
 
 
-class _GaussSeidel:
-    """Forward/backward Gauss-Seidel sweeps on L; assumes a nonzero diagonal.
+def _masked(L, mask):
+    """The entries of the CSR matrix L where ``mask`` holds, in canonical CSR."""
+    kept = np.zeros(mask.size + 1, dtype=np.int64)
+    np.cumsum(mask, out=kept[1:])
+    part = sp.csr_array((L.data[mask], L.indices[mask], kept[L.indptr]), shape=L.shape)
+    part.sum_duplicates()
+    return part
 
-    Each direction is prepared on its first sweep and reused by every later
-    one, so callers that sweep one way only prepare one triangle.  A zero
-    diagonal raises ``np.linalg.LinAlgError`` on that first sweep.
+
+class _GaussSeidel:
+    """Forward Gauss-Seidel sweeps on L; assumes a nonzero diagonal.
+
+    The triangle is prepared on the first sweep and reused by every later
+    one.  A zero diagonal raises ``np.linalg.LinAlgError`` on that first
+    sweep.
     """
 
     def __init__(self, L):
         self.L = sp.csr_array(L)
-        self._forward = None
-        self._backward = None
+        self._sweep = None
 
     def forward(self, x, b, sweeps=1):
-        if self._forward is None:
-            self._forward = _Sweep(self.L, lower=True)
-        return self._forward.run(x, b, sweeps)
-
-    def backward(self, x, b, sweeps=1):
-        if self._backward is None:
-            self._backward = _Sweep(self.L, lower=False)
-        return self._backward.run(x, b, sweeps)
-
-
-def gauss_seidel(L, b, x0=None, sweeps=1, direction="forward"):
-    """Run plain Gauss-Seidel sweeps on L x = b starting from x0.
-
-    Rows that are entirely zero with a zero right-hand side are left alone;
-    a zero diagonal anywhere else signals a degenerate row and raises.
-    """
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
-    L = sp.csr_array(L, dtype=np.float64)
-    n = L.shape[0]
-    if L.shape[0] != L.shape[1]:
-        raise ValueError(f"expected square matrix, got {L.shape}")
-    b = np.asarray(b, dtype=np.float64)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-
-    diag = L.diagonal()
-    C = sp.coo_array(L)
-    nz = (C.data != 0) & (C.row != C.col)
-    row_deg = np.bincount(C.row[nz], minlength=n)
-    col_deg = np.bincount(C.col[nz], minlength=n)
-    inert = (diag == 0) & (row_deg == 0) & (col_deg == 0) & (b == 0)
-    if np.any((diag == 0) & ~inert):
-        bad = int(np.nonzero((diag == 0) & ~inert)[0][0])
-        raise ValueError(f"zero diagonal at row {bad}: degenerate row")
-
-    if inert.any():
-        act = np.nonzero(~inert)[0]
-        sub = _GaussSeidel(L[np.ix_(act, act)])
-        xa = x[act]
-        xa = sub.forward(xa, b[act], sweeps) if direction == "forward" else sub.backward(xa, b[act], sweeps)
-        x = x.copy()
-        x[act] = xa
-        return x
-    gs = _GaussSeidel(L)
-    return gs.forward(x, b, sweeps) if direction == "forward" else gs.backward(x, b, sweeps)
+        if self._sweep is None:
+            self._sweep = _Sweep(self.L)
+        return self._sweep.run(x, b, sweeps)
 
 
 def _shifted_factor(A, shift):

@@ -2,11 +2,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings, strategies as st
 
 from specsparse import (
     DirectedGraph,
+    SolveStats,
     SparsifyParams,
+    SpsSolver,
     adjusted_rand_index,
     directed_solve,
     kmeans,
@@ -24,6 +28,54 @@ from specsparse import apps
 from conftest import random_digraph, strong_digraph
 
 
+def gs_loop(L_G, y, b, sweeps):
+    """Gauss-Seidel sweeps on L_Gu y = b, one node at a time, with
+    L_Gu = L_G L_G^T never formed: the test oracle of ``directed_solve``'s
+    smoothing.
+
+    Maintains z = L_G^T y; row i of L_Gu applied to y is row_i(L_G) . z and
+    its diagonal is ||row_i(L_G)||^2.  Nodes with a zero row keep their y_i.
+    """
+    L = sp.csr_array(L_G)
+    indptr, indices, data = L.indptr, L.indices, L.data
+    z = L.T @ y
+    y = y.copy()
+    row_sq = np.asarray(L.multiply(L).sum(axis=1)).ravel()
+    for _ in range(sweeps):
+        for i in range(L.shape[0]):
+            d = row_sq[i]
+            if d <= 0:
+                continue
+            lo, hi = indptr[i], indptr[i + 1]
+            cols = indices[lo:hi]
+            vals = data[lo:hi]
+            delta = (b[i] - vals @ z[cols]) / d
+            y[i] += delta
+            z[cols] += delta * vals
+    return y
+
+
+class RoughSolver:
+    """Stands in for the L_Su solver and returns a fixed y."""
+
+    def __init__(self, y):
+        self.y = y
+
+    def solve(self, b):
+        return self.y.copy(), SolveStats(1, 0.0, True)
+
+
+@st.composite
+def graphs_with_isolated_and_sinks(draw):
+    """``random_digraph`` with the out-edges of some nodes dropped (sink-only
+    or isolated nodes) and a few isolated nodes appended."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 30))
+    g = random_digraph(rng, n, extra_factor=draw(st.floats(0.3, 3.0)))
+    keep = rng.random(n)[g.tails] >= draw(st.floats(0.0, 0.5))
+    return DirectedGraph.from_arrays(n + draw(st.integers(0, 3)), g.tails[keep], g.heads[keep], g.weights[keep])
+
+
 class TestPageRank:
     def test_two_cycle_symmetric(self):
         g = DirectedGraph(2, [(0, 1, 1.0), (1, 0, 1.0)])
@@ -34,6 +86,18 @@ class TestPageRank:
     def test_single_dangling_node(self):
         res = pagerank(DirectedGraph(1, []), alpha=0.15)
         np.testing.assert_allclose(res.p, [1.0])
+
+    def test_no_nodes(self):
+        with pytest.raises(ValueError, match="at least one node"):
+            pagerank(DirectedGraph(0, []))
+        with pytest.raises(ValueError, match="at least one node"):
+            pagerank_correlation(DirectedGraph(0, []), DirectedGraph(0, []))
+
+    def test_two_nodes(self):
+        for edges, want in [([], [0.5, 0.5]), ([(0, 1, 1.0), (1, 0, 3.0)], [0.5, 0.5])]:
+            g = DirectedGraph(2, edges)
+            np.testing.assert_allclose(pagerank(g).p, want, atol=1e-12)
+            assert pagerank_correlation(g, g) == (1.0, 1.0)
 
     def test_chain_matches_dense_oracle(self):
         g = DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -207,22 +271,33 @@ class TestDirectedSolve:
         x, rel = directed_solve(g, sub, b, gs_sweeps=2)
         assert rel is None and x.shape == (15,)
 
-    def test_onthefly_smoother_matches_explicit_gauss_seidel(self, rng):
-        from specsparse import gauss_seidel, symmetrize
-        from specsparse.apps import _gs_on_symmetrized
+    @settings(max_examples=60, deadline=None)
+    @given(g=graphs_with_isolated_and_sinks(), sweeps=st.sampled_from([0, 1, 5]), seed=st.integers(0, 2**32 - 1))
+    @example(g=DirectedGraph(4, [(0, 1, 1.0)]), sweeps=5, seed=0)  # two isolated nodes and a sink
+    @example(g=DirectedGraph(3, []), sweeps=1, seed=0)  # every node isolated
+    def test_sweeps_match_the_per_node_loop(self, g, sweeps, seed):
+        rng = np.random.default_rng(seed)
+        L_G = laplacian(g)
+        b = L_G @ rng.standard_normal(g.n)
+        y0 = rng.standard_normal(g.n)
+        # A rough L_Su solve, so that the sweeps have work to do.
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(apps, "SpsSolver", lambda L, params: RoughSolver(y0))
+            x, _ = directed_solve(g, g, b, gs_sweeps=sweeps)
+        want = L_G.T @ (gs_loop(L_G, y0, b, sweeps) if sweeps else y0)
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
 
-        g = strong_digraph(rng, 20)
-        L = laplacian(g)
-        Lu = symmetrize(L)
-        b = Lu @ rng.standard_normal(20)
-        y0 = rng.standard_normal(20)
-        got = _gs_on_symmetrized(L, y0, b, sweeps=3)
-        # the drop rule in symmetrize can perturb tiny cancellations, so the
-        # explicit reference uses the raw product
-        import scipy.sparse as sp
-
-        explicit = gauss_seidel(sp.csr_array(L.toarray() @ L.toarray().T), b, y0, sweeps=3)
-        np.testing.assert_allclose(got, explicit, rtol=1e-10, atol=1e-10)
+    def test_sparsifier_path_matches_the_per_node_loop(self, rng):
+        g = strong_digraph(rng, 80)
+        res = sparsify(g, SparsifyParams(iter_max=3, mu_limit=2.0, seed=0, alpha_percent=10))
+        L_G = laplacian(g)
+        b = L_G @ rng.standard_normal(g.n)
+        y, _ = SpsSolver(symmetrize(laplacian(res.graph))).solve(b)
+        for sweeps in (1, 5):
+            x, _ = directed_solve(g, res, b, gs_sweeps=sweeps)
+            want = L_G.T @ gs_loop(L_G, y, b, sweeps)
+            assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+            assert np.linalg.norm(x - L_G.T @ y) > 1e-6 * np.linalg.norm(want)  # the sweeps moved x
 
 
 def _eigsh_spy(monkeypatch):
@@ -287,6 +362,19 @@ class TestSpectralPartition:
     def test_k_validated(self, rng):
         with pytest.raises(ValueError, match="k"):
             spectral_partition(strong_digraph(rng, 6), 1)
+
+    def test_graphs_with_fewer_nodes_than_k(self):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match=f"k=2 clusters need at least 2 nodes, the graph has {n}"):
+                spectral_partition(DirectedGraph(n, []), 2)
+        with pytest.raises(ValueError, match="k=3 clusters need at least 3 nodes"):
+            spectral_partition(DirectedGraph(2, [(0, 1, 1.0)]), 3)
+
+    def test_two_nodes(self):
+        part = spectral_partition(DirectedGraph(2, [(0, 1, 1.0)]), 2)
+        assert list(part.assignment) == [0, 1]
+        with pytest.raises(ValueError, match="only 1 are available"):
+            spectral_partition(DirectedGraph(2, []), 2)
 
     def test_directed_vs_undirected_both_run(self, rng):
         # same node/edge set, directed vs both-orientations; results may differ

@@ -158,6 +158,41 @@ class TestPagerankCommand:
         assert "correlation" in stdout
         assert out.read_text().splitlines()[0] == "node,score,score_sparsifier"
 
+    def test_with_sparsifier_solves_each_vector_once(self, capsys, graph_file, tmp_path, monkeypatch):
+        from specsparse import apps, cli, pagerank, pagerank_correlation
+
+        s = tmp_path / "s.mtx"
+        run(capsys, "sparsify", "--input", graph_file, "--output", s, "--max-iters", 3, "--mu-limit", "1.0")
+        g, sg = read_matrix_market(graph_file), read_matrix_market(s)
+        pr = np.zeros(g.n)
+        pr[[0, 6]] = 0.5
+        # The output as the command wrote it when it called pagerank twice
+        # and pagerank_correlation once.
+        full, sparse_ = pagerank(g, alpha=0.2, personalization=pr), pagerank(sg, alpha=0.2, personalization=pr)
+        raw, smoothed = pagerank_correlation(g, sg, alpha=0.2, personalization=pr, gs_sweeps=4)
+        want_csv = "node,score,score_sparsifier\n" + "".join(
+            f"{i + 1},{a:.17g},{b:.17g}\n" for i, (a, b) in enumerate(zip(full.p, sparse_.p))
+        )
+        want_out = f"correlation raw {raw:.17g}, smoothed {smoothed:.17g}\n"
+
+        calls = []
+
+        def spy(h, *args, **kwargs):
+            calls.append(h)
+            return pagerank(h, *args, **kwargs)
+
+        monkeypatch.setattr(apps, "pagerank", spy)
+        monkeypatch.setattr(cli, "pagerank", spy)
+        out = tmp_path / "p.csv"
+        code, stdout, _ = run(
+            capsys, "pagerank", "--input", graph_file, "--sparsifier", s, "--alpha", 0.2,
+            "--personalize", "1,7", "--gs-sweeps", 4, "--output", out,
+        )
+        assert code == 0
+        assert out.read_bytes() == want_csv.encode("ascii")
+        assert stdout == want_out
+        assert calls == [g, sg]
+
     def test_personalization(self, capsys, graph_file, tmp_path):
         out = tmp_path / "p.csv"
         code, _, _ = run(
@@ -168,6 +203,42 @@ class TestPagerankCommand:
     def test_bad_personalization(self, capsys, graph_file):
         code, _, _ = run(capsys, "pagerank", "--input", graph_file, "--personalize", "0")
         assert code == 2
+
+
+class TestTinyGraphs:
+    """Graphs of 0, 1 and 2 nodes: a result, or a data error (exit 2)."""
+
+    @staticmethod
+    def graph(tmp_path, n, edges):
+        path = tmp_path / f"tiny{n}.mtx"
+        write_matrix_market(DirectedGraph(n, edges), path)
+        return path
+
+    def test_no_nodes(self, capsys, tmp_path):
+        path = tmp_path / "empty.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n0 0 0\n")
+        for argv, message in [
+            (["pagerank"], "PageRank needs a graph with at least one node"),
+            (["pagerank", "--sparsifier", path], "PageRank needs a graph with at least one node"),
+            (["partition", "-k", 2], "k=2 clusters need at least 2 nodes, the graph has 0"),
+        ]:
+            code, stdout, err = run(capsys, *argv, "--input", path)
+            assert (code, stdout) == (2, "")
+            assert err == f"specsparse: error: {message}\n"
+
+    def test_one_node(self, capsys, tmp_path):
+        path = self.graph(tmp_path, 1, [])
+        assert run(capsys, "pagerank", "--input", path) == (0, "node,score\n1,1\n", "")
+        code, _, err = run(capsys, "partition", "--input", path, "-k", 2)
+        assert code == 2 and "the graph has 1" in err
+
+    def test_two_nodes(self, capsys, tmp_path):
+        path = self.graph(tmp_path, 2, [(0, 1, 1.0)])
+        code, stdout, _ = run(capsys, "pagerank", "--input", path, "--sparsifier", path)
+        assert code == 0 and stdout.endswith("\ncorrelation raw 1, smoothed 1\n")
+        assert run(capsys, "partition", "--input", path, "-k", 2) == (0, "node,cluster\n1,0\n2,1\n", "")
+        code, _, err = run(capsys, "partition", "--input", self.graph(tmp_path, 2, []), "-k", 2)
+        assert code == 2 and "only 1 are available" in err
 
 
 class TestSolveCommand:

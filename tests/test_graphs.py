@@ -105,6 +105,19 @@ class TestVectorizedAgainstLoops:
         edges = [(n - 1, 3, 1.0), (5, n - 2, 2.0), (n - 1, 3, 0.5), (n - 1, 2, 4.0), (5, n - 3, 1.0)]
         assert self.merged(n, edges) == loop_reference(n, edges)
 
+    def test_node_ids_beyond_float64_precision(self):
+        g = DirectedGraph(2**60, [(2**53 + 1, 0, 1.0)])
+        assert g == DirectedGraph.from_arrays(2**60, [2**53 + 1], [0], [1.0])
+        assert g.edges == [(2**53 + 1, 0, 1.0)]
+        edges = [(2**62 + 3, 2**62 + 1, 2.0), (2**53 + 1, 2**53, 1.0), (2**62 + 3, 2**62 + 1, 0.5)]
+        assert self.merged(2**63 - 1, edges) == loop_reference(2**63 - 1, edges)
+
+    def test_node_ids_beyond_int64_are_out_of_range(self):
+        for edge in [(2**64, 0, 1.0), (0, 2**63, 1.0), (1, -(2**70), 1.0)]:
+            want = outcome(loop_reference, 5, [edge])
+            assert want[0] == "ValueError" and "out of range" in want[1]
+            assert outcome(self.merged, 5, [(0, 1, 1.0), edge]) == want
+
     @pytest.mark.parametrize(
         "bad",
         [(3, 1, 1.0), (1, -1, 1.0), (2, 2, 1.0), (0, 1, 0.0), (0, 2, -1), (1, 2, float("nan")), (5, 5, -2.0)],
