@@ -1,9 +1,9 @@
 """Spectral sparsification of directed graphs via Laplacian symmetrization."""
 
 from .graphs import DirectedGraph, adjacency, laplacian, symmetrize, symmetrized_operator, incidence_factorization
-from .mmio import ParseError, read_matrix_market, write_matrix_market, write_sparsifier
+from .mmio import ParseError, read_matrix_market, write_matrix_market
 from .seed import SeedSubgraph, build_seed, maximum_spanning_structure, symmetrized_transition
-from .solver import SolverParams, SolveStats, SpsSolver, solve_sps
+from .solver import SolverParams, SolveStats, SpsSolver
 from .sensitivity import (
     EigPair,
     filter_similar_edges,

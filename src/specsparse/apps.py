@@ -1,7 +1,7 @@
 """Downstream uses of the sparsifiers: PageRank, directed solves, partitioning.
 
 PageRank runs the damped fixed-point iteration on the out-degree transition
-operator; dangling nodes get a tiny self-loop so the degree inverse exists.
+operator, in which a dangling node keeps its own mass (its column is e_i).
 The directed Laplacian solve goes through the symmetrized system: solve
 L_Su y = b, smooth with forward Gauss-Seidel sweeps on the formed
 L_Gu = L_G L_G^T through the solver's prepared sweep kernel, and map back
@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .graphs import DirectedGraph, adjacency, laplacian, symmetrize, symmetrized_operator
-from .solver import SolverParams, SpsSolver, _GaussSeidel, _shifted_factor
+from .solver import SolverParams, SpsSolver, _shifted_factor, _Sweep
 from .sparsify import Sparsifier
 
 __all__ = [
@@ -38,9 +38,6 @@ __all__ = [
     "kmeans",
     "adjusted_rand_index",
 ]
-
-# Dangling nodes get a self-loop this many times the largest edge weight.
-DANGLING_LOOP_SCALE = 1e-6
 
 # Eigenvalues closer than this (relative to the spectral radius) collapse
 # into one distinct value.
@@ -71,29 +68,19 @@ class Partitioning:
     eigenvalues: np.ndarray
 
 
-def _with_dangling_loops(g: DirectedGraph) -> DirectedGraph:
-    has_out = np.zeros(g.n, dtype=bool)
-    has_out[g.tails] = True
-    if has_out.all():
-        return g
-    w = DANGLING_LOOP_SCALE * (g.weights.max() if g.num_edges else 1.0)
-    loops = np.flatnonzero(~has_out)
-    return DirectedGraph.from_arrays(
-        g.n,
-        np.concatenate([g.tails, loops]),
-        np.concatenate([g.heads, loops]),
-        np.concatenate([g.weights, np.full(loops.size, w)]),
-        allow_self_loops=True,
-    )
-
-
 def _transition(g: DirectedGraph):
-    """Column-stochastic operator A^T D^-1 after the dangling fix."""
-    g = _with_dangling_loops(g)
-    A = adjacency(g)
-    d = np.asarray(A.sum(axis=1)).ravel()
+    """Column-stochastic operator A^T D^-1, with column e_i for each dangling
+    node i (no out-edge): entry w / d_tail at (head, tail) for every edge."""
+    d = np.asarray(adjacency(g).sum(axis=1)).ravel()
     inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
-    return (A.T @ sp.dia_array((inv[np.newaxis, :], [0]), shape=(g.n, g.n))).tocsr()
+    dangling = np.flatnonzero(d == 0)
+    return sp.csr_array(
+        (
+            np.concatenate([g.weights * inv[g.tails], np.ones(dangling.size)]),
+            (np.concatenate([g.heads, dangling]), np.concatenate([g.tails, dangling])),
+        ),
+        shape=(g.n, g.n),
+    )
 
 
 def pagerank(
@@ -142,9 +129,10 @@ def _pagerank_smoothed(M, p0, alpha, pr, sweeps):
     """Improve a PageRank estimate with Gauss-Seidel sweeps on the fixed-point
     system (I - (1-alpha) M) p = alpha * pr of the graph whose transition
     operator is M."""
-    n = M.shape[0]
-    A = sp.eye_array(n, format="csr") - (1.0 - alpha) * M
-    p = _GaussSeidel(A.tocsr()).forward(p0.copy(), alpha * pr, sweeps)
+    p = p0
+    if sweeps > 0:
+        A = sp.eye_array(M.shape[0], format="csr") - (1.0 - alpha) * M
+        p = _Sweep(A).run(p0, alpha * pr, sweeps)
     s = p.sum()
     return p / s if s != 0 else p
 
@@ -209,11 +197,10 @@ def directed_solve(g: DirectedGraph, s, b, gs_sweeps=5, x_true=None, solver_para
         L_Gu = L_G @ L_G.T
         live = L_Gu.diagonal() > 0
         if live.all():
-            y = _GaussSeidel(L_Gu).forward(y, b, gs_sweeps)
+            y = _Sweep(L_Gu).run(y, b, gs_sweeps)
         else:
             # The zero rows are isolated nodes, whose columns are zero too.
-            y = y.copy()
-            y[live] = _GaussSeidel(L_Gu[live][:, live]).forward(y[live], b[live], gs_sweeps)
+            y[live] = _Sweep(L_Gu[live][:, live]).run(y[live], b[live], gs_sweeps)
     x = L_G.T @ y
 
     rel_error = None

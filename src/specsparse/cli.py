@@ -203,6 +203,8 @@ def _cmd_spectrum(args):
         s = read_matrix_market(args.sparsifier)
         if s.n != g.n:
             raise ValueError(f"sparsifier has {s.n} nodes, graph has {g.n}")
+        if s.num_edges == 0:
+            raise ValueError("sparsifier has no edges: the generalized eigenvalues are undefined")
         Su = symmetrize(laplacian(s))
         starts = np.random.default_rng(args.seed).uniform(-1, 1, size=(args.top, g.n))
         pairs = estimate_mu(L, Su, starts, 3, SpsSolver(Su))

@@ -42,15 +42,14 @@ class DirectedGraph:
 
     Edges are canonicalized at construction: duplicates of the same
     (tail, head) pair merge by weight summation, the list is sorted by
-    (tail, head), and all weights must be strictly positive.  Self-loops are
-    rejected unless ``allow_self_loops`` is set (only the PageRank dangling
-    fix ever sets it).  ``from_arrays`` builds the same graph from parallel
-    arrays in place of an edge list.  Instances are treated as immutable.
+    (tail, head), all weights must be strictly positive and self-loops are
+    rejected.  ``from_arrays`` builds the same graph from parallel arrays in
+    place of an edge list.  Instances are treated as immutable.
     """
 
     __slots__ = ("n", "tails", "heads", "weights")
 
-    def __init__(self, n, edges, allow_self_loops=False):
+    def __init__(self, n, edges):
         self.n = _node_count(n)
         edges = list(edges)
         arr = np.array(edges, dtype=np.float64).reshape(len(edges), 3)
@@ -60,10 +59,10 @@ class DirectedGraph:
             # id beyond int64 is out of range; clamped, it still fails the check.
             ids = np.array([[min(max(int(v), -1), _INT64_MAX) for v in e[:2]] for e in edges])
         tails, heads = ids[:, 0].astype(np.int64), ids[:, 1].astype(np.int64)
-        self._canonicalize(tails, heads, arr[:, 2].copy(), allow_self_loops, edges)
+        self._canonicalize(tails, heads, arr[:, 2].copy(), edges)
 
     @classmethod
-    def from_arrays(cls, n, tails, heads, weights, allow_self_loops=False):
+    def from_arrays(cls, n, tails, heads, weights):
         """Graph from parallel tail, head and weight arrays, validated and
         canonicalized as the constructor does it with an edge list."""
         g = cls.__new__(cls)
@@ -76,22 +75,21 @@ class DirectedGraph:
                 f"tails, heads and weights must be 1-D of one length, got shapes "
                 f"{tails.shape}, {heads.shape} and {weights.shape}"
             )
-        g._canonicalize(tails, heads, weights, allow_self_loops, None)
+        g._canonicalize(tails, heads, weights, None)
         return g
 
-    def _canonicalize(self, tails, heads, weights, allow_self_loops, edges):
+    def _canonicalize(self, tails, heads, weights, edges):
         """Validate the edge arrays and store them merged and sorted.  A bad
         edge's message quotes ``edges`` (the caller's tuples) when given."""
-        bad = (tails < 0) | (tails >= self.n) | (heads < 0) | (heads >= self.n) | ~(weights > 0)
-        if not allow_self_loops:
-            bad |= tails == heads
+        bad = (tails < 0) | (tails >= self.n) | (heads < 0) | (heads >= self.n)
+        bad |= ~(weights > 0) | (tails == heads)
         if bad.any():
             k = int(np.argmax(bad))
             tail, head, weight = edges[k] if edges is not None else (tails[k], heads[k], float(weights[k]))
             tail, head = int(tail), int(head)
             if not (0 <= tail < self.n and 0 <= head < self.n):
                 raise ValueError(f"edge ({tail}, {head}) out of range for n={self.n}")
-            if tail == head and not allow_self_loops:
+            if tail == head:
                 raise ValueError(f"self-loop at node {tail} not allowed")
             raise ValueError(f"edge ({tail}, {head}) has non-positive weight {weight}")
 
@@ -123,24 +121,15 @@ class DirectedGraph:
             for t, h, w in zip(self.tails, self.heads, self.weights)
         ]
 
-    def edge_set(self):
-        """Set of (tail, head) pairs."""
-        return set(zip(self.tails.tolist(), self.heads.tolist()))
-
-    def out_degrees(self):
-        """Unweighted out-degree per node."""
-        return np.bincount(self.tails, minlength=self.n).astype(np.int64)
-
-    def out_strengths(self):
-        """Weighted out-degree per node."""
-        return np.bincount(self.tails, weights=self.weights, minlength=self.n)
-
     def subgraph(self, edge_ids):
-        """Graph on the same node set keeping the given edge ids, each once;
-        canonical arrays sliced at ascending ids stay canonical."""
-        ids = np.unique(np.fromiter(edge_ids, dtype=np.int64))
+        """Graph on the same node set keeping the given edge ids (an array or
+        any iterable), each once; canonical arrays under a mask stay canonical."""
+        if not isinstance(edge_ids, np.ndarray):
+            edge_ids = np.fromiter(edge_ids, dtype=np.int64)
+        keep = np.zeros(self.num_edges, dtype=bool)
+        keep[edge_ids] = True
         sub = DirectedGraph(self.n, ())
-        sub.tails, sub.heads, sub.weights = self.tails[ids], self.heads[ids], self.weights[ids]
+        sub.tails, sub.heads, sub.weights = self.tails[keep], self.heads[keep], self.weights[keep]
         return sub
 
     def __eq__(self, other):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .graphs import DirectedGraph
 
-__all__ = ["ParseError", "read_matrix_market", "write_matrix_market", "write_sparsifier"]
+__all__ = ["ParseError", "read_matrix_market", "write_matrix_market"]
 
 _FIELDS = ("real", "integer", "pattern")
 _SYMMETRIES = ("general", "symmetric")
@@ -214,8 +214,3 @@ def write_matrix_market(g: DirectedGraph, path) -> None:
         fh.writelines(
             map("{} {} {:.17g}\n".format, (g.tails + 1).tolist(), (g.heads + 1).tolist(), g.weights.tolist())
         )
-
-
-def write_sparsifier(s, path) -> None:
-    """Write a sparsifier's graph back to Matrix Market format."""
-    write_matrix_market(s.graph, path)

@@ -111,8 +111,10 @@ def _heaviest_per_group(g, ids, groups):
     return ids[pick[_run_starts(groups[pick])]]
 
 
-def _rank_repair(g, kept_set):
-    """Edges to add so the seed's sink components match the original's count.
+def _rank_repair(g, in_seed):
+    """Add edges to the seed mask ``in_seed``, in place, until the seed's
+    sink components match the original's count; returns the added ids,
+    ascending.
 
     The null space dimension of the symmetrized Laplacian equals the number
     of sink strongly-connected components, so parity there gives matching
@@ -125,9 +127,7 @@ def _rank_repair(g, kept_set):
     ng, lab_g = _scc_labels(n, g.tails, g.heads)
     sink_g = _sink_flags(ng, lab_g, g.tails, g.heads)
 
-    in_seed = np.zeros(g.num_edges, dtype=bool)
-    in_seed[list(kept_set)] = True
-    added = []
+    before = in_seed.copy()
     for _ in range(n):
         ids = np.nonzero(in_seed)[0]
         ns, lab_s = _scc_labels(n, g.tails[ids], g.heads[ids])
@@ -156,8 +156,7 @@ def _rank_repair(g, kept_set):
             break
         chosen = _heaviest_per_group(g, cand_ids, lab_s[g.tails[cand_ids]])
         in_seed[chosen] = True
-        added.extend(int(e) for e in chosen)
-    return added
+    return np.flatnonzero(in_seed & ~before)
 
 
 def build_seed(g: DirectedGraph) -> SeedSubgraph:
@@ -174,21 +173,19 @@ def build_seed(g: DirectedGraph) -> SeedSubgraph:
     forest = np.array(maximum_spanning_structure(P), dtype=np.int64).reshape(-1, 2)
     lo = np.minimum(g.tails, g.heads)
     hi = np.maximum(g.tails, g.heads)
-    on_forest = np.isin(lo * g.n + hi, forest[:, 0] * g.n + forest[:, 1])
-    kept = np.flatnonzero(on_forest).tolist()
+    in_seed = np.isin(lo * g.n + hi, forest[:, 0] * g.n + forest[:, 1])
 
     has_out = np.zeros(g.n, dtype=bool)
-    has_out[g.tails[on_forest]] = True
+    has_out[g.tails[in_seed]] = True
     bare = np.flatnonzero(~has_out[g.tails])
-    dangling = np.sort(_heaviest_per_group(g, bare, g.tails[bare])).tolist()
-    kept_set = set(kept) | set(dangling)
-    rank_fix = [] if g.num_edges == 0 else _rank_repair(g, kept_set)
-    kept_set.update(rank_fix)
+    dangling = np.sort(_heaviest_per_group(g, bare, g.tails[bare]))
+    in_seed[dangling] = True
+    rank_fix = _rank_repair(g, in_seed)
 
-    kept_all = sorted(kept_set)
+    kept = np.flatnonzero(in_seed)
     return SeedSubgraph(
-        graph=g.subgraph(kept_all),
-        kept_edge_ids=kept_all,
-        added_for_dangling=dangling,
-        added_for_rank=sorted(rank_fix),
+        graph=g.subgraph(kept),
+        kept_edge_ids=kept.tolist(),
+        added_for_dangling=dangling.tolist(),
+        added_for_rank=rank_fix.tolist(),
     )

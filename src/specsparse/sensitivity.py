@@ -45,6 +45,10 @@ FILTER_BUFFER = 1 << 16
 # Margin on epsilon for the norm window of ``_norm_windows``.
 WINDOW_SLACK = 1e-9
 
+# Largest relative residual of a subgraph solve that the power iteration
+# accepts (see ``power_iterate``).
+RESIDUAL_CAP = 1e-3
+
 
 @dataclass
 class EigPair:
@@ -55,29 +59,25 @@ class EigPair:
     t: int
 
 
-def power_iterate(
-    L_Gu, L_Su, h0, t=3, solver: SpsSolver | None = None, residual_cap=1e-3
-) -> list[EigPair]:
+def power_iterate(L_Gu, L_Su, h0, t=3, *, solver: SpsSolver) -> list[EigPair]:
     """t alternations of (multiply by L_Gu, solve with L_Su) from the rows of h0.
 
     h0 is an r x n array with one start per row; the result is a list of r
     ``EigPair``.  The r starts run as one n x r block, so each step makes one
-    product with L_Gu and one block solve.  L_Gu and L_Su may be any operands
-    of ``@``.  The starts are deflated to zero mean up front and each iterate
-    renormalized every step (the Rayleigh quotient is scale-invariant); a
-    column whose norm reaches 0 stays 0.  mu is estimated as
-    (h^T L_Gu h) / (h^T L_Su h), which is at least 1 - eps whenever S is a
-    subgraph of G with matching null space.
+    product with L_Gu and one block solve with ``solver``, the ``SpsSolver``
+    of L_Su.  L_Gu and L_Su may be any operands of ``@``.  The starts are
+    deflated to zero mean up front and each iterate renormalized every step
+    (the Rayleigh quotient is scale-invariant); a column whose norm reaches 0
+    stays 0.  mu is estimated as (h^T L_Gu h) / (h^T L_Su h), which is at
+    least 1 - eps whenever S is a subgraph of G with matching null space.
 
     Badly conditioned subgraph systems can bottom out above the solver's
     tolerance in double precision; since only an approximate eigenvector is
-    needed, solves are accepted up to ``residual_cap`` and anything worse
+    needed, solves are accepted up to ``RESIDUAL_CAP`` and anything worse
     propagates as an error.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if solver is None:
-        solver = SpsSolver(L_Su)
     h0 = np.asarray(h0, dtype=np.float64)
     if h0.ndim != 2:
         raise ValueError(f"starts must be an r x n array, got shape {h0.shape}")
@@ -87,7 +87,7 @@ def power_iterate(
         # Rebinding H frees each block as soon as the next one exists.
         H = L_Gu @ H
         H, stats = solver.solve(H)
-        if not stats.converged and stats.residual > residual_cap:
+        if not stats.converged and stats.residual > RESIDUAL_CAP:
             raise RuntimeError(
                 f"subgraph solve stalled at residual {stats.residual:.3e}"
             )

@@ -91,14 +91,6 @@ def _rng_for(seed, iteration):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(iteration,)))
 
 
-def _off_ids(m, kept_set, blacklist):
-    """Ascending ids in range(m) that are neither kept nor blacklisted."""
-    off = np.ones(m, dtype=bool)
-    off[np.fromiter(kept_set, dtype=np.int64, count=len(kept_set))] = False
-    off[np.fromiter(blacklist, dtype=np.int64, count=len(blacklist))] = False
-    return np.flatnonzero(off)
-
-
 def estimate_mu(L_G, L_Su, starts, t, solver):
     """t-step power-iteration estimates for the pencil (L_G L_G^T, L_Su).
 
@@ -109,9 +101,10 @@ def estimate_mu(L_G, L_Su, starts, t, solver):
     return power_iterate(symmetrized_operator(L_G), L_Su, starts, t=t, solver=solver)
 
 
-def _evaluate(g, L_G, kept_ids, r, t, solver_params, rng):
-    """Estimate (mu_max, h vectors) for the subgraph given by kept_ids."""
-    S = g.subgraph(kept_ids)
+def _evaluate(g, L_G, kept, r, t, solver_params, rng):
+    """Estimate (mu_max, h vectors) for the subgraph of the edges where the
+    mask ``kept`` holds."""
+    S = g.subgraph(np.flatnonzero(kept))
     L_S = laplacian(S)
     L_Su = symmetrize(L_S)
     solver = SpsSolver(L_Su, params=solver_params)
@@ -126,17 +119,18 @@ def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifi
     Iteration 0 records the seed subgraph; subsequent rows record each
     accept/reject decision.  The loop stops when the eigenvalue target is
     reached, the iteration budget runs out, no off-subgraph candidates
-    remain, or a subgraph solve fails (partial results are returned).
+    remain, or a subgraph solve fails (partial results are returned).  The
+    subgraph and the blacklist are boolean masks over g's edges.
     """
     params = params or SparsifyParams()
-    seed_sub = build_seed(g)
-    kept = sorted(seed_sub.kept_edge_ids)
+    seed = build_seed(g)
     m = g.num_edges
-
-    if m == 0 or len(kept) == m:
-        graph = g.subgraph(kept)
-        report = [IterationReport(0, 1.0, 1.0 if m == 0 else len(kept) / m, 0.0, len(kept), 0)]
-        return Sparsifier(graph, kept, report, 1.0, 1.0)
+    n_seed = len(seed.kept_edge_ids)
+    if n_seed == m:
+        report = [IterationReport(0, 1.0, 1.0, 0.0, n_seed, 0)]
+        return Sparsifier(seed.graph, seed.kept_edge_ids, report, 1.0, 1.0)
+    kept = np.zeros(m, dtype=bool)
+    kept[seed.kept_edge_ids] = True
 
     L_G = laplacian(g)
     r = params.resolve_r(g.n)
@@ -149,22 +143,20 @@ def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifi
     except RuntimeError:
         # Pencil is ill-posed (e.g. several attractor components whose null
         # spaces cannot be matched by any subgraph); hand back the seed.
-        graph = g.subgraph(kept)
-        report = [IterationReport(0, np.inf, len(kept) / m, time.perf_counter() - t0, len(kept), 0)]
-        return Sparsifier(graph, kept, report, np.inf, np.inf)
+        report = [IterationReport(0, np.inf, n_seed / m, time.perf_counter() - t0, n_seed, 0)]
+        return Sparsifier(seed.graph, seed.kept_edge_ids, report, np.inf, np.inf)
     mu_initial = mu
     reports = [
-        IterationReport(0, mu, len(kept) / m, time.perf_counter() - t0, len(kept), 0)
+        IterationReport(0, mu, S.num_edges / m, time.perf_counter() - t0, S.num_edges, 0)
     ]
 
-    blacklist = set()
-    kept_set = set(kept)
+    blacklisted = np.zeros(m, dtype=bool)
     iteration = 0
     while mu > params.mu_limit and iteration < params.iter_max:
         iteration += 1
         t0 = time.perf_counter()
 
-        off_ids = _off_ids(m, kept_set, blacklist)
+        off_ids = np.flatnonzero(~(kept | blacklisted))
         if off_ids.size == 0:
             break
 
@@ -182,42 +174,43 @@ def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifi
         )
         if accepted.size == 0:
             reports.append(
-                IterationReport(iteration, mu, len(kept_set) / m, time.perf_counter() - t0, 0, 0)
+                IterationReport(iteration, mu, S.num_edges / m, time.perf_counter() - t0, 0, 0)
             )
             break
 
-        new_ids = np.sort(off_ids[top[accepted]]).tolist()
-        tentative = sorted(kept_set | set(new_ids))
+        new_ids = off_ids[top[accepted]]
+        tentative = kept.copy()
+        tentative[new_ids] = True
         try:
             mu_new, h_new, S_new, L_S_new = _evaluate(
                 g, L_G, tentative, r, params.t, params.solver, _rng_for(params.seed, iteration)
             )
         except RuntimeError:
             reports.append(
-                IterationReport(iteration, mu, len(kept_set) / m, time.perf_counter() - t0, 0, 0)
+                IterationReport(iteration, mu, S.num_edges / m, time.perf_counter() - t0, 0, 0)
             )
             break
 
         if mu_new < mu:
-            kept_set = set(tentative)
+            kept = tentative
             mu, h_list, S, L_S = mu_new, h_new, S_new, L_S_new
-            added, rejected = len(new_ids), 0
+            added, rejected = new_ids.size, 0
             # A rejection only means the batch did not help against the
             # previous subgraph; after an accept the state changed, so give
             # those edges another chance (livelock stays impossible).
-            blacklist.clear()
+            blacklisted[:] = False
         else:
-            blacklist.update(new_ids)
-            added, rejected = 0, len(new_ids)
+            blacklisted[new_ids] = True
+            added, rejected = 0, new_ids.size
         reports.append(
             IterationReport(
-                iteration, mu, len(kept_set) / m, time.perf_counter() - t0, added, rejected
+                iteration, mu, S.num_edges / m, time.perf_counter() - t0, added, rejected
             )
         )
 
     return Sparsifier(
-        graph=g.subgraph(sorted(kept_set)),
-        kept_edge_ids=sorted(kept_set),
+        graph=S,
+        kept_edge_ids=np.flatnonzero(kept).tolist(),
         iterations=reports,
         mu_initial=mu_initial,
         mu_final=mu,

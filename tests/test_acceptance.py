@@ -241,7 +241,7 @@ def test_criterion_09_sps_solver_correctness():
         pos_offdiag += bool((co.data[co.row != co.col] > 0).any())
         b = Lu @ rng.standard_normal(n)
         b -= b.mean()
-        x, stats = ss.solve_sps(Lu, b, tol=tol)
+        x, stats = ss.SpsSolver(Lu, ss.SolverParams(tol=tol)).solve(b)
         assert stats.converged
         ref = np.linalg.pinv(Lu.toarray()) @ b
         ref -= ref.mean()

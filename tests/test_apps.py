@@ -11,6 +11,7 @@ from specsparse import (
     SolveStats,
     SparsifyParams,
     SpsSolver,
+    adjacency,
     adjusted_rand_index,
     directed_solve,
     kmeans,
@@ -102,9 +103,8 @@ class TestPageRank:
     def test_chain_matches_dense_oracle(self):
         g = DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         res = pagerank(g, alpha=0.15, tol=1e-12)
-        # same fixed point computed densely, with the documented dangling loop
-        w = 1e-6
-        A = np.array([[0, 1, 0], [0, 0, 1], [0, 0, w]], dtype=float)
+        # same fixed point computed densely; the dangling node 2 keeps its mass
+        A = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 1]], dtype=float)
         M = A.T / A.sum(axis=1)
         p = np.full(3, 1 / 3)
         for _ in range(200000):
@@ -180,36 +180,36 @@ class TestPageRankInPlace:
         np.testing.assert_array_equal(pagerank(g, transition=apps._transition(h)).p, pagerank(h).p)
 
 
-def tuple_dangling_loops(g):
-    """The dangling fix as it used to be built: the edge tuples plus one
-    self-loop tuple per dangling node, through the constructor."""
-    has_out = np.zeros(g.n, dtype=bool)
-    has_out[g.tails] = True
-    if has_out.all():
-        return g
-    w = apps.DANGLING_LOOP_SCALE * (g.weights.max() if g.num_edges else 1.0)
-    extra = [(i, i, w) for i in np.nonzero(~has_out)[0]]
-    return DirectedGraph(g.n, g.edges + extra, allow_self_loops=True)
+def product_transition(g):
+    """A^T D^-1 as a sparse product with a diagonal matrix, with the degree
+    inverse 0 at dangling nodes, whose columns it leaves empty."""
+    A = adjacency(g)
+    d = np.asarray(A.sum(axis=1)).ravel()
+    inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+    return (A.T @ sp.dia_array((inv[np.newaxis, :], [0]), shape=(g.n, g.n))).tocsr()
 
 
-class TestDanglingLoops:
-    def test_transition_bits_match_the_tuple_construction(self, rng, monkeypatch):
+class TestTransition:
+    def test_product_bits_and_dangling_columns(self, rng):
         graphs = [DirectedGraph(1, []), DirectedGraph(3, []), DirectedGraph(2, [(0, 1, 1.5)])]
         for _ in range(30):
-            g = random_digraph(rng, int(rng.integers(2, 40)), extra_factor=float(rng.uniform(0.3, 2.5)))
+            g = strong_digraph(rng, int(rng.integers(2, 40)), extra_factor=float(rng.uniform(0.3, 2.5)))
             sinks = rng.random(g.n) < 0.3
-            graphs.append(g.subgraph(np.flatnonzero(~sinks[g.tails])))
-        dangling = 0
+            graphs += [g, g.subgraph(np.flatnonzero(~sinks[g.tails]))]
+        counts = np.zeros(2, dtype=int)
         for g in graphs:
-            got = apps._transition(g)
-            with monkeypatch.context() as m:
-                m.setattr(apps, "_with_dangling_loops", tuple_dangling_loops)
-                want = apps._transition(g)
-            for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, attr), getattr(want, attr))
-            assert got.data.tobytes() == want.data.tobytes()
-            dangling += np.bincount(g.tails, minlength=g.n).min() == 0
-        assert dangling >= 30
+            got, want = apps._transition(g), product_transition(g)
+            dangling = np.bincount(g.tails, minlength=g.n) == 0
+            counts[int(dangling.any())] += 1
+            if not dangling.any():
+                for attr in ("indptr", "indices", "data"):
+                    assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+            dense = got.toarray()
+            # A dangling node keeps its mass: its column is e_i exactly.
+            assert np.array_equal(dense[:, dangling], np.eye(g.n)[:, dangling])
+            assert np.array_equal(dense[:, ~dangling], want.toarray()[:, ~dangling])
+            np.testing.assert_allclose(dense.sum(axis=0), 1.0, rtol=1e-14)
+        assert counts.min() >= 25
 
 
 class TestPageRankCorrelation:

@@ -135,6 +135,12 @@ class TestSparsifyCommand:
             assert code == 0
         assert r1.read_bytes() == r2.read_bytes()
 
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_nonpositive_solver_tol_is_data_error(self, capsys, graph_file, tol):
+        code, stdout, err = run(capsys, "sparsify", "--input", graph_file, "--solver-tol", tol)
+        assert (code, stdout) == (2, "")
+        assert err == f"specsparse: error: tol must be positive, got {float(tol)}\n"
+
 
 class TestPagerankCommand:
     def test_plain(self, capsys, graph_file, tmp_path):
@@ -321,3 +327,15 @@ class TestSpectrumCommand:
         assert code == 1
         assert "usage" in err and "--top" in err
         assert out == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_sparsifier_without_edges_is_data_error(self, capsys, tmp_path, n):
+        graph = tmp_path / "g.mtx"
+        write_matrix_market(DirectedGraph(n, [(i, (i + 1) % n, 1.0) for i in range(n)]), graph)
+        empty = tmp_path / "empty.mtx"
+        empty.write_text(f"%%MatrixMarket matrix coordinate real general\n{n} {n} 0\n")
+        for g in (graph, empty):
+            code, stdout, err = run(capsys, "spectrum", "--input", g, "--sparsifier", empty, "--top", 3)
+            assert (code, stdout) == (2, "")
+            assert err == "specsparse: error: sparsifier has no edges: the generalized eigenvalues are undefined\n"

@@ -48,9 +48,10 @@ class TestDirectedGraph:
             rebuilt = DirectedGraph(g.n, [g.edges[i] for i in set(ids)])
             assert g.subgraph(ids) == rebuilt
             assert g.subgraph(iter(set(ids))) == rebuilt
+            assert g.subgraph(np.array(ids, dtype=np.int64)) == rebuilt
 
 
-def loop_reference(n, edges, allow_self_loops=False):
+def loop_reference(n, edges):
     """The per-edge dict loop ``DirectedGraph`` used to merge edges with."""
     merged = {}
     for tail, head, weight in edges:
@@ -58,7 +59,7 @@ def loop_reference(n, edges, allow_self_loops=False):
         head = int(head)
         if not (0 <= tail < n and 0 <= head < n):
             raise ValueError(f"edge ({tail}, {head}) out of range for n={n}")
-        if tail == head and not allow_self_loops:
+        if tail == head:
             raise ValueError(f"self-loop at node {tail} not allowed")
         if not weight > 0:
             raise ValueError(f"edge ({tail}, {head}) has non-positive weight {weight}")
@@ -76,8 +77,8 @@ def outcome(build, *args, **kwargs):
 
 class TestVectorizedAgainstLoops:
     @staticmethod
-    def merged(n, edges, allow_self_loops=False):
-        return DirectedGraph(n, edges, allow_self_loops=allow_self_loops).edges
+    def merged(n, edges):
+        return DirectedGraph(n, edges).edges
 
     def test_empty_and_zero_nodes(self):
         for n, edges in [(0, []), (0, ()), (5, []), (0, [(0, 0, 1.0)]), (0, [(0, 1, 1.0)])]:
@@ -94,10 +95,8 @@ class TestVectorizedAgainstLoops:
                 (int(rng.integers(n)), int(rng.integers(n)), float(10.0 ** rng.integers(-16, 17) * rng.uniform(0.5, 2.0)))
                 for _ in range(m)
             ]
-            for loops in (True, False):
-                if not loops:
-                    edges = [e for e in edges if e[0] != e[1]]
-                assert self.merged(n, edges, loops) == loop_reference(n, edges, loops)
+            edges = [e for e in edges if e[0] != e[1]]
+            assert self.merged(n, edges) == loop_reference(n, edges)
 
     def test_node_ids_beyond_the_square_root_of_int64(self):
         # tail * n + head would wrap in int64 here
@@ -131,15 +130,13 @@ class TestVectorizedAgainstLoops:
             want = outcome(loop_reference, n, edges)
             assert want[0] == "ValueError"
             assert outcome(self.merged, n, edges) == want
-        if bad[0] == bad[1] and bad[2] > 0:
-            assert self.merged(n, [bad], True) == loop_reference(n, [bad], True)
 
 
 class TestFromArrays:
     @staticmethod
-    def from_arrays(n, edges, allow_self_loops=False):
+    def from_arrays(n, edges):
         arrays = [[e[k] for e in edges] for k in range(3)]
-        return DirectedGraph.from_arrays(n, *arrays, allow_self_loops=allow_self_loops).edges
+        return DirectedGraph.from_arrays(n, *arrays).edges
 
     def test_same_graph_or_error_as_the_constructor(self, rng):
         for _ in range(200):
@@ -153,10 +150,9 @@ class TestFromArrays:
                 edges = [(t, h, w) for t, h, w in edges if 0 <= t < n and 0 <= h < n and w > 0]
             if rng.random() < 0.3:
                 edges.sort()
-            for loops in (True, False):
-                want = outcome(loop_reference, n, edges, loops)
-                assert outcome(self.from_arrays, n, edges, loops) == want
-                assert outcome(TestVectorizedAgainstLoops.merged, n, edges, loops) == want
+            want = outcome(loop_reference, n, edges)
+            assert outcome(self.from_arrays, n, edges) == want
+            assert outcome(TestVectorizedAgainstLoops.merged, n, edges) == want
 
     def test_canonical_arrays_skip_the_sort(self, rng, monkeypatch):
         g = random_digraph(rng, 50)

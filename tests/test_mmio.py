@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from specsparse import DirectedGraph, ParseError, banded_digraph, mmio, read_matrix_market, write_matrix_market
-from specsparse.mmio import write_sparsifier
 
 from conftest import random_digraph
 
@@ -136,15 +135,6 @@ class TestWrite:
         path = tmp_path / "t.mtx"
         write_matrix_market(g, path)
         assert len(path.read_text().splitlines()) == 2 + 3
-
-    def test_write_sparsifier_delegates(self, tmp_path):
-        from specsparse import SparsifyParams, sparsify
-
-        g = DirectedGraph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)])
-        s = sparsify(g, SparsifyParams(iter_max=1))
-        path = tmp_path / "s.mtx"
-        write_sparsifier(s, path)
-        assert read_matrix_market(path) == s.graph
 
 
 def loop_reader(path):

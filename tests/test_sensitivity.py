@@ -33,7 +33,7 @@ class TestPowerIterate:
     def test_identity_when_subgraph_is_graph(self, rng):
         g = strong_digraph(rng, 12)
         Lu = symmetrize(laplacian(g))
-        [pair] = power_iterate(Lu, Lu, rng.uniform(-1, 1, (1, 12)), t=2)
+        [pair] = power_iterate(Lu, Lu, rng.uniform(-1, 1, (1, 12)), t=2, solver=SpsSolver(Lu))
         assert pair.mu == pytest.approx(1.0, abs=1e-9)
 
     def test_planted_eigenvector_recovers_mu_max(self, rng):
@@ -41,7 +41,7 @@ class TestPowerIterate:
         Lgu = symmetrize(laplacian(g))
         Lsu = symmetrize(laplacian(seed.graph))
         mu_true, v1 = dense_pencil(Lgu, Lsu)
-        [pair] = power_iterate(Lgu, Lsu, v1[None], t=3)
+        [pair] = power_iterate(Lgu, Lsu, v1[None], t=3, solver=SpsSolver(Lsu))
         assert pair.mu == pytest.approx(mu_true, rel=1e-6)
 
     def test_mu_within_factor_of_truth(self, rng):
@@ -50,7 +50,7 @@ class TestPowerIterate:
             Lgu = symmetrize(laplacian(g))
             Lsu = symmetrize(laplacian(seed.graph))
             mu_true, _ = dense_pencil(Lgu, Lsu)
-            [pair] = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (1, 6)), t=3)
+            [pair] = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (1, 6)), t=3, solver=SpsSolver(Lsu))
             assert mu_true / 3 <= pair.mu <= mu_true * (1 + 1e-9)
 
     def test_mu_at_least_one_for_subgraphs(self, rng):
@@ -58,7 +58,7 @@ class TestPowerIterate:
             g, seed, _ = seeded_case(rng, int(rng.integers(5, 15)))
             Lgu = symmetrize(laplacian(g))
             Lsu = symmetrize(laplacian(seed.graph))
-            [pair] = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (1, g.n)), t=3)
+            [pair] = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (1, g.n)), t=3, solver=SpsSolver(Lsu))
             mu_true, _ = dense_pencil(Lgu, Lsu)
             assert mu_true >= 1 - 1e-6
             assert pair.mu <= mu_true * (1 + 1e-9)
@@ -67,21 +67,21 @@ class TestPowerIterate:
         g, seed, _ = seeded_case(rng, 9)
         Lgu = symmetrize(laplacian(g))
         Lsu = symmetrize(laplacian(seed.graph))
-        [pair] = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (1, 9)), t=2)
+        [pair] = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (1, 9)), t=2, solver=SpsSolver(Lsu))
         assert abs(pair.h.sum()) < 1e-9
 
     def test_t_must_be_positive(self, rng):
         g = strong_digraph(rng, 5)
         Lu = symmetrize(laplacian(g))
         with pytest.raises(ValueError, match="t"):
-            power_iterate(Lu, Lu, np.ones((1, 5)), t=0)
+            power_iterate(Lu, Lu, np.ones((1, 5)), t=0, solver=SpsSolver(Lu))
 
     def test_starts_are_rows(self, rng):
         g = strong_digraph(rng, 5)
         Lu = symmetrize(laplacian(g))
         with pytest.raises(ValueError, match="r x n"):
-            power_iterate(Lu, Lu, np.ones(5))
-        assert power_iterate(Lu, Lu, np.ones((0, 5))) == []
+            power_iterate(Lu, Lu, np.ones(5), solver=SpsSolver(Lu))
+        assert power_iterate(Lu, Lu, np.ones((0, 5)), solver=SpsSolver(Lu)) == []
 
 
 def score_one(h_list, g, eid, L_S, weight=None):

@@ -12,11 +12,10 @@ from specsparse import (
     SolverParams,
     SpsSolver,
     laplacian,
-    solve_sps,
     symmetrize,
 )
 
-from specsparse.solver import DENSE_MAX, _as_intc, _GaussSeidel, _Sweep
+from specsparse.solver import DENSE_MAX, _as_intc, _Sweep
 
 from conftest import random_digraph, strong_digraph
 
@@ -29,17 +28,17 @@ def connected_symmetrized(rng, n):
 class TestGaussSeidel:
     def test_hand_computed_step(self):
         L = sp.csr_array(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-        x = _GaussSeidel(L).forward(np.zeros(2), np.array([1.0, 1.0]), sweeps=1)
+        x = _Sweep(L).run(np.zeros(2), np.array([1.0, 1.0]), 1)
         np.testing.assert_allclose(x, [0.5, 0.75])
 
     def test_zero_rhs_fixed_point(self):
         L = sp.csr_array(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-        x = _GaussSeidel(L).forward(np.zeros(2), np.zeros(2), sweeps=5)
+        x = _Sweep(L).run(np.zeros(2), np.zeros(2), 5)
         np.testing.assert_array_equal(x, 0.0)
 
     def test_identity_one_sweep(self, rng):
         b = rng.standard_normal(6)
-        x = _GaussSeidel(sp.eye_array(6, format="csr")).forward(np.zeros(6), b, sweeps=1)
+        x = _Sweep(sp.eye_array(6, format="csr")).run(np.zeros(6), b, 1)
         np.testing.assert_allclose(x, b)
 
     def test_residual_does_not_increase_on_sps(self, rng):
@@ -48,7 +47,7 @@ class TestGaussSeidel:
             b = Lu @ rng.standard_normal(Lu.shape[0])
             x0 = rng.standard_normal(Lu.shape[0])
             r0 = np.linalg.norm(b - Lu @ x0)
-            x1 = _GaussSeidel(Lu).forward(x0, b, sweeps=1)
+            x1 = _Sweep(Lu).run(x0, b, 1)
             r1 = np.linalg.norm(b - Lu @ x1)
             assert r1 <= r0 * (1 + 1e-12)
 
@@ -74,18 +73,17 @@ class TestPreparedTriangles:
         shape = (60,) if width is None else (60, width)
         x0 = rng.standard_normal(shape)
         b = rng.standard_normal(shape)
-        gs = _GaussSeidel(Lu)
+        gs = _Sweep(Lu)
         expected = self.reference(Lu, x0, b, sweeps)
         for _ in range(2):  # the second call reuses the prepared triangle
-            got = gs.forward(x0, b, sweeps)
+            got = gs.run(x0, b, sweeps)
             assert got.shape == shape
             assert np.array_equal(got, expected)
 
     def test_zero_diagonal_raises_linalg_error(self):
         L = sp.csr_array(np.array([[2.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 2.0]]))
-        gs = _GaussSeidel(L)
         with pytest.raises(np.linalg.LinAlgError, match="zero entry on diagonal") as info:
-            gs.forward(np.zeros(3), np.ones(3))
+            _Sweep(L)  # at construction, before any sweep
         # sparsify reads a RuntimeError as an ill-posed pencil and returns the seed
         assert not isinstance(info.value, RuntimeError)
 
@@ -171,32 +169,32 @@ class TestCopyFreePreparation:
     def test_does_not_change_its_input(self, rng):
         L = raw_csr(4, np.array([0, 1, 1, 2, 3, 3, 1]), np.array([0, 1, 0, 2, 3, 1, 0]), np.arange(1.0, 8.0))
         arrays = [a.copy() for a in (L.data, L.indices, L.indptr)]
-        _GaussSeidel(L).forward(np.ones(4), np.ones(4), 2)
+        _Sweep(L).run(np.ones(4), np.ones(4), 2)
         assert all(np.array_equal(a, c) for a, c in zip((L.data, L.indices, L.indptr), arrays))
 
 
-class TestSolveSps:
+class TestSpsSolver:
     def test_singular_two_node(self):
         L = sp.csr_array(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        x, stats = solve_sps(L, np.array([1.0, -1.0]))
+        x, stats = SpsSolver(L, SolverParams()).solve(np.array([1.0, -1.0]))
         np.testing.assert_allclose(x, [0.5, -0.5], atol=1e-10)
         assert stats.converged and abs(x.sum()) < 1e-12
 
     def test_nonsingular_two_node(self):
         L = sp.csr_array(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-        x, stats = solve_sps(L, np.array([1.0, 0.0]))
+        x, stats = SpsSolver(L, SolverParams()).solve(np.array([1.0, 0.0]))
         np.testing.assert_allclose(x, [2 / 3, 1 / 3], atol=1e-10)
 
     def test_zero_rhs(self, rng):
         Lu = connected_symmetrized(rng, 12)
-        x, stats = solve_sps(Lu, np.zeros(12))
+        x, stats = SpsSolver(Lu, SolverParams()).solve(np.zeros(12))
         np.testing.assert_array_equal(x, 0.0)
         assert stats.converged and stats.iterations == 0
 
-    def test_invalid_tol(self, rng):
-        Lu = connected_symmetrized(rng, 5)
-        with pytest.raises(ValueError, match="tol"):
-            solve_sps(Lu, np.zeros(5), tol=0.0)
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_invalid_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            SolverParams(tol=tol)
 
     def test_matches_pseudoinverse_on_random_systems(self, rng):
         # small systems take the dense pseudo-inverse, the last few the factor
@@ -206,7 +204,7 @@ class TestSolveSps:
             Lu = connected_symmetrized(rng, n)
             b = Lu @ rng.standard_normal(n)
             b -= b.mean()
-            x, stats = solve_sps(Lu, b, tol=tol)
+            x, stats = SpsSolver(Lu, SolverParams(tol=tol)).solve(b)
             assert stats.converged
             ref = np.linalg.pinv(Lu.toarray()) @ b
             ref -= ref.mean()
@@ -223,7 +221,7 @@ class TestSolveSps:
                 found += 1
                 b = Lu @ rng.standard_normal(n)
                 b -= b.mean()
-                x, stats = solve_sps(Lu, b, tol=1e-9)
+                x, stats = SpsSolver(Lu, SolverParams(tol=1e-9)).solve(b)
                 assert stats.converged
         assert found >= 10  # symmetrization produces them routinely
 
@@ -237,7 +235,7 @@ class TestSolveSps:
         Lu = symmetrize(laplacian(DirectedGraph(n, edges)))
         b = Lu @ rng.standard_normal(n)
         b -= b.mean()
-        x, stats = solve_sps(Lu, b, tol=1e-10)
+        x, stats = SpsSolver(Lu, SolverParams(tol=1e-10)).solve(b)
         ref = np.linalg.pinv(Lu.toarray()) @ b
         err = np.linalg.norm(x - x.mean() - (ref - ref.mean()))
         assert stats.converged and err <= 1e-7 * max(1.0, np.linalg.norm(ref))
@@ -246,7 +244,7 @@ class TestSolveSps:
         g = DirectedGraph(4, [(0, 1, 1.0), (1, 0, 1.0)])
         Lu = symmetrize(laplacian(g))
         b = np.array([1.0, -1.0, 0.0, 0.0])
-        x, stats = solve_sps(Lu, b)
+        x, stats = SpsSolver(Lu, SolverParams()).solve(b)
         assert stats.converged
         np.testing.assert_allclose(Lu @ x, b, atol=1e-8)
 
@@ -254,13 +252,7 @@ class TestSolveSps:
         Lu = connected_symmetrized(rng, 300)
         b = Lu @ rng.standard_normal(300)
         b -= b.mean()
-        x, stats = solve_sps(
-            Lu,
-            b,
-            tol=1e-15,
-            max_iters=1,
-            params=SolverParams(tol=1e-15, max_iters=1),
-        )
+        x, stats = SpsSolver(Lu, SolverParams(tol=1e-15, max_iters=1)).solve(b)
         assert not stats.converged
         assert stats.residual >= 0
 
@@ -283,7 +275,7 @@ class TestSolveSps:
         Lsu = symmetrize(laplacian(seed.graph))
         b = Lsu @ rng.standard_normal(800)
         b -= b.mean()
-        x, stats = solve_sps(Lsu, b, tol=1e-8)
+        x, stats = SpsSolver(Lsu, SolverParams(tol=1e-8)).solve(b)
         assert stats.residual <= 1e-6
 
 
