@@ -9,7 +9,6 @@ from .sensitivity import (
     filter_similar_edges,
     power_iterate,
     score_edges,
-    spectral_similarity,
 )
 from .sparsify import IterationReport, Sparsifier, SparsifyParams, estimate_mu, sparsify
 from .apps import (

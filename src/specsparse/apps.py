@@ -9,8 +9,9 @@ with x = L_G^T y.  Partitioning embeds nodes with the low eigenvectors of
 the symmetrized Laplacian, collapsing repeated eigenvalues into distinct
 groups, and clusters them with k-means.
 
-The partition's eigensolve takes one of three routes: a dense ``eigh`` up to
-``dense_cutoff`` nodes; above it, shift-invert Lanczos on one sparse factor
+``_low_eigenpairs`` is the one eigensolve of L_u, for the partition and for
+``specsparse spectrum``.  It takes one of three routes: dense up to
+``DENSE_CUTOFF`` nodes; above it, shift-invert Lanczos on one sparse factor
 of L_u when L_u has at most ``SHIFT_INVERT_NNZ_PER_ROW`` nonzeros per row
 (sparsifiers), else plain Lanczos on the operator v -> L (L^T v) (dense
 inputs, whose factor would fill).
@@ -25,6 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .graphs import DirectedGraph, adjacency, laplacian, symmetrize, symmetrized_operator
+from .sensitivity import RESIDUAL_CAP
 from .solver import SolverParams, SpsSolver, _shifted_factor, _Sweep
 from .sparsify import Sparsifier
 
@@ -43,7 +45,10 @@ __all__ = [
 # into one distinct value.
 EIGENVALUE_GROUP_TOL = 1e-8
 
-# spectral_partition factors L_u for shift-invert when it has at most this
+# Up to this many nodes the eigensolve of L_u is dense (all n eigenpairs).
+DENSE_CUTOFF = 2000
+
+# Above DENSE_CUTOFF, L_u is factored for shift-invert when it has at most this
 # many nonzeros per row.  Sparsifiers from `sparsify` measure 5.7-6.7 per row
 # and factor cheaply (0.5 M nonzeros on a 4000-node one); the graphs they
 # sparsify measure 37-40, where the factor fills to 8 M nonzeros at 4000
@@ -191,7 +196,7 @@ def directed_solve(g: DirectedGraph, s, b, gs_sweeps=5, x_true=None, solver_para
     b = np.asarray(b, dtype=np.float64)
     y, stats = solver.solve(b)
     del solver, L_S, L_Su  # free the L_Su factor before L_Gu is formed
-    if not stats.converged and stats.residual > 1e-3:
+    if not stats.converged and stats.residual > RESIDUAL_CAP:
         raise RuntimeError(f"sparsifier solve stalled at residual {stats.residual:.3e}")
     if gs_sweeps > 0:
         L_Gu = L_G @ L_G.T
@@ -226,29 +231,45 @@ def _distinct_groups(eigenvalues):
     return groups
 
 
-def _low_eigenpairs(L, Lu, want, v0):
-    """The ``want`` smallest eigenpairs of L_u = L L^T, in ascending order.
+def _low_eigenpairs(L, want, seed, *, vectors=True):
+    """Low eigenvalues of L_u = L L^T in ascending order, clamped at 0, with
+    their eigenvectors as columns when ``vectors`` (else None).
 
-    Sparse L_u: shift-invert Lanczos with one SuperLU factor of
-    L_u - sigma I, made by the solver's ``_shifted_factor``.  The factor is
-    freed on return.
-    Dense L_u: Lanczos for the smallest eigenvalues on v -> L (L^T v).
+    Up to ``DENSE_CUTOFF`` nodes a dense ``eigh`` (``eigvalsh`` without
+    vectors) gives all n.  Above it, ARPACK gives the min(want, n - 1)
+    smallest from a start drawn with ``seed``: by shift-invert with one
+    SuperLU factor of L_u - sigma I, made by the solver's ``_shifted_factor``
+    and freed on return, when L_u has at most ``SHIFT_INVERT_NNZ_PER_ROW``
+    nonzeros per row, else by Lanczos for the smallest eigenvalues on
+    v -> L (L^T v).  want == 0 gives no pairs.
     """
-    n = Lu.shape[0]
+    n = L.shape[0]
+    if want == 0:
+        return np.empty(0), np.empty((n, 0))
+    Lu = symmetrize(L)
+    if n <= DENSE_CUTOFF:
+        if vectors:
+            vals, vecs = np.linalg.eigh(Lu.toarray())
+        else:
+            vals, vecs = np.linalg.eigvalsh(Lu.toarray()), None
+        return np.maximum(vals, 0.0), vecs
+    k = min(want, n - 1)
+    v0 = np.random.default_rng(seed).standard_normal(n)
     if Lu.nnz <= SHIFT_INVERT_NNZ_PER_ROW * n:
         # Just below the spectrum of the PSD L_u: L_u - sigma I is SPD
         # although L_u is singular.
         sigma = -1e-8 * spla.norm(Lu, 1)
         lu = _shifted_factor(Lu, -sigma)
         OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
-        vals, vecs = spla.eigsh(Lu, k=want, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
+        out = spla.eigsh(Lu, k=k, sigma=sigma, which="LM", v0=v0, OPinv=OPinv, return_eigenvectors=vectors)
     else:
-        vals, vecs = spla.eigsh(symmetrized_operator(L), k=want, which="SA", v0=v0)
+        out = spla.eigsh(symmetrized_operator(L), k=k, which="SA", v0=v0, return_eigenvectors=vectors)
+    vals, vecs = out if vectors else (out, None)
     order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    return np.maximum(vals[order], 0.0), (vecs[:, order] if vectors else None)
 
 
-def spectral_partition(g: DirectedGraph, k, seed=0, dense_cutoff=2000) -> Partitioning:
+def spectral_partition(g: DirectedGraph, k, seed=0) -> Partitioning:
     """Cluster nodes with eigenvectors of the first k distinct eigenvalues.
 
     Eigenvalues of the symmetrized Laplacian come with multiplicities; values
@@ -258,25 +279,14 @@ def spectral_partition(g: DirectedGraph, k, seed=0, dense_cutoff=2000) -> Partit
     A k that ends inside a group raises ValueError: any basis of that
     eigenspace is valid, so part of it would give an arbitrary split.
 
-    The eigensolve is dense (``eigh``) for n <= ``dense_cutoff``.  Above it,
-    ARPACK finds max(4k, 2k + 10) eigenpairs: by shift-invert on a sparse
-    factor when L_u has at most ``SHIFT_INVERT_NNZ_PER_ROW`` nonzeros per
-    row, else by Lanczos for the smallest eigenvalues on v -> L (L^T v).
+    The eigenpairs come from ``_low_eigenpairs``: all n up to
+    ``DENSE_CUTOFF`` nodes, else the max(4k, 2k + 10) smallest.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if g.n < k:
         raise ValueError(f"k={k} clusters need at least {k} nodes, the graph has {g.n}")
-    L = laplacian(g)
-    Lu = symmetrize(L)
-    n = g.n
-    if n <= dense_cutoff:
-        vals, vecs = np.linalg.eigh(Lu.toarray())
-    else:
-        want = min(n - 1, max(4 * k, 2 * k + 10))
-        v0 = np.random.default_rng(seed).standard_normal(n)
-        vals, vecs = _low_eigenpairs(L, Lu, want, v0)
-    vals = np.maximum(vals, 0.0)
+    vals, vecs = _low_eigenpairs(laplacian(g), max(4 * k, 2 * k + 10), seed)
 
     groups = _distinct_groups(vals)
     if len(groups) < k:

@@ -13,8 +13,8 @@ import sys
 
 import numpy as np
 
-from .apps import _pagerank_comparison, directed_solve, pagerank, spectral_partition
-from .graphs import laplacian, symmetrize, symmetrized_operator
+from .apps import _low_eigenpairs, _pagerank_comparison, directed_solve, pagerank, spectral_partition
+from .graphs import laplacian, symmetrize
 from .mmio import ParseError, read_matrix_market, write_matrix_market
 from .solver import SolverParams, SpsSolver
 from .sparsify import SparsifyParams, estimate_mu, sparsify
@@ -66,14 +66,14 @@ def build_parser():
     p.add_argument("--sparsifier", help="Matrix Market file of a sparsified version")
     p.add_argument("--alpha", type=float, default=0.15)
     p.add_argument("--personalize", help="comma-separated node ids (1-based) sharing the restart mass")
-    p.add_argument("--gs-sweeps", type=int, default=3)
+    p.add_argument("--gs-sweeps", type=_count, default=3)
     p.add_argument("--output", help="CSV destination (default stdout)")
 
     p = sub.add_parser("solve", help="solve L_G x = b through a sparsifier")
     p.add_argument("--input", required=True)
     p.add_argument("--sparsifier", help="defaults to the graph itself")
     p.add_argument("--rhs", required=True, help="text file, one value per line")
-    p.add_argument("--gs-sweeps", type=int, default=5)
+    p.add_argument("--gs-sweeps", type=_count, default=5)
     p.add_argument("--output", help="CSV destination (default stdout)")
 
     p = sub.add_parser("partition", help="spectral partitioning of the symmetrized Laplacian")
@@ -213,17 +213,10 @@ def _cmd_spectrum(args):
         for i, mu in enumerate(mus):
             lines.append(f"{i},{_fmt(mu)}")
     else:
-        if g.n <= 2000:
-            vals = np.linalg.eigvalsh(symmetrize(L).toarray())
-        else:
-            import scipy.sparse.linalg as spla
-
-            k = min(args.top, g.n - 1)
-            v0 = np.random.default_rng(args.seed).standard_normal(g.n)
-            vals = np.sort(spla.eigsh(symmetrized_operator(L), k=k, which="SA", v0=v0)[0])
+        vals, _ = _low_eigenpairs(L, args.top, args.seed, vectors=False)
         lines.append("index,eigenvalue")
         for i, ev in enumerate(vals[: args.top]):
-            lines.append(f"{i},{_fmt(max(ev, 0.0))}")
+            lines.append(f"{i},{_fmt(ev)}")
     _write_lines(args.output, lines)
     return 0
 

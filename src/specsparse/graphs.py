@@ -176,18 +176,19 @@ def laplacian(g: DirectedGraph) -> sp.csr_array:
 def symmetrize(L: sp.sparray) -> sp.csr_array:
     """Symmetrized Laplacian L_u = L L^T, computed sparsely.
 
-    The result is SPS with the all-ones vector in its null space.  Entries
-    whose magnitude falls below CANCEL_TOL times both touching diagonals are
-    treated as exact cancellations and dropped (the pattern stays symmetric
-    because the cutoff is applied symmetrically).
+    The result is SPS with the all-ones vector in its null space, and exactly
+    symmetric: with L's column indices sorted, the product sums (i, j) and
+    (j, i) over the same k in the same order.  Entries whose magnitude falls
+    below CANCEL_TOL times both touching diagonals are treated as exact
+    cancellations and dropped (the pattern stays symmetric because the cutoff
+    is applied symmetrically).
     """
     L = sp.csr_array(L)
     if L.shape[0] != L.shape[1]:
         raise ValueError(f"expected square matrix, got {L.shape}")
-    Lu = (L @ L.T).tocsr()
-    # Sparse products accumulate (i,j) and (j,i) in different orders; average
-    # to make the result exactly symmetric.
-    Lu = ((Lu + Lu.T) * 0.5).tocoo()
+    if not L.has_sorted_indices:
+        L = L.sorted_indices()
+    Lu = (L @ L.T).tocoo()
 
     diag = np.zeros(Lu.shape[0])
     on_diag = Lu.row == Lu.col

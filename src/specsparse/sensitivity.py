@@ -32,7 +32,6 @@ __all__ = [
     "EigPair",
     "power_iterate",
     "score_edges",
-    "spectral_similarity",
     "filter_similar_edges",
 ]
 
@@ -120,19 +119,6 @@ def score_edges(h_list, L_S, tails, heads, weights):
     return weights * embeddings.mean(axis=1), embeddings
 
 
-def spectral_similarity(s1, s2) -> float:
-    """1 - ||s1 - s2|| / max(||s1||, ||s2||); two zero embeddings count as
-    fully redundant (similarity 1)."""
-    s1 = np.asarray(s1, dtype=np.float64)
-    s2 = np.asarray(s2, dtype=np.float64)
-    if s1.shape != s2.shape:
-        raise ValueError(f"embedding lengths differ: {s1.shape} vs {s2.shape}")
-    denom = max(np.linalg.norm(s1), np.linalg.norm(s2))
-    if denom == 0:
-        return 1.0
-    return float(1.0 - np.linalg.norm(s1 - s2) / denom)
-
-
 def filter_similar_edges(embeddings, tails, epsilon, d_out, out_degrees=None):
     """Greedy similarity pruning of sensitivity-ranked candidate rows.
 
@@ -140,8 +126,10 @@ def filter_similar_edges(embeddings, tails, epsilon, d_out, out_degrees=None):
     candidates' tail nodes.  Candidates whose tail already has out-degree
     >= d_out in the subgraph are excluded up front (skipped entirely when
     ``out_degrees`` is None).  The first survivor is always kept; each
-    further one is kept only if its spectral similarity to every kept row
-    stays below epsilon.  Returns the kept row indices, ascending.
+    further one is kept only if its spectral similarity
+    1 - ||a - b|| / max(||a||, ||b||) to every kept row stays below epsilon;
+    two zero rows count as fully similar.  Returns the kept row indices,
+    ascending.
 
     The decisions are those of the one-candidate-at-a-time loop, computed
     with the same operations (norms as ``np.linalg.norm`` of a row, distances

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from specsparse import DirectedGraph
 
@@ -45,6 +46,20 @@ def nullity(M, tol=1e-9):
     M = M.toarray() if hasattr(M, "toarray") else np.asarray(M)
     w = np.linalg.eigvalsh(M)
     return int((w < tol * max(w.max(), 1e-30)).sum())
+
+
+def eigsh_spy(monkeypatch):
+    """Record (sigma, output) of every ``scipy.sparse.linalg.eigsh`` call."""
+    calls = []
+    real = spla.eigsh
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((kwargs.get("sigma"), out))
+        return out
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    return calls
 
 
 @pytest.fixture

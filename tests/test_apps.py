@@ -3,7 +3,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
 from specsparse import (
@@ -26,7 +25,7 @@ from specsparse import (
 
 from specsparse import apps
 
-from conftest import random_digraph, strong_digraph
+from conftest import eigsh_spy, random_digraph, strong_digraph
 
 
 def gs_loop(L_G, y, b, sweeps):
@@ -300,22 +299,8 @@ class TestDirectedSolve:
             assert np.linalg.norm(x - L_G.T @ y) > 1e-6 * np.linalg.norm(want)  # the sweeps moved x
 
 
-def _eigsh_spy(monkeypatch):
-    """Record (sigma, (vals, vecs)) of every eigsh call spectral_partition makes."""
-    calls = []
-    real = spla.eigsh
-
-    def spy(*args, **kwargs):
-        out = real(*args, **kwargs)
-        calls.append((kwargs.get("sigma"), out))
-        return out
-
-    monkeypatch.setattr(spla, "eigsh", spy)
-    return calls
-
-
 def _sparse_matches_dense(monkeypatch, g, k, shift_invert):
-    """Partition g through ARPACK (dense_cutoff=0) and check it against eigh.
+    """Partition g through ARPACK (DENSE_CUTOFF = 0) and check it against eigh.
 
     The route taken must be the expected one, the eigenvalues and indices
     must agree, and each chosen eigenvector must lie in the dense eigenspace
@@ -323,8 +308,9 @@ def _sparse_matches_dense(monkeypatch, g, k, shift_invert):
     valid, so the vectors themselves need not agree).  Returns both results.
     """
     dense = spectral_partition(g, k, seed=0)
-    calls = _eigsh_spy(monkeypatch)
-    sparse = spectral_partition(g, k, seed=0, dense_cutoff=0)
+    calls = eigsh_spy(monkeypatch)
+    monkeypatch.setattr(apps, "DENSE_CUTOFF", 0)
+    sparse = spectral_partition(g, k, seed=0)
     assert len(calls) == 1
     sigma, (vals, vecs) = calls[0]
     assert (sigma is not None) == shift_invert
@@ -386,12 +372,13 @@ class TestSpectralPartition:
         pu = spectral_partition(undirected, 3, seed=0)
         assert pd.assignment.shape == pu.assignment.shape
 
-    def test_multiplicity_grouping_collapses(self):
+    def test_multiplicity_grouping_collapses(self, monkeypatch):
         # two disconnected 2-cycles: eigenvalue 0 has multiplicity 2 but is
         # one distinct value, so indices 0 and 1 are both used for k=2
         g = DirectedGraph(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)])
         for dense_cutoff in (2000, 0):
-            part = spectral_partition(g, 2, seed=0, dense_cutoff=dense_cutoff)
+            monkeypatch.setattr(apps, "DENSE_CUTOFF", dense_cutoff)
+            part = spectral_partition(g, 2, seed=0)
             assert part.eigvec_indices == [0, 1]
             np.testing.assert_allclose(part.eigenvalues, 0.0, atol=1e-9)
 
@@ -417,12 +404,13 @@ class TestSpectralPartition:
         assert dense.eigvec_indices == list(range(20))
 
     @pytest.mark.parametrize("dense_cutoff", [2000, 0])
-    def test_k_inside_an_eigenvalue_group_raises(self, dense_cutoff):
+    def test_k_inside_an_eigenvalue_group_raises(self, monkeypatch, dense_cutoff):
         # k = 4 would take 4 of the 20 null vectors (of those the eigensolver
         # finds), and the split would depend on which basis it returns.
         g = random_digraph(np.random.default_rng(3), 300)
+        monkeypatch.setattr(apps, "DENSE_CUTOFF", dense_cutoff)
         with pytest.raises(ValueError, match=r"would take 4 of the \d+ eigenvectors"):
-            spectral_partition(g, 4, dense_cutoff=dense_cutoff)
+            spectral_partition(g, 4)
 
 
 class TestKmeans:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from specsparse import DirectedGraph, read_matrix_market, write_matrix_market
+from specsparse import DirectedGraph, apps, laplacian, read_matrix_market, symmetrize, write_matrix_market
 from specsparse.cli import main
 from specsparse.synth import banded_digraph
+
+from conftest import eigsh_spy, strong_digraph
 
 
 @pytest.fixture
@@ -210,6 +212,12 @@ class TestPagerankCommand:
         code, _, _ = run(capsys, "pagerank", "--input", graph_file, "--personalize", "0")
         assert code == 2
 
+    def test_negative_gs_sweeps_is_usage_error(self, capsys, graph_file):
+        code, out, err = run(capsys, "pagerank", "--input", graph_file, "--sparsifier", graph_file, "--gs-sweeps", -2)
+        assert code == 1
+        assert "usage" in err and "--gs-sweeps" in err
+        assert out == ""
+
 
 class TestTinyGraphs:
     """Graphs of 0, 1 and 2 nodes: a result, or a data error (exit 2)."""
@@ -266,6 +274,14 @@ class TestSolveCommand:
         assert lines[0] == "node,x"
         assert len(lines) == g.n + 1
 
+    def test_negative_gs_sweeps_is_usage_error(self, capsys, graph_file, tmp_path):
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("0.0\n" * 40)
+        code, out, err = run(capsys, "solve", "--input", graph_file, "--rhs", rhs, "--gs-sweeps", -3)
+        assert code == 1
+        assert "usage" in err and "--gs-sweeps" in err
+        assert out == ""
+
 
 class TestPartitionCommand:
     def test_partition(self, capsys, tmp_path):
@@ -312,13 +328,40 @@ class TestSpectrumCommand:
         assert all(v >= 1 - 1e-6 for v in vals)
 
     @pytest.mark.parametrize("with_sparsifier", [False, True])
-    def test_zero_top_writes_only_the_header(self, capsys, graph_file, tmp_path, with_sparsifier):
+    def test_zero_top_writes_only_the_header(self, capsys, graph_file, tmp_path, monkeypatch, with_sparsifier):
         extra = ["--sparsifier", graph_file] if with_sparsifier else []
         out = tmp_path / "spec.csv"
-        code, _, _ = run(capsys, "spectrum", "--input", graph_file, "--top", 0, "--output", out, *extra)
+        # Below and above the dense cutoff (the 40-node graph is above 0).
+        for cutoff in (apps.DENSE_CUTOFF, 0):
+            monkeypatch.setattr(apps, "DENSE_CUTOFF", cutoff)
+            code, _, _ = run(capsys, "spectrum", "--input", graph_file, "--top", 0, "--output", out, *extra)
+            assert code == 0
+            header = "index,mu_estimate" if with_sparsifier else "index,eigenvalue"
+            assert out.read_text().splitlines() == [header]
+
+    @pytest.mark.parametrize("route", ["shift-invert", "lanczos"])
+    def test_above_the_cutoff_matches_dense(self, capsys, graph_file, tmp_path, monkeypatch, route):
+        # A sparsifier's L_u is sparse enough to factor for shift-invert; a
+        # graph with 12 n extra edges is not, and takes plain Lanczos.
+        path = tmp_path / "in.mtx"
+        if route == "shift-invert":
+            run(capsys, "sparsify", "--input", graph_file, "--output", path, "--max-iters", 2, "--mu-limit", "1.0")
+        else:
+            write_matrix_market(strong_digraph(np.random.default_rng(4), 300, extra_factor=12), path)
+        g = read_matrix_market(path)
+        Lu = symmetrize(laplacian(g))
+        assert (Lu.nnz <= apps.SHIFT_INVERT_NNZ_PER_ROW * g.n) == (route == "shift-invert")
+        calls = eigsh_spy(monkeypatch)
+        monkeypatch.setattr(apps, "DENSE_CUTOFF", 0)
+        out = tmp_path / "spec.csv"
+        code, _, _ = run(capsys, "spectrum", "--input", path, "--top", 6, "--output", out)
         assert code == 0
-        header = "index,mu_estimate" if with_sparsifier else "index,eigenvalue"
-        assert out.read_text().splitlines() == [header]
+        assert len(calls) == 1 and (calls[0][0] is not None) == (route == "shift-invert")
+        lines = out.read_text().splitlines()
+        assert lines[0] == "index,eigenvalue"
+        got = [float(line.split(",")[1]) for line in lines[1:]]
+        w = np.linalg.eigvalsh(Lu.toarray())
+        np.testing.assert_allclose(got, np.maximum(w[:6], 0.0), rtol=0, atol=1e-10 * w[-1])
 
     @pytest.mark.parametrize("with_sparsifier", [False, True])
     def test_negative_top_is_usage_error(self, capsys, graph_file, with_sparsifier):

@@ -230,6 +230,28 @@ class TestLaplacian:
         assert off.max() <= 0
 
 
+def averaged_symmetrize(L):
+    """L L^T averaged with its transpose, then filtered as ``symmetrize``
+    filters: the construction from before the product was known to be
+    exactly symmetric."""
+    Lu = (L @ L.T).tocsr()
+    Lu = ((Lu + Lu.T) * 0.5).tocoo()
+    diag = np.zeros(Lu.shape[0])
+    on_diag = Lu.row == Lu.col
+    diag[Lu.row[on_diag]] = Lu.data[on_diag]
+    cut = 1e-14 * np.maximum(diag[Lu.row], diag[Lu.col])
+    keep = on_diag | (np.abs(Lu.data) >= cut)
+    out = sp.coo_array((Lu.data[keep], (Lu.row[keep], Lu.col[keep])), shape=Lu.shape).tocsr()
+    out.eliminate_zeros()
+    return out
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes(), attr
+
+
 class TestSymmetrize:
     def test_single_edge(self):
         g = DirectedGraph(2, [(0, 1, 3.0)])
@@ -279,6 +301,20 @@ class TestSymmetrize:
         Lu = symmetrize(laplacian(g))
         diff = (Lu - Lu.T).toarray()
         assert np.abs(diff).max() <= 1e-12 * np.abs(Lu.toarray()).max()
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 60), extra=st.floats(0.5, 8.0), seed=st.integers(0, 2**32 - 1))
+    def test_bits_match_the_averaged_construction(self, n, extra, seed):
+        L = laplacian(random_digraph(np.random.default_rng(seed), n, extra))
+        Lu = symmetrize(L)
+        assert_same_csr(Lu, averaged_symmetrize(L))
+        dense = Lu.toarray()
+        assert np.array_equal(dense, dense.T)
+        # The same L with each row's entries stored in descending column order.
+        rows = np.repeat(np.arange(n), np.diff(L.indptr))
+        order = np.lexsort((-L.indices, rows))
+        unsorted = sp.csr_array((L.data[order], L.indices[order], L.indptr), shape=L.shape)
+        assert_same_csr(symmetrize(unsorted), Lu)
 
     def test_exact_cancellation_dropped(self):
         # two tails pointing at the same pair with weights arranged so the

@@ -13,7 +13,6 @@ from specsparse import (
     laplacian,
     power_iterate,
     score_edges,
-    spectral_similarity,
     symmetrize,
 )
 from specsparse import sensitivity
@@ -157,24 +156,6 @@ class TestEdgeEmbedding:
         hs = [rng.standard_normal(8) for _ in range(5)]
         _, emb = score_one(hs, g, off[0], laplacian(seed.graph))
         assert emb.shape == (5,)
-
-
-class TestSpectralSimilarity:
-    def test_identical(self):
-        assert spectral_similarity([1.0, 2.0], [1.0, 2.0]) == 1.0
-
-    def test_zero_versus_nonzero(self):
-        assert spectral_similarity([0.0, 0.0], [3.0, 4.0]) == 0.0
-
-    def test_both_zero_fully_redundant(self):
-        assert spectral_similarity([0.0, 0.0], [0.0, 0.0]) == 1.0
-
-    def test_orthogonal_hand_value(self):
-        assert spectral_similarity([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1 - np.sqrt(2))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            spectral_similarity([1.0], [1.0, 2.0])
 
 
 def rows(embeddings):
