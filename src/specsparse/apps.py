@@ -11,10 +11,11 @@ groups, and clusters them with k-means.
 
 ``_low_eigenpairs`` is the one eigensolve of L_u, for the partition and for
 ``specsparse spectrum``.  It takes one of three routes: dense up to
-``DENSE_CUTOFF`` nodes; above it, shift-invert Lanczos on one sparse factor
-of L_u when L_u has at most ``SHIFT_INVERT_NNZ_PER_ROW`` nonzeros per row
-(sparsifiers), else plain Lanczos on the operator v -> L (L^T v) (dense
-inputs, whose factor would fill).
+``DENSE_CUTOFF`` nodes, or when ARPACK's subspace would span every node;
+otherwise shift-invert Lanczos on one sparse factor of L_u when L_u has at
+most ``SHIFT_INVERT_NNZ_PER_ROW`` nonzeros per row (sparsifiers), else plain
+Lanczos on the operator v -> L (L^T v) (dense inputs, whose factor would
+fill).
 """
 
 from __future__ import annotations
@@ -236,24 +237,26 @@ def _low_eigenpairs(L, want, seed, *, vectors=True):
     their eigenvectors as columns when ``vectors`` (else None).
 
     Up to ``DENSE_CUTOFF`` nodes a dense ``eigh`` (``eigvalsh`` without
-    vectors) gives all n.  Above it, ARPACK gives the min(want, n - 1)
-    smallest from a start drawn with ``seed``: by shift-invert with one
-    SuperLU factor of L_u - sigma I, made by the solver's ``_shifted_factor``
-    and freed on return, when L_u has at most ``SHIFT_INVERT_NNZ_PER_ROW``
-    nonzeros per row, else by Lanczos for the smallest eigenvalues on
-    v -> L (L^T v).  want == 0 gives no pairs.
+    vectors) gives all n.  So it does above the cutoff when 2k + 1 >= n for
+    k = min(want, n - 1): ARPACK's default subspace of 2k + 1 vectors would
+    then span every node, at a cost far above the dense one.  Otherwise
+    ARPACK gives the k smallest from a start drawn with ``seed``: by
+    shift-invert with one SuperLU factor of L_u - sigma I, made by the
+    solver's ``_shifted_factor`` and freed on return, when L_u has at most
+    ``SHIFT_INVERT_NNZ_PER_ROW`` nonzeros per row, else by Lanczos for the
+    smallest eigenvalues on v -> L (L^T v).  want == 0 gives no pairs.
     """
     n = L.shape[0]
     if want == 0:
         return np.empty(0), np.empty((n, 0))
     Lu = symmetrize(L)
-    if n <= DENSE_CUTOFF:
+    k = min(want, n - 1)
+    if n <= DENSE_CUTOFF or 2 * k + 1 >= n:
         if vectors:
             vals, vecs = np.linalg.eigh(Lu.toarray())
         else:
             vals, vecs = np.linalg.eigvalsh(Lu.toarray()), None
         return np.maximum(vals, 0.0), vecs
-    k = min(want, n - 1)
     v0 = np.random.default_rng(seed).standard_normal(n)
     if Lu.nnz <= SHIFT_INVERT_NNZ_PER_ROW * n:
         # Just below the spectrum of the PSD L_u: L_u - sigma I is SPD

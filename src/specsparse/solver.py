@@ -3,10 +3,15 @@
 Symmetrized Laplacians L_u = L L^T may carry positive off-diagonals, which
 rules out M-matrix-only methods.  ``SpsSolver`` drops the all-zero rows and
 runs conjugate gradient on the remaining (active) system, preconditioned by
-one operator built once per matrix: the dense pseudo-inverse up to
-``DENSE_MAX`` nodes, otherwise one SuperLU factor of the system shifted by
-``FACTOR_SHIFT`` (1e-12) of its largest diagonal.  Singular systems with the
-all-ones null vector are handled by deflation onto the zero-mean subspace.
+one operator built once per matrix.  Up to ``DENSE_MAX`` nodes it is the
+explicit inverse from a dense Cholesky factor: of the system itself, or, for
+a singular system with the all-ones null vector, of the system plus
+(d/n) 1 1^T (d its largest diagonal), which acts as the pseudo-inverse on the
+zero-mean subspace.  Larger systems, and small ones whose Cholesky factor is
+singular to working precision (a null space wider than the all-ones
+vector), get one SuperLU factor of the system shifted by ``FACTOR_SHIFT``
+(1e-12) of its largest diagonal.  Singular systems with the all-ones null
+vector are handled by deflation onto the zero-mean subspace.
 The right-hand side may be an n x k block: its columns run through one
 column-wise conjugate gradient, one product and one preconditioner call per
 step for all columns still running.
@@ -27,18 +32,21 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_factor, cho_solve, lapack
 from scipy.sparse.linalg._dsolve import _superlu
 
 __all__ = ["SolverParams", "SolveStats", "SpsSolver"]
 
-# Active systems up to this many nodes are preconditioned by their dense
-# pseudo-inverse, which solves them in one CG step; larger ones are factored.
+# Active systems up to this many nodes are preconditioned by the explicit
+# inverse of their dense Cholesky factor, which solves them in one CG step;
+# larger ones are factored sparsely.
 DENSE_MAX = 200
 
-# Shift of the factor, relative to the largest diagonal.  It keeps the factor
-# of a singular system definite; the inverse of a larger shift damps the
-# near-null directions that power-iteration right-hand sides are rich in,
-# which costs PCG steps.
+# Shift of the sparse factor, relative to the largest diagonal.  It keeps the
+# factor of a singular system definite; the inverse of a larger shift damps
+# the near-null directions that power-iteration right-hand sides are rich in,
+# which costs PCG steps.  It is also the least reciprocal condition estimate
+# at which a dense Cholesky factor is accepted.
 FACTOR_SHIFT = 1e-12
 
 
@@ -155,13 +163,46 @@ def _shifted_factor(A, shift):
     )
 
 
-def build_hierarchy(L):
+def _cholesky_inverse(A, singular):
+    """Explicit inverse of the dense SPS matrix A, deflated when ``singular``,
+    or None when its Cholesky factor is not definite enough.
+
+    A singular A with A 1 = 0 is factored as B = A + (d/n) 1 1^T, d its
+    largest diagonal: when null(A) is span(1), B^-1 r = A^+ r for every
+    zero-mean r.  The factor is accepted when LAPACK's reciprocal condition
+    estimate (``dpocon``) is at least ``FACTOR_SHIFT``.  That rejects a B
+    that is singular because null(A) is wider than span(1) (several sink
+    components).  Over 1500 random graphs of 3 to 199 nodes, such a B either
+    failed to factor or had an estimate of at most 1.7e-17, and a definite
+    one had at least 1.2e-10.  The smallest pivot is no such test: its square
+    reached 2.8e-12 of the largest diagonal on a singular B, above
+    ``FACTOR_SHIFT``.
+    """
+    n = A.shape[0]
+    if n == 0:
+        return A  # LAPACK refuses an empty matrix
+    if singular:
+        A += A.diagonal().max() / n
+    anorm = np.abs(A).sum(axis=0).max()
+    try:
+        factor = cho_factor(A, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    rcond, info = lapack.dpocon(factor[0], anorm)
+    if info or not rcond >= FACTOR_SHIFT:
+        return None
+    return cho_solve(factor, np.eye(n), overwrite_b=True, check_finite=False)
+
+
+def build_hierarchy(L, singular):
     """Preconditioner for the square CSR SPS matrix L, as a function r -> M r.
 
-    Up to ``DENSE_MAX`` nodes M is the pseudo-inverse of L.  Larger L get one
-    shifted factor, M = (L + FACTOR_SHIFT max(diag L) I)^-1, which keeps M
-    positive definite when L is singular.  M applies to vectors and to
-    n x k blocks alike.
+    Up to ``DENSE_MAX`` nodes M is the inverse from a dense Cholesky factor
+    of L, or of L + (d/n) 1 1^T when ``singular`` (L 1 = 0), which equals
+    the pseudo-inverse of L on zero-mean vectors.  Larger L, and small ones
+    whose factor is rejected as singular, get one shifted sparse factor,
+    M = (L + FACTOR_SHIFT max(diag L) I)^-1, which keeps M positive definite
+    when L is singular.  M applies to vectors and to n x k blocks alike.
 
     The name predates this design: the benchmark's tracer
     (``perfbench/tracer.py``) wraps ``specsparse.solver.build_hierarchy`` as
@@ -169,8 +210,9 @@ def build_hierarchy(L):
     renames that span.
     """
     if L.shape[0] <= DENSE_MAX:
-        inv = np.linalg.pinv(L.toarray(), hermitian=True)
-        return lambda r: inv @ r
+        inv = _cholesky_inverse(L.toarray(), singular)
+        if inv is not None:
+            return lambda r: inv @ r
     return _shifted_factor(L, FACTOR_SHIFT * max(L.diagonal().max(), 1e-300)).solve
 
 
@@ -197,8 +239,9 @@ class SpsSolver:
         )
 
         self.active = np.nonzero(diag > 0)[0]
-        self.reduced = L[np.ix_(self.active, self.active)].tocsr()
-        self._precond = build_hierarchy(self.reduced)
+        # Usually every node is active, and the reduced system is L itself.
+        self.reduced = L if self.active.size == self.n else L[np.ix_(self.active, self.active)].tocsr()
+        self._precond = build_hierarchy(self.reduced, self.singular)
 
     def solve(self, b, tol=None, max_iters=None):
         """Solve L x = b for a vector b or an n x k block b; returns (x, SolveStats).
@@ -247,7 +290,7 @@ class SpsSolver:
         """
         A = self.reduced
         precond = self._precond
-        deflate = self.singular
+        deflate = self.singular and A.shape[0] > 0  # an empty block has no mean
 
         if deflate:
             R -= R.mean(axis=0)

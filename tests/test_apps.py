@@ -328,11 +328,20 @@ def _sparse_matches_dense(monkeypatch, g, k, shift_invert):
 
 class TestSpectralPartition:
     def test_disconnected_cycles_separate_exactly(self, monkeypatch):
-        g = DirectedGraph(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 2.0), (3, 2, 2.0)])
-        for part in _sparse_matches_dense(monkeypatch, g, 2, shift_invert=True):
-            assert part.assignment[0] == part.assignment[1]
-            assert part.assignment[2] == part.assignment[3]
-            assert part.assignment[0] != part.assignment[2]
+        # Two directed rings of `size` nodes, of weights 1 and 2.  Above the
+        # cutoff, k = 2 asks for 14 eigenpairs: the 32-node graph takes
+        # shift-invert, while the 4-node one is dense either way.
+        for size in (2, 16):
+            edges = [(i, (i + 1) % size, 1.0) for i in range(size)]
+            edges += [(size + i, size + (i + 1) % size, 2.0) for i in range(size)]
+            g = DirectedGraph(2 * size, edges)
+            if size == 2:
+                parts = [spectral_partition(g, 2, seed=0)]
+            else:
+                parts = _sparse_matches_dense(monkeypatch, g, 2, shift_invert=True)
+            for part in parts:
+                assert len(set(part.assignment[:size])) == len(set(part.assignment[size:])) == 1
+                assert part.assignment[0] != part.assignment[size]
 
     def test_every_node_assigned_dense_ids(self, rng):
         g = strong_digraph(rng, 25)
@@ -383,8 +392,10 @@ class TestSpectralPartition:
             np.testing.assert_allclose(part.eigenvalues, 0.0, atol=1e-9)
 
     def test_shift_invert_route_matches_dense_synth32(self, monkeypatch):
+        # k = 2 asks for 14 eigenpairs, few enough for ARPACK on 32 nodes;
+        # k = 4 (18 of them) takes the dense route above the cutoff too.
         g = read_matrix_market(Path(__file__).parent / "data" / "synth32.mtx")
-        dense, sparse = _sparse_matches_dense(monkeypatch, g, 4, shift_invert=True)
+        dense, sparse = _sparse_matches_dense(monkeypatch, g, 2, shift_invert=True)
         assert adjusted_rand_index(dense.assignment, sparse.assignment) == 1.0
 
     def test_lanczos_route_matches_dense_on_dense_laplacian(self, rng, monkeypatch):
@@ -402,6 +413,22 @@ class TestSpectralPartition:
         g = random_digraph(np.random.default_rng(3), 300)
         dense, _ = _sparse_matches_dense(monkeypatch, g, 20, shift_invert=True)
         assert dense.eigvec_indices == list(range(20))
+
+    @pytest.mark.parametrize("want", [17, 20, 39, 60])
+    def test_wide_requests_above_the_cutoff_go_dense(self, rng, monkeypatch, want):
+        # Above the cutoff, ARPACK's default subspace of 2k + 1 vectors spans
+        # every node once 2 min(want, n - 1) + 1 >= n; eigvalsh is then the
+        # cheaper route.  Just below that, ARPACK still runs.
+        g = strong_digraph(rng, 40)
+        w = np.linalg.eigvalsh(symmetrize(laplacian(g)).toarray())
+        calls = eigsh_spy(monkeypatch)
+        monkeypatch.setattr(apps, "DENSE_CUTOFF", 0)
+        vals, vecs = apps._low_eigenpairs(laplacian(g), want, seed=0, vectors=False)
+        assert vecs is None
+        k = min(want, g.n - 1)
+        assert len(calls) == (2 * k + 1 < g.n)
+        assert vals.size == (k if calls else g.n)
+        np.testing.assert_allclose(vals, np.maximum(w[: vals.size], 0.0), rtol=0, atol=1e-10 * w[-1])
 
     @pytest.mark.parametrize("dense_cutoff", [2000, 0])
     def test_k_inside_an_eigenvalue_group_raises(self, monkeypatch, dense_cutoff):

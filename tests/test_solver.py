@@ -15,14 +15,28 @@ from specsparse import (
     symmetrize,
 )
 
-from specsparse.solver import DENSE_MAX, _as_intc, _Sweep
+from specsparse import solver as solver_module
+from specsparse.solver import DENSE_MAX, _as_intc, _Sweep, build_hierarchy
 
-from conftest import random_digraph, strong_digraph
+from conftest import nullity, random_digraph, strong_digraph
 
 
 def connected_symmetrized(rng, n):
     """Symmetrized Laplacian of a strongly connected directed graph."""
     return symmetrize(laplacian(strong_digraph(rng, n)))
+
+
+def shifted_factor_spy(monkeypatch):
+    """Record every call of ``solver._shifted_factor``."""
+    calls = []
+    real = solver_module._shifted_factor
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver_module, "_shifted_factor", spy)
+    return calls
 
 
 class TestGaussSeidel:
@@ -174,16 +188,27 @@ class TestCopyFreePreparation:
 
 
 class TestSpsSolver:
-    def test_singular_two_node(self):
+    # The one- and two-node systems take the dense Cholesky route.
+    def test_singular_two_node(self, monkeypatch):
+        calls = shifted_factor_spy(monkeypatch)
         L = sp.csr_array(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         x, stats = SpsSolver(L, SolverParams()).solve(np.array([1.0, -1.0]))
         np.testing.assert_allclose(x, [0.5, -0.5], atol=1e-10)
         assert stats.converged and abs(x.sum()) < 1e-12
+        assert stats.iterations == 1 and not calls
 
-    def test_nonsingular_two_node(self):
+    def test_nonsingular_two_node(self, monkeypatch):
+        calls = shifted_factor_spy(monkeypatch)
         L = sp.csr_array(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         x, stats = SpsSolver(L, SolverParams()).solve(np.array([1.0, 0.0]))
         np.testing.assert_allclose(x, [2 / 3, 1 / 3], atol=1e-10)
+        assert stats.converged and stats.iterations == 1 and not calls
+
+    def test_one_node(self, monkeypatch):
+        calls = shifted_factor_spy(monkeypatch)
+        x, stats = SpsSolver(sp.csr_array(np.array([[3.0]]))).solve(np.array([6.0]))
+        np.testing.assert_allclose(x, [2.0], rtol=1e-15)
+        assert stats.converged and stats.iterations == 1 and not calls
 
     def test_zero_rhs(self, rng):
         Lu = connected_symmetrized(rng, 12)
@@ -244,7 +269,9 @@ class TestSpsSolver:
         g = DirectedGraph(4, [(0, 1, 1.0), (1, 0, 1.0)])
         Lu = symmetrize(laplacian(g))
         b = np.array([1.0, -1.0, 0.0, 0.0])
-        x, stats = SpsSolver(Lu, SolverParams()).solve(b)
+        solver = SpsSolver(Lu, SolverParams())
+        assert list(solver.active) == [0, 1] and solver.reduced.shape == (2, 2)
+        x, stats = solver.solve(b)
         assert stats.converged
         np.testing.assert_allclose(Lu @ x, b, atol=1e-8)
 
@@ -264,6 +291,34 @@ class TestSpsSolver:
             b -= b.mean()
             x, stats = solver.solve(b)
             assert stats.converged
+
+    @pytest.mark.parametrize("n", [60, DENSE_MAX + 30])
+    def test_all_active_system_is_not_copied(self, rng, n):
+        # Every diagonal entry is positive, so the reduced system is L
+        # itself; solving through an np.ix_ copy gives the same bits.
+        Lu = connected_symmetrized(rng, n)
+        solver = SpsSolver(Lu)
+        assert solver.reduced is solver.L
+        copied = SpsSolver(Lu)
+        copied.reduced = Lu[np.ix_(copied.active, copied.active)].tocsr()
+        assert copied.reduced is not copied.L
+        copied._precond = build_hierarchy(copied.reduced, copied.singular)
+        B = Lu @ rng.standard_normal((n, 3))
+        for b in (B, B[:, 0]):
+            (x, stats), (x_copy, stats_copy) = solver.solve(b), copied.solve(b)
+            assert np.array_equal(x, x_copy) and stats == stats_copy
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_no_active_node_solves_without_warnings(self, n):
+        # An all-zero system has no active node; deflating its empty block
+        # took the mean of an empty slice.
+        solver = SpsSolver(sp.csr_array((n, n)))
+        assert solver.singular and solver.active.size == 0
+        x, stats = solver.solve(np.ones(n))
+        assert np.array_equal(x, np.zeros(n)) and stats == SolveStats(0, 0.0, True)
+        x, stats = solver.solve(np.arange(n, dtype=float))
+        assert np.array_equal(x, np.zeros(n)) and stats.converged == (n == 1)
 
     def test_seed_subgraph_through_factor(self, rng):
         # seed subgraphs are nearly trees and badly conditioned; at 800
@@ -387,32 +442,80 @@ def disjoint_union(*graphs, isolated=0):
     return DirectedGraph(offset + isolated, edges)
 
 
+def hub(rng, n):
+    """Node 0 linked both ways to every other node."""
+    return DirectedGraph(n, [e for i in range(1, n) for e in ((0, i, float(rng.uniform(0.5, 2.0))), (i, 0, 1.0))])
+
+
 class TestShiftedFactor:
-    """Systems above DENSE_MAX, solved through the shifted factor.
+    """Systems solved through the shifted factor, and their small versions.
 
     The shift keeps the factor of a singular system definite; it must stay
     small enough that a consistent right-hand side converges in one step on
     singular, disconnected, seed-like and hub systems alike (at a shift of
-    1e-8 of the largest diagonal each of these took two).
+    1e-8 of the largest diagonal each of these took two).  Every system above
+    DENSE_MAX takes the factor.  A small one takes it only when its dense
+    Cholesky factor is rejected: when its null space is wider than span(1),
+    as with several components or several sink components.  Isolated nodes
+    leave the active system, and a hub is connected, so their small versions
+    keep the dense route.  Each case maps to (graph, takes the factor).
     """
 
     CASES = {
-        "connected": lambda rng: strong_digraph(rng, 600),
-        "three components": lambda rng: disjoint_union(*(strong_digraph(rng, 250) for _ in range(3))),
-        "50 isolated nodes": lambda rng: disjoint_union(strong_digraph(rng, 300), isolated=50),
-        "banded seed": lambda rng: build_seed(banded_digraph(n=2000, seed=5)).graph,
-        "hub": lambda rng: DirectedGraph(
-            400, [e for i in range(1, 400) for e in ((0, i, float(rng.uniform(0.5, 2.0))), (i, 0, 1.0))]
-        ),
+        "connected": (lambda rng: strong_digraph(rng, 600), True),
+        "three components": (lambda rng: disjoint_union(*(strong_digraph(rng, 250) for _ in range(3))), True),
+        "50 isolated nodes": (lambda rng: disjoint_union(strong_digraph(rng, 300), isolated=50), True),
+        "banded seed": (lambda rng: build_seed(banded_digraph(n=2000, seed=5)).graph, True),
+        "hub": (lambda rng: hub(rng, 400), True),
+        "small three components": (lambda rng: disjoint_union(*(strong_digraph(rng, 40) for _ in range(3))), True),
+        "small 10 isolated nodes": (lambda rng: disjoint_union(strong_digraph(rng, 50), isolated=10), False),
+        "small hub": (lambda rng: hub(rng, 60), False),
+        "small sink components": (lambda rng: random_digraph(np.random.default_rng(3), 150), True),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_consistent_rhs_converges_in_one_step(self, rng, case):
-        Lu = symmetrize(laplacian(self.CASES[case](rng)))
+    def test_consistent_rhs_converges_in_one_step(self, rng, monkeypatch, case):
+        make, factored = self.CASES[case]
+        Lu = symmetrize(laplacian(make(rng)))
+        calls = shifted_factor_spy(monkeypatch)
         solver = SpsSolver(Lu)
-        assert solver.reduced.shape[0] > DENSE_MAX
+        assert len(calls) == factored
+        if solver.reduced.shape[0] <= DENSE_MAX:
+            assert solver.singular
+            assert (nullity(solver.reduced) > 1) == factored
         b = Lu @ rng.standard_normal(Lu.shape[0])
         x, stats = solver.solve(b, tol=1e-8)
         assert stats.converged and stats.residual <= 1e-8
         assert np.linalg.norm(b - Lu @ x) <= 1e-8 * np.linalg.norm(b)
         assert stats.iterations == 1
+
+
+class TestCholeskyRoute:
+    """Systems up to DENSE_MAX nodes: the inverse of a dense Cholesky factor,
+    checked against the pseudo-inverse."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, DENSE_MAX), singular=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_pseudo_inverse(self, n, singular, seed):
+        rng = np.random.default_rng(seed)
+        Lu = connected_symmetrized(rng, n)
+        if not singular:
+            Lu = sp.csr_array(Lu + sp.diags_array(rng.uniform(0.1, 1.0, n)))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = shifted_factor_spy(mp)
+            solver = SpsSolver(Lu)
+        assert solver.singular == singular and not calls
+        r = rng.standard_normal(n)
+        r -= r.mean()
+        ref = np.linalg.pinv(Lu.toarray(), hermitian=True) @ r
+        if singular:
+            ref -= ref.mean()  # pinv's rounding in the null direction
+        z = solver._precond(r)
+        assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)
+        b = Lu @ rng.standard_normal(n)
+        x, stats = solver.solve(b, tol=1e-8)
+        assert stats.converged and stats.iterations == 1
+
+    def test_empty_system_builds_without_lapack(self):
+        M = build_hierarchy(sp.csr_array((0, 0)), True)
+        assert M(np.zeros((0, 2))).shape == (0, 2)

@@ -325,3 +325,25 @@ class TestPinnedOutputs:
         res = sparsify(g, SparsifyParams(iter_max=20, mu_limit=1.0, seed=0, alpha_percent=15))
         assert kept_digest(res) == "81890f562eb9452ef6df7d441ea8b8544bc353c243755f5b0e2446793e47481d"
         assert res.mu_final == pytest.approx(16.475346553586927, rel=1e-9)
+
+
+class TestCostGuards:
+    """Work counts that do not depend on the hardware."""
+
+    def test_bundled_run_makes_no_dense_eigendecomposition(self, monkeypatch):
+        # Systems of up to DENSE_MAX nodes are preconditioned through a
+        # Cholesky factor: no eigh, and no pinv (an eigh inside).
+        calls = []
+        for name in ("eigh", "pinv"):
+            real = getattr(np.linalg, name)
+
+            def spy(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        g = read_matrix_market(DATA / "synth115.mtx")
+        params = dict(d_out=10, iter_max=60, mu_limit=6.0, alpha_percent=10.0, epsilon=0.9, r=16, t=5)
+        res = sparsify(g, SparsifyParams(seed=0, **params))
+        assert len(res.iterations) > 1
+        assert calls == []
