@@ -177,7 +177,7 @@ def pagerank_correlation(g: DirectedGraph, s, alpha=0.15, personalization=None, 
     return _pagerank_comparison(g, sg, alpha, personalization, gs_sweeps, tol, max_iters)[2:]
 
 
-def directed_solve(g: DirectedGraph, s, b, gs_sweeps=5, x_true=None, solver_params=None):
+def directed_solve(g: DirectedGraph, s, b, gs_sweeps=5, solver_params=None):
     """Solve L_G x = b through the sparsifier's symmetrized system.
 
     Steps: solve L_Su y = b, remove high-frequency error with ``gs_sweeps``
@@ -185,16 +185,31 @@ def directed_solve(g: DirectedGraph, s, b, gs_sweeps=5, x_true=None, solver_para
     x = L_G^T y.  The sweeps run on the formed L_Gu = L_G L_G^T through the
     solver's prepared sweep kernel, after the L_Su factor is freed, over the
     rows with a nonzero diagonal; an isolated node keeps its y_i.  b must lie
-    in the range of L_Gu for the smoothed system to be consistent.  Returns
-    (x, rel_error) where rel_error compares against the min-norm solution
-    derived from ``x_true`` when given, else None.
+    in the range of L_Gu for the smoothed system to be consistent.
+
+    L_Su has the all-ones null vector, so a nonzero mean of b is projected
+    away.  A node without edges in the sparsifier is a zero row of L_Su,
+    which no y can meet: when b minus its mean is larger on those rows than
+    the solve accepts (relative ``RESIDUAL_CAP``, or the solver's tol if
+    larger), ValueError is raised before the solve.  Returns x and the
+    ``SolveStats`` of the sparsifier solve.
     """
     sg = s.graph if isinstance(s, Sparsifier) else s
     L_G = laplacian(g)
     L_S = laplacian(sg)
     L_Su = symmetrize(L_S)
-    solver = SpsSolver(L_Su, params=solver_params or SolverParams())
+    params = solver_params or SolverParams()
     b = np.asarray(b, dtype=np.float64)
+    free = L_Su.diagonal() == 0
+    if free.any():
+        centered = b - b.mean()
+        stray, total = np.linalg.norm(centered[free]), np.linalg.norm(centered)
+        if stray > max(RESIDUAL_CAP, params.tol) * total:
+            raise ValueError(
+                "right-hand side is inconsistent on nodes without edges in the sparsifier: "
+                f"b minus its mean has norm {stray:.3e} there, of {total:.3e} in all"
+            )
+    solver = SpsSolver(L_Su, params=params)
     y, stats = solver.solve(b)
     del solver, L_S, L_Su  # free the L_Su factor before L_Gu is formed
     if not stats.converged and stats.residual > RESIDUAL_CAP:
@@ -207,17 +222,7 @@ def directed_solve(g: DirectedGraph, s, b, gs_sweeps=5, x_true=None, solver_para
         else:
             # The zero rows are isolated nodes, whose columns are zero too.
             y[live] = _Sweep(L_Gu[live][:, live]).run(y[live], b[live], gs_sweeps)
-    x = L_G.T @ y
-
-    rel_error = None
-    if x_true is not None:
-        # Compare against the projection of x_true on the row space of L_G,
-        # which is what any solution of the singular system can recover.
-        dense = L_G.toarray()
-        x_ref = np.linalg.pinv(dense) @ (dense @ np.asarray(x_true, dtype=np.float64))
-        denom = np.linalg.norm(x_ref)
-        rel_error = float(np.linalg.norm(x - x_ref) / denom) if denom > 0 else float(np.linalg.norm(x))
-    return x, rel_error
+    return L_G.T @ y, stats
 
 
 def _distinct_groups(eigenvalues):

@@ -207,11 +207,10 @@ def _cmd_spectrum(args):
             raise ValueError("sparsifier has no edges: the generalized eigenvalues are undefined")
         Su = symmetrize(laplacian(s))
         starts = np.random.default_rng(args.seed).uniform(-1, 1, size=(args.top, g.n))
-        pairs = estimate_mu(L, Su, starts, 3, SpsSolver(Su))
-        mus = sorted((pair.mu for pair in pairs), reverse=True)
+        mu, _ = estimate_mu(L, Su, starts, 3, SpsSolver(Su))
         lines.append("index,mu_estimate")
-        for i, mu in enumerate(mus):
-            lines.append(f"{i},{_fmt(mu)}")
+        for i, value in enumerate(sorted(mu.tolist(), reverse=True)):
+            lines.append(f"{i},{_fmt(value)}")
     else:
         vals, _ = _low_eigenpairs(L, args.top, args.seed, vectors=False)
         lines.append("index,eigenvalue")

@@ -5,10 +5,11 @@ the subgraph's symmetrized Laplacian is from the original's.  A few steps of
 generalized power iteration (multiply by L_Gu, solve with L_Su) give a vector
 h_t rich in the top eigenvector directions (L_Gu may be an operator that is
 never formed); ``power_iterate`` runs r starts as one n x r block, so a step
-is one product and one block solve.  ``score_edges`` then scores all
-off-subgraph edges at once by first-order perturbation of the pencil, with
-an r-dimensional embedding of the same quadratic forms that lets the
-selection step skip edges that perturb the same spectral directions.
+is one product and one block solve, and returns the r estimates with that
+block.  ``score_edges`` then scores all off-subgraph edges at once from the
+block by first-order perturbation of the pencil, with an r-dimensional
+embedding of the same quadratic forms that lets the selection step skip
+edges that perturb the same spectral directions.
 
 ``filter_similar_edges`` makes that selection greedily over the ranked
 candidates.  It compares a candidate only with kept edges whose embedding
@@ -22,14 +23,12 @@ block's survivors are then resolved against each other in order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .solver import SpsSolver, _coldot, _colnorm
 
 __all__ = [
-    "EigPair",
     "power_iterate",
     "score_edges",
     "filter_similar_edges",
@@ -49,25 +48,18 @@ WINDOW_SLACK = 1e-9
 RESIDUAL_CAP = 1e-3
 
 
-@dataclass
-class EigPair:
-    """Rayleigh-quotient estimate of mu_max with the vector that produced it."""
-
-    mu: float
-    h: np.ndarray
-    t: int
-
-
-def power_iterate(L_Gu, L_Su, h0, t=3, *, solver: SpsSolver) -> list[EigPair]:
+def power_iterate(L_Gu, L_Su, h0, t=3, *, solver: SpsSolver):
     """t alternations of (multiply by L_Gu, solve with L_Su) from the rows of h0.
 
-    h0 is an r x n array with one start per row; the result is a list of r
-    ``EigPair``.  The r starts run as one n x r block, so each step makes one
-    product with L_Gu and one block solve with ``solver``, the ``SpsSolver``
-    of L_Su.  L_Gu and L_Su may be any operands of ``@``.  The starts are
-    deflated to zero mean up front and each iterate renormalized every step
-    (the Rayleigh quotient is scale-invariant); a column whose norm reaches 0
-    stays 0.  mu is estimated as (h^T L_Gu h) / (h^T L_Su h), which is at
+    h0 is an r x n array with one start per row.  Returns (mu, H): the r
+    estimates of mu_max as an array, and the final iterates as the columns
+    of the n x r block H, which owns its data (the last block solve's).
+    The r starts run as one block, so each step makes one product with L_Gu
+    and one block solve with ``solver``, the ``SpsSolver`` of L_Su.  L_Gu
+    and L_Su may be any operands of ``@``.  The starts are deflated to zero
+    mean up front and each iterate renormalized every step (the Rayleigh
+    quotient is scale-invariant); a column whose norm reaches 0 stays 0.
+    mu[j] is (h^T L_Gu h) / (h^T L_Su h) at column h = H[:, j], which is at
     least 1 - eps whenever S is a subgraph of G with matching null space.
 
     Badly conditioned subgraph systems can bottom out above the solver's
@@ -96,21 +88,18 @@ def power_iterate(L_Gu, L_Su, h0, t=3, *, solver: SpsSolver) -> list[EigPair]:
     num = _coldot(H, L_Gu @ H)
     den = _coldot(H, L_Su @ H)
     mu = np.divide(num, den, out=np.full_like(num, np.inf), where=den > 0)
-    # Copies, so that the block is freed here: the loop keeps the accepted
-    # vectors, and a block kept alive by views of it raised the peak RSS of
-    # later runs in the same process by fragmenting the heap.
-    return [EigPair(mu=float(mu[j]), h=H[:, j].copy(), t=t) for j in range(H.shape[1])]
+    return mu, H
 
 
-def score_edges(h_list, L_S, tails, heads, weights):
+def score_edges(H, L_S, tails, heads, weights):
     """(sensitivities, embeddings) of the off-subgraph edges (tails, heads).
 
     Adding edge (p, q) perturbs L_S by dL_S = w (e_p - e_q) e_p^T, and
     h^T (dL_S L_S^T + L_S dL_S^T) h collapses to 2 w (h_p - h_q) (L_S^T h)_p.
-    Embedding component k is that form without w at h = h_list[k] (zero when
-    p has no out-edge in S); the sensitivity is w times their mean.
+    Embedding component k is that form without w at column h = H[:, k] of
+    the n x r block H (zero when p has no out-edge in S); the sensitivity is
+    w times their mean.
     """
-    H = np.column_stack(h_list)
     Y = L_S.T @ H
     embeddings = H[tails]
     embeddings -= H[heads]
@@ -119,17 +108,16 @@ def score_edges(h_list, L_S, tails, heads, weights):
     return weights * embeddings.mean(axis=1), embeddings
 
 
-def filter_similar_edges(embeddings, tails, epsilon, d_out, out_degrees=None):
+def filter_similar_edges(embeddings, tails, epsilon, d_out, out_degrees):
     """Greedy similarity pruning of sensitivity-ranked candidate rows.
 
     ``embeddings`` holds one row per candidate, best first, and ``tails`` the
     candidates' tail nodes.  Candidates whose tail already has out-degree
-    >= d_out in the subgraph are excluded up front (skipped entirely when
-    ``out_degrees`` is None).  The first survivor is always kept; each
-    further one is kept only if its spectral similarity
-    1 - ||a - b|| / max(||a||, ||b||) to every kept row stays below epsilon;
-    two zero rows count as fully similar.  Returns the kept row indices,
-    ascending.
+    >= d_out in the subgraph (``out_degrees``, indexed by node) are excluded
+    up front.  The first survivor is always kept; each further one is kept
+    only if its spectral similarity 1 - ||a - b|| / max(||a||, ||b||) to
+    every kept row stays below epsilon; two zero rows count as fully
+    similar.  Returns the kept row indices, ascending.
 
     The decisions are those of the one-candidate-at-a-time loop, computed
     with the same operations (norms as ``np.linalg.norm`` of a row, distances
@@ -143,10 +131,7 @@ def filter_similar_edges(embeddings, tails, epsilon, d_out, out_degrees=None):
     if d_out < 1:
         raise ValueError("d_out must be >= 1")
     tails = np.asarray(tails, dtype=np.int64)
-    if out_degrees is None:
-        rows = np.arange(tails.size)
-    else:
-        rows = np.flatnonzero(np.asarray(out_degrees)[tails] < d_out)
+    rows = np.flatnonzero(np.asarray(out_degrees)[tails] < d_out)
     if rows.size == 0:
         return rows
     P = np.ascontiguousarray(np.asarray(embeddings, dtype=np.float64)[rows])

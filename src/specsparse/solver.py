@@ -243,9 +243,11 @@ class SpsSolver:
         self.reduced = L if self.active.size == self.n else L[np.ix_(self.active, self.active)].tocsr()
         self._precond = build_hierarchy(self.reduced, self.singular)
 
-    def solve(self, b, tol=None, max_iters=None):
+    def solve(self, b):
         """Solve L x = b for a vector b or an n x k block b; returns (x, SolveStats).
 
+        The stopping rule is the solver's ``SolverParams``, for every call.
+        A block x is a new array that owns its data.
         A block is solved column by column: each column has its own step
         sizes, stopping test and best iterate, but every step makes one
         product with L and one preconditioner call for all the columns still
@@ -256,8 +258,7 @@ class SpsSolver:
         number of block steps, ``residual`` the largest relative residual of
         a column and ``converged`` true only if every column converged.
         """
-        tol = self.params.tol if tol is None else tol
-        max_iters = self.params.max_iters if max_iters is None else max_iters
+        tol = self.params.tol
         b = np.asarray(b, dtype=np.float64)
         if b.ndim not in (1, 2) or b.shape[0] != self.n:
             raise ValueError(f"rhs has shape {b.shape}, expected ({self.n},) or ({self.n}, k)")
@@ -265,7 +266,7 @@ class SpsSolver:
         mean = B.mean(axis=0) if self.singular else np.zeros(B.shape[1])
         bnorm = _colnorm(B - mean)
 
-        Xa, steps, converged = self._pcg(B[self.active] - mean, tol * bnorm, max_iters)
+        Xa, steps, converged = self._pcg(B[self.active] - mean, tol * bnorm, self.params.max_iters)
         X = np.zeros(B.shape)
         X[self.active] = Xa
         if self.singular:
@@ -277,7 +278,7 @@ class SpsSolver:
         residual = np.divide(_colnorm(T), bnorm, out=np.zeros_like(bnorm), where=bnorm > 0)
         converged &= residual <= tol * (1 + 1e-9)
         stats = SolveStats(steps, float(residual.max(initial=0.0)), bool(converged.all()))
-        return X.reshape(b.shape), stats
+        return (X if b.ndim == 2 else X[:, 0]), stats
 
     def _pcg(self, R, atol, max_iters):
         """Column-wise PCG on the active system from x = 0.

@@ -94,7 +94,8 @@ def _rng_for(seed, iteration):
 def estimate_mu(L_G, L_Su, starts, t, solver):
     """t-step power-iteration estimates for the pencil (L_G L_G^T, L_Su).
 
-    Returns one ``EigPair`` per row of ``starts``.  All rows run through one
+    Returns ``power_iterate``'s (mu, H): one estimate per row of ``starts``
+    and the n x r block of final iterates.  All rows run through one
     ``power_iterate`` call as one block; L_G L_G^T is applied as
     ``symmetrized_operator(L_G)`` and never formed.
     """
@@ -102,15 +103,19 @@ def estimate_mu(L_G, L_Su, starts, t, solver):
 
 
 def _evaluate(g, L_G, kept, r, t, solver_params, rng):
-    """Estimate (mu_max, h vectors) for the subgraph of the edges where the
-    mask ``kept`` holds."""
+    """Estimate (mu_max, block of iterates) for the subgraph of the edges
+    where the mask ``kept`` holds; mu_max is the largest estimate, or 0."""
     S = g.subgraph(np.flatnonzero(kept))
     L_S = laplacian(S)
     L_Su = symmetrize(L_S)
     solver = SpsSolver(L_Su, params=solver_params)
-    pairs = estimate_mu(L_G, L_Su, rng.uniform(-1.0, 1.0, size=(r, g.n)), t, solver)
-    mu = max(0.0, *(pair.mu for pair in pairs))
-    return mu, [pair.h for pair in pairs], S, L_S
+    mu, H = estimate_mu(L_G, L_Su, rng.uniform(-1.0, 1.0, size=(r, g.n)), t, solver)
+    # The loop keeps H across evaluations.  Made while the solver's factor
+    # was alive, the block pins the top of the heap above the factor's freed
+    # pages; copied after the factor is freed, it does not (clustered4k peak
+    # RSS 96 MB against 89 MB).
+    del solver
+    return max(0.0, *mu.tolist()), H.copy(), S, L_S
 
 
 def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifier:
@@ -137,7 +142,7 @@ def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifi
 
     t0 = time.perf_counter()
     try:
-        mu, h_list, S, L_S = _evaluate(
+        mu, H, S, L_S = _evaluate(
             g, L_G, kept, r, params.t, params.solver, _rng_for(params.seed, 0)
         )
     except RuntimeError:
@@ -163,7 +168,7 @@ def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifi
         tails = g.tails[off_ids]
         heads = g.heads[off_ids]
         weights = g.weights[off_ids]
-        sens, embeddings = score_edges(h_list, L_S, tails, heads, weights)
+        sens, embeddings = score_edges(H, L_S, tails, heads, weights)
 
         order = np.lexsort((off_ids, -sens))
         n_top = max(1, int(np.floor(params.alpha_percent / 100.0 * off_ids.size)))
@@ -182,7 +187,7 @@ def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifi
         tentative = kept.copy()
         tentative[new_ids] = True
         try:
-            mu_new, h_new, S_new, L_S_new = _evaluate(
+            mu_new, H_new, S_new, L_S_new = _evaluate(
                 g, L_G, tentative, r, params.t, params.solver, _rng_for(params.seed, iteration)
             )
         except RuntimeError:
@@ -193,7 +198,7 @@ def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifi
 
         if mu_new < mu:
             kept = tentative
-            mu, h_list, S, L_S = mu_new, h_new, S_new, L_S_new
+            mu, H, S, L_S = mu_new, H_new, S_new, L_S_new
             added, rejected = new_ids.size, 0
             # A rejection only means the batch did not help against the
             # previous subgraph; after an accept the state changed, so give

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from specsparse import DirectedGraph
+from specsparse import DirectedGraph, laplacian
 
 
 def random_digraph(rng, n, extra_factor=2.5):
@@ -46,6 +46,19 @@ def nullity(M, tol=1e-9):
     M = M.toarray() if hasattr(M, "toarray") else np.asarray(M)
     w = np.linalg.eigvalsh(M)
     return int((w < tol * max(w.max(), 1e-30)).sum())
+
+
+def min_norm_error(g, x, x_true):
+    """Relative error of x against the min-norm solution of L_G x = L_G x_true.
+
+    That solution is the projection of x_true on the row space of L_G, which
+    is what any solution of the singular system can recover.  Dense: for
+    test-sized graphs only.
+    """
+    dense = laplacian(g).toarray()
+    x_ref = np.linalg.pinv(dense) @ (dense @ np.asarray(x_true, dtype=np.float64))
+    denom = np.linalg.norm(x_ref)
+    return float(np.linalg.norm(x - x_ref) / denom) if denom > 0 else float(np.linalg.norm(x))
 
 
 def eigsh_spy(monkeypatch):

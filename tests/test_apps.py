@@ -25,7 +25,7 @@ from specsparse import (
 
 from specsparse import apps
 
-from conftest import eigsh_spy, random_digraph, strong_digraph
+from conftest import eigsh_spy, min_norm_error, random_digraph, strong_digraph
 
 
 def gs_loop(L_G, y, b, sweeps):
@@ -242,8 +242,8 @@ class TestDirectedSolve:
         g = strong_digraph(rng, 30)
         x_true = rng.standard_normal(30)
         b = laplacian(g) @ x_true
-        x, rel = directed_solve(g, g, b, gs_sweeps=0, x_true=x_true)
-        assert rel <= 1e-6
+        x, _ = directed_solve(g, g, b, gs_sweeps=0)
+        assert min_norm_error(g, x, x_true) <= 1e-6
 
     def test_zero_rhs(self, rng):
         g = strong_digraph(rng, 12)
@@ -258,17 +258,33 @@ class TestDirectedSolve:
             res = sparsify(g, SparsifyParams(iter_max=4, mu_limit=2.0, seed=trial, alpha_percent=10))
             x_true = rng.standard_normal(n)
             b = laplacian(g) @ x_true
-            _, e0 = directed_solve(g, res, b, gs_sweeps=0, x_true=x_true)
-            _, e5 = directed_solve(g, res, b, gs_sweeps=5, x_true=x_true)
-            wins += e5 < e0
+            x0, _ = directed_solve(g, res, b, gs_sweeps=0)
+            x5, _ = directed_solve(g, res, b, gs_sweeps=5)
+            wins += min_norm_error(g, x5, x_true) < min_norm_error(g, x0, x_true)
         assert wins >= 4
 
     def test_accepts_plain_graph_as_sparsifier(self, rng):
         g = strong_digraph(rng, 15)
         sub = g.subgraph(list(range(g.num_edges - 2)))
         b = laplacian(g) @ rng.standard_normal(15)
-        x, rel = directed_solve(g, sub, b, gs_sweeps=2)
-        assert rel is None and x.shape == (15,)
+        x, stats = directed_solve(g, sub, b, gs_sweeps=2)
+        assert x.shape == (15,)
+        assert isinstance(stats, SolveStats) and stats.converged and stats.residual <= 1e-8
+
+    def test_inconsistent_rhs_on_nodes_without_edges(self):
+        # Nodes without edges are zero rows of L_Su; b minus its mean must
+        # vanish there, so a nonzero mean alone is projected away.
+        g = DirectedGraph(3, [])
+        with pytest.raises(ValueError, match="right-hand side is inconsistent on nodes without edges"):
+            directed_solve(g, g, [0.0, 1.0, 2.0])
+        x, stats = directed_solve(g, g, np.ones(3))
+        np.testing.assert_array_equal(x, 0.0)
+        assert stats.converged
+        # Node 3 keeps its edge in G but has none in the sparsifier.
+        g = DirectedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1.0)])
+        b = laplacian(g) @ np.array([0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="right-hand side is inconsistent on nodes without edges"):
+            directed_solve(g, g.subgraph([0, 1, 2]), b)
 
     @settings(max_examples=60, deadline=None)
     @given(g=graphs_with_isolated_and_sinks(), sweeps=st.sampled_from([0, 1, 5]), seed=st.integers(0, 2**32 - 1))

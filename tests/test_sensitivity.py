@@ -32,16 +32,16 @@ class TestPowerIterate:
     def test_identity_when_subgraph_is_graph(self, rng):
         g = strong_digraph(rng, 12)
         Lu = symmetrize(laplacian(g))
-        [pair] = power_iterate(Lu, Lu, rng.uniform(-1, 1, (1, 12)), t=2, solver=SpsSolver(Lu))
-        assert pair.mu == pytest.approx(1.0, abs=1e-9)
+        (mu,), _ = power_iterate(Lu, Lu, rng.uniform(-1, 1, (1, 12)), t=2, solver=SpsSolver(Lu))
+        assert mu == pytest.approx(1.0, abs=1e-9)
 
     def test_planted_eigenvector_recovers_mu_max(self, rng):
         g, seed, _ = seeded_case(rng, 10)
         Lgu = symmetrize(laplacian(g))
         Lsu = symmetrize(laplacian(seed.graph))
         mu_true, v1 = dense_pencil(Lgu, Lsu)
-        [pair] = power_iterate(Lgu, Lsu, v1[None], t=3, solver=SpsSolver(Lsu))
-        assert pair.mu == pytest.approx(mu_true, rel=1e-6)
+        (mu,), _ = power_iterate(Lgu, Lsu, v1[None], t=3, solver=SpsSolver(Lsu))
+        assert mu == pytest.approx(mu_true, rel=1e-6)
 
     def test_mu_within_factor_of_truth(self, rng):
         for _ in range(5):
@@ -49,25 +49,25 @@ class TestPowerIterate:
             Lgu = symmetrize(laplacian(g))
             Lsu = symmetrize(laplacian(seed.graph))
             mu_true, _ = dense_pencil(Lgu, Lsu)
-            [pair] = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (1, 6)), t=3, solver=SpsSolver(Lsu))
-            assert mu_true / 3 <= pair.mu <= mu_true * (1 + 1e-9)
+            (mu,), _ = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (1, 6)), t=3, solver=SpsSolver(Lsu))
+            assert mu_true / 3 <= mu <= mu_true * (1 + 1e-9)
 
     def test_mu_at_least_one_for_subgraphs(self, rng):
         for _ in range(10):
             g, seed, _ = seeded_case(rng, int(rng.integers(5, 15)))
             Lgu = symmetrize(laplacian(g))
             Lsu = symmetrize(laplacian(seed.graph))
-            [pair] = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (1, g.n)), t=3, solver=SpsSolver(Lsu))
+            (mu,), _ = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (1, g.n)), t=3, solver=SpsSolver(Lsu))
             mu_true, _ = dense_pencil(Lgu, Lsu)
             assert mu_true >= 1 - 1e-6
-            assert pair.mu <= mu_true * (1 + 1e-9)
+            assert mu <= mu_true * (1 + 1e-9)
 
     def test_zero_mean_output(self, rng):
         g, seed, _ = seeded_case(rng, 9)
         Lgu = symmetrize(laplacian(g))
         Lsu = symmetrize(laplacian(seed.graph))
-        [pair] = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (1, 9)), t=2, solver=SpsSolver(Lsu))
-        assert abs(pair.h.sum()) < 1e-9
+        _, H = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (3, 9)), t=2, solver=SpsSolver(Lsu))
+        np.testing.assert_array_less(np.abs(H.sum(axis=0)), 1e-9)
 
     def test_t_must_be_positive(self, rng):
         g = strong_digraph(rng, 5)
@@ -80,13 +80,25 @@ class TestPowerIterate:
         Lu = symmetrize(laplacian(g))
         with pytest.raises(ValueError, match="r x n"):
             power_iterate(Lu, Lu, np.ones(5), solver=SpsSolver(Lu))
-        assert power_iterate(Lu, Lu, np.ones((0, 5)), solver=SpsSolver(Lu)) == []
+        mu, H = power_iterate(Lu, Lu, np.ones((0, 5)), solver=SpsSolver(Lu))
+        assert mu.shape == (0,) and H.shape == (5, 0)
+
+    def test_block_of_estimates_and_iterates(self, rng):
+        # One array of r estimates and one n x r block of unit columns that
+        # owns its data: no view that keeps another buffer alive.
+        g, seed, _ = seeded_case(rng, 12)
+        Lgu = symmetrize(laplacian(g))
+        Lsu = symmetrize(laplacian(seed.graph))
+        mu, H = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (4, 12)), t=3, solver=SpsSolver(Lsu))
+        assert isinstance(mu, np.ndarray) and mu.shape == (4,)
+        assert H.shape == (12, 4) and H.flags.owndata
+        np.testing.assert_allclose(np.linalg.norm(H, axis=0), 1.0, rtol=1e-12)
 
 
-def score_one(h_list, g, eid, L_S, weight=None):
+def score_one(H, g, eid, L_S, weight=None):
     """score_edges on the single edge eid of g: (sensitivity, embedding)."""
     w = g.weights[[eid]] if weight is None else np.array([weight])
-    sens, emb = score_edges(h_list, L_S, g.tails[[eid]], g.heads[[eid]], w)
+    sens, emb = score_edges(H, L_S, g.tails[[eid]], g.heads[[eid]], w)
     return sens[0], emb[0]
 
 
@@ -94,7 +106,7 @@ class TestEdgeSensitivity:
     def test_allones_vector_gives_zero(self, rng):
         g, seed, off = seeded_case(rng, 8)
         L_S = laplacian(seed.graph)
-        sens, _ = score_edges([np.ones(8)], L_S, g.tails[off[:3]], g.heads[off[:3]], g.weights[off[:3]])
+        sens, _ = score_edges(np.ones((8, 1)), L_S, g.tails[off[:3]], g.heads[off[:3]], g.weights[off[:3]])
         np.testing.assert_array_equal(sens, 0.0)
 
     def test_matches_dense_assembly(self, rng):
@@ -104,7 +116,7 @@ class TestEdgeSensitivity:
             Ld = L_S.toarray()
             h = rng.standard_normal(7)
             h -= h.mean()
-            got, _ = score_edges([h], L_S, g.tails[off], g.heads[off], g.weights[off])
+            got, _ = score_edges(h[:, None], L_S, g.tails[off], g.heads[off], g.weights[off])
             for i, eid in enumerate(off):
                 p, q, w = int(g.tails[eid]), int(g.heads[eid]), g.weights[eid]
                 e = np.zeros(7)
@@ -118,18 +130,18 @@ class TestEdgeSensitivity:
         g, seed, off = seeded_case(rng, 8)
         L_S = laplacian(seed.graph)
         h = rng.standard_normal(8)
-        s1, _ = score_one([h], g, off[0], L_S, weight=1.0)
-        s2, _ = score_one([h], g, off[0], L_S, weight=2.0)
+        s1, _ = score_one(h[:, None], g, off[0], L_S, weight=1.0)
+        s2, _ = score_one(h[:, None], g, off[0], L_S, weight=2.0)
         assert s2 == pytest.approx(2 * s1)
 
     def test_mean_over_vectors(self, rng):
         g, seed, off = seeded_case(rng, 8)
         L_S = laplacian(seed.graph)
-        hs = [rng.standard_normal(8) for _ in range(4)]
-        sens, emb = score_edges(hs, L_S, g.tails[off], g.heads[off], g.weights[off])
+        H = np.column_stack([rng.standard_normal(8) for _ in range(4)])
+        sens, emb = score_edges(H, L_S, g.tails[off], g.heads[off], g.weights[off])
         singles = []
-        for k, h in enumerate(hs):
-            single, single_emb = score_edges([h], L_S, g.tails[off], g.heads[off], g.weights[off])
+        for k in range(4):
+            single, single_emb = score_edges(H[:, [k]], L_S, g.tails[off], g.heads[off], g.weights[off])
             np.testing.assert_array_equal(single_emb[:, 0], emb[:, k])
             singles.append(single)
         np.testing.assert_allclose(sens, np.mean(singles, axis=0), rtol=1e-12, atol=1e-15)
@@ -140,21 +152,21 @@ class TestEdgeEmbedding:
         g = DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
         S = g.subgraph([2])  # only edge (1, 2): node 0 has no out-edge in S
         h = np.array([0.5, -0.2, -0.3])
-        _, emb = score_one([h], g, 0, laplacian(S))  # edge (0, 1)
+        _, emb = score_one(h[:, None], g, 0, laplacian(S))  # edge (0, 1)
         np.testing.assert_array_equal(emb, [0.0])
 
     def test_single_shared_edge_formula(self):
         g = DirectedGraph(3, [(0, 1, 2.0), (0, 2, 1.0)])
         S = g.subgraph([0])  # keeps (0, 1, 2.0)
         h = np.array([0.7, -0.1, -0.6])
-        _, emb = score_one([h], g, 1, laplacian(S))  # edge (0, 2)
+        _, emb = score_one(h[:, None], g, 1, laplacian(S))  # edge (0, 2)
         expected = 2 * 2.0 * (h[0] - h[2]) * (h[0] - h[1])
         assert emb[0] == pytest.approx(expected)
 
     def test_length_matches_vector_count(self, rng):
         g, seed, off = seeded_case(rng, 8)
-        hs = [rng.standard_normal(8) for _ in range(5)]
-        _, emb = score_one(hs, g, off[0], laplacian(seed.graph))
+        H = np.column_stack([rng.standard_normal(8) for _ in range(5)])
+        _, emb = score_one(H, g, off[0], laplacian(seed.graph))
         assert emb.shape == (5,)
 
 
@@ -166,24 +178,29 @@ def no_tails(embeddings):
     return np.zeros(len(embeddings), dtype=np.int64)
 
 
+# Out-degrees with node 0, the tail of every row of ``no_tails``, at 0: no
+# candidate is excluded.
+FREE = np.zeros(1, dtype=np.int64)
+
+
 class TestFilterSimilarEdges:
     def test_identical_embeddings_keep_first(self):
         E = rows([[1.0, 2.0]] * 4)
-        kept = filter_similar_edges(E, no_tails(E), epsilon=0.9, d_out=10)
+        kept = filter_similar_edges(E, no_tails(E), epsilon=0.9, d_out=10, out_degrees=FREE)
         assert kept.tolist() == [0]
 
     def test_orthogonal_embeddings_keep_all(self):
         E = np.eye(4)
-        kept = filter_similar_edges(E, no_tails(E), epsilon=0.9, d_out=10)
+        kept = filter_similar_edges(E, no_tails(E), epsilon=0.9, d_out=10, out_degrees=FREE)
         assert kept.tolist() == [0, 1, 2, 3]
 
     def test_single_candidate_kept(self):
-        kept = filter_similar_edges(rows([[0.3, 0.4]]), [0], epsilon=0.5, d_out=1)
+        kept = filter_similar_edges(rows([[0.3, 0.4]]), [0], epsilon=0.5, d_out=1, out_degrees=FREE)
         assert kept.tolist() == [0]
 
     def test_empty_input(self):
-        assert filter_similar_edges(np.empty((0, 3)), [], epsilon=0.9, d_out=5).size == 0
-        assert filter_similar_edges([], [], epsilon=0.9, d_out=5).size == 0
+        assert filter_similar_edges(np.empty((0, 3)), [], epsilon=0.9, d_out=5, out_degrees=FREE).size == 0
+        assert filter_similar_edges([], [], epsilon=0.9, d_out=5, out_degrees=FREE).size == 0
 
     def test_out_degree_cap(self):
         kept = filter_similar_edges(np.eye(3), [0, 1, 0], epsilon=0.9, d_out=2, out_degrees=np.array([2, 0]))
@@ -191,25 +208,25 @@ class TestFilterSimilarEdges:
 
     def test_subset_in_input_order(self, rng):
         E = rng.standard_normal((10, 4))
-        kept = filter_similar_edges(E, no_tails(E), epsilon=0.7, d_out=10)
+        kept = filter_similar_edges(E, no_tails(E), epsilon=0.7, d_out=10, out_degrees=FREE)
         assert kept.tolist() == sorted(set(kept.tolist()))
         assert set(kept.tolist()) <= set(range(10))
 
     def test_idempotent(self, rng):
         E = rng.standard_normal((12, 3))
-        once = filter_similar_edges(E, no_tails(E), epsilon=0.8, d_out=10)
-        twice = filter_similar_edges(E[once], no_tails(once), epsilon=0.8, d_out=10)
+        once = filter_similar_edges(E, no_tails(E), epsilon=0.8, d_out=10, out_degrees=FREE)
+        twice = filter_similar_edges(E[once], no_tails(once), epsilon=0.8, d_out=10, out_degrees=FREE)
         assert twice.tolist() == list(range(once.size))
 
     def test_epsilon_validated(self):
         with pytest.raises(ValueError, match="epsilon"):
-            filter_similar_edges(np.empty((0, 1)), [], epsilon=1.5, d_out=3)
+            filter_similar_edges(np.empty((0, 1)), [], epsilon=1.5, d_out=3, out_degrees=FREE)
 
 
-def filter_reference(E, tails, epsilon, d_out, out_degrees=None):
+def filter_reference(E, tails, epsilon, d_out, out_degrees):
     """The filter as a loop over candidates that rebuilds the kept matrix for
     every candidate; returns the kept row indices."""
-    pool = [i for i in range(len(E)) if out_degrees is None or out_degrees[tails[i]] < d_out]
+    pool = [i for i in range(len(E)) if out_degrees[tails[i]] < d_out]
     if not pool:
         return []
     kept = [pool[0]]
@@ -260,7 +277,7 @@ def edge_rows(rng, m, r, epsilon):
     return rng.permutation(np.asarray(out[:m]))
 
 
-def check_against_loop(E, tails, epsilon, d_out, out_degrees=None, buffer=None):
+def check_against_loop(E, tails, epsilon, d_out, out_degrees, buffer=None):
     with filter_buffer(buffer):
         got = filter_similar_edges(E, tails, epsilon, d_out, out_degrees)
     assert got.tolist() == filter_reference(E, tails, epsilon, d_out, out_degrees)
@@ -286,7 +303,7 @@ class TestFilterAgainstLoop:
         rng = np.random.default_rng(seed)
         E = rng.integers(-2, 3, size=(m, r)).astype(float)
         tails = rng.integers(0, 6, m)
-        out_degrees = rng.integers(0, d_out + 2, 6) if capped else None
+        out_degrees = rng.integers(0, d_out + 2, 6) if capped else np.zeros(6, dtype=np.int64)
         check_against_loop(E, tails, epsilon, d_out, out_degrees, buffer)
 
     @settings(max_examples=40, deadline=None)
@@ -304,7 +321,7 @@ class TestFilterAgainstLoop:
         # spans several blocks for every r.
         rng = np.random.default_rng(seed)
         E = clustered_rows(rng, m, r, 4) if kind == "clustered" else edge_rows(rng, m, r, epsilon)
-        check_against_loop(E, np.zeros(m, dtype=np.int64), epsilon, 10, None, buffer)
+        check_against_loop(E, np.zeros(m, dtype=np.int64), epsilon, 10, FREE, buffer)
 
     @pytest.mark.parametrize("epsilon", EPSILONS)
     @pytest.mark.parametrize("buffer", [16, 64, None])
@@ -312,7 +329,7 @@ class TestFilterAgainstLoop:
         rng = np.random.default_rng(int(epsilon * 1000))
         for r in (2, 9, 16):
             E = edge_rows(rng, 400, r, epsilon)
-            check_against_loop(E, np.zeros(400, dtype=np.int64), epsilon, 10, None, buffer)
+            check_against_loop(E, np.zeros(400, dtype=np.int64), epsilon, 10, FREE, buffer)
 
     @pytest.mark.parametrize("epsilon", EPSILONS)
     def test_all_equal_norms(self, rng, epsilon):
@@ -321,8 +338,8 @@ class TestFilterAgainstLoop:
         v = rng.standard_normal(8)
         E = v * rng.choice([-1.0, 1.0], size=(500, 8))
         E[::7] = 0.0
-        check_against_loop(E, np.zeros(500, dtype=np.int64), epsilon, 10)
-        check_against_loop(E, np.zeros(500, dtype=np.int64), epsilon, 10, buffer=32)
+        check_against_loop(E, np.zeros(500, dtype=np.int64), epsilon, 10, FREE)
+        check_against_loop(E, np.zeros(500, dtype=np.int64), epsilon, 10, FREE, buffer=32)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-120, 1e120, 1e160, np.inf])
     def test_norms_outside_the_window_range(self, rng, scale):
@@ -330,11 +347,11 @@ class TestFilterAgainstLoop:
         # a nan or inf row): every pair is compared, as the loop compares it.
         E = clustered_rows(rng, 300, 4, 2)
         E[rng.integers(0, 300, 30)] *= scale
-        check_against_loop(E, np.zeros(300, dtype=np.int64), 0.9, 10)
+        check_against_loop(E, np.zeros(300, dtype=np.int64), 0.9, 10, FREE)
 
     def test_epsilon_below_the_slack(self, rng):
         E = clustered_rows(rng, 300, 3, 2)
-        check_against_loop(E, np.zeros(300, dtype=np.int64), 1e-12, 10)
+        check_against_loop(E, np.zeros(300, dtype=np.int64), 1e-12, 10, FREE)
 
     def test_equal_norms_keep_the_buffers_bounded(self, rng):
         # 2000 rows of (nearly) one norm, all kept: every pair is in the
@@ -344,7 +361,7 @@ class TestFilterAgainstLoop:
         E /= np.linalg.norm(E, axis=1, keepdims=True)
         tracemalloc.start()
         try:
-            kept = filter_similar_edges(E, np.zeros(2000, dtype=np.int64), 0.999, 10)
+            kept = filter_similar_edges(E, np.zeros(2000, dtype=np.int64), 0.999, 10, FREE)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -353,8 +370,8 @@ class TestFilterAgainstLoop:
 
     def test_tie_at_epsilon_is_dropped(self):
         E = rows([[2.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-        kept = filter_similar_edges(E, no_tails(E), epsilon=0.5, d_out=10)
-        assert kept.tolist() == [0, 2] == filter_reference(E, no_tails(E), 0.5, 10)
+        kept = filter_similar_edges(E, no_tails(E), epsilon=0.5, d_out=10, out_degrees=FREE)
+        assert kept.tolist() == [0, 2] == filter_reference(E, no_tails(E), 0.5, 10, FREE)
 
     def test_fully_excluded_pool(self):
         assert filter_similar_edges(np.eye(3), [0, 1, 2], epsilon=0.9, d_out=2, out_degrees=[2, 3, 5]).size == 0
@@ -382,10 +399,8 @@ class TestRankingAgainstExactOracle:
             true_top = max(exact, key=lambda e: exact[e])
 
             solver = SpsSolver(Lsu)
-            pairs = estimate_mu(laplacian(g), Lsu, rng.uniform(-1, 1, size=(8, g.n)), 3, solver)
-            approx, _ = score_edges(
-                [pair.h for pair in pairs], laplacian(seed.graph), g.tails[off], g.heads[off], g.weights[off]
-            )
+            _, H = estimate_mu(laplacian(g), Lsu, rng.uniform(-1, 1, size=(8, g.n)), 3, solver)
+            approx, _ = score_edges(H, laplacian(seed.graph), g.tails[off], g.heads[off], g.weights[off])
             rank = np.argsort(-approx)
             pos = int(np.nonzero(np.array(off)[rank] == true_top)[0][0])
             trials += 1

@@ -338,8 +338,8 @@ class TestBlockSolve:
     """A block right-hand side is solved column by column in one PCG run."""
 
     @staticmethod
-    def assert_columns_match(solver, B, X, stats, rel=1e-10, **kw):
-        singles = [solver.solve(B[:, j], **kw) for j in range(B.shape[1])]
+    def assert_columns_match(solver, B, X, stats, rel=1e-10):
+        singles = [solver.solve(B[:, j]) for j in range(B.shape[1])]
         for j, (x, _) in enumerate(singles):
             assert np.linalg.norm(X[:, j] - x) <= rel * np.linalg.norm(x)
         assert stats.iterations == max(s.iterations for _, s in singles)
@@ -363,18 +363,17 @@ class TestBlockSolve:
             Lu = sp.csr_array(Lu + sp.diags_array(rng.uniform(0.1, 1.0, n)))
         B = Lu @ rng.standard_normal((n, k))
         B = np.insert(B, min(zero_at, k), 0.0, axis=1)
-        solver = SpsSolver(Lu)
+        tol, max_iters = (1e-8, 400) if stopped_at is None else (1e-12, stopped_at)
+        solver = SpsSolver(Lu, SolverParams(tol=tol, max_iters=max_iters))
         assert solver.singular == singular
-        tol, max_iters = 1e-8, 400
         if stopped_at is not None:
             # Unpreconditioned, no column gets to 1e-12 within two steps:
             # max_iters stops every nonzero one, which returns its best iterate.
             solver._precond = lambda R: R.copy()
-            tol, max_iters = 1e-12, stopped_at
-        X, stats = solver.solve(B, tol=tol, max_iters=max_iters)
+        X, stats = solver.solve(B)
         assert X.shape == B.shape
         assert np.all(X[:, min(zero_at, k)] == 0.0)
-        singles = self.assert_columns_match(solver, B, X, stats, tol=tol, max_iters=max_iters)
+        singles = self.assert_columns_match(solver, B, X, stats)
         for j, (_, s) in enumerate(singles):
             if j == min(zero_at, k):
                 assert s.converged and s.iterations == 0 and s.residual == 0.0
@@ -389,8 +388,6 @@ class TestBlockSolve:
         # stopped by max_iters must hand back an earlier iterate.
         n = 60
         Lu = connected_symmetrized(rng, n)
-        solver = SpsSolver(Lu)
-        solver._precond = lambda R: R.copy()
         B = Lu @ rng.standard_normal((n, 4))
 
         def residuals(X):
@@ -399,11 +396,13 @@ class TestBlockSolve:
         kept_earlier = 0
         X_prev, res_prev = np.zeros_like(B), np.ones(4)
         for max_iters in range(1, 25):
-            X, stats = solver.solve(B, tol=1e-14, max_iters=max_iters)
+            solver = SpsSolver(Lu, SolverParams(tol=1e-14, max_iters=max_iters))
+            solver._precond = lambda R: R.copy()
+            X, stats = solver.solve(B)
             assert not stats.converged and stats.iterations == max_iters
             # Unpreconditioned, the steps amplify the rounding in which block
             # and column reductions differ, hence the looser match.
-            self.assert_columns_match(solver, B, X, stats, rel=1e-6, tol=1e-14, max_iters=max_iters)
+            self.assert_columns_match(solver, B, X, stats, rel=1e-6)
             res = residuals(X)
             assert np.all(res <= res_prev * (1 + 1e-12))
             kept_earlier += int(np.sum(np.all(X == X_prev, axis=0)))
@@ -478,13 +477,13 @@ class TestShiftedFactor:
         make, factored = self.CASES[case]
         Lu = symmetrize(laplacian(make(rng)))
         calls = shifted_factor_spy(monkeypatch)
-        solver = SpsSolver(Lu)
+        solver = SpsSolver(Lu, SolverParams(tol=1e-8))
         assert len(calls) == factored
         if solver.reduced.shape[0] <= DENSE_MAX:
             assert solver.singular
             assert (nullity(solver.reduced) > 1) == factored
         b = Lu @ rng.standard_normal(Lu.shape[0])
-        x, stats = solver.solve(b, tol=1e-8)
+        x, stats = solver.solve(b)
         assert stats.converged and stats.residual <= 1e-8
         assert np.linalg.norm(b - Lu @ x) <= 1e-8 * np.linalg.norm(b)
         assert stats.iterations == 1
@@ -503,7 +502,7 @@ class TestCholeskyRoute:
             Lu = sp.csr_array(Lu + sp.diags_array(rng.uniform(0.1, 1.0, n)))
         with pytest.MonkeyPatch.context() as mp:
             calls = shifted_factor_spy(mp)
-            solver = SpsSolver(Lu)
+            solver = SpsSolver(Lu, SolverParams(tol=1e-8))
         assert solver.singular == singular and not calls
         r = rng.standard_normal(n)
         r -= r.mean()
@@ -513,7 +512,7 @@ class TestCholeskyRoute:
         z = solver._precond(r)
         assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)
         b = Lu @ rng.standard_normal(n)
-        x, stats = solver.solve(b, tol=1e-8)
+        x, stats = solver.solve(b)
         assert stats.converged and stats.iterations == 1
 
     def test_empty_system_builds_without_lapack(self):

@@ -210,10 +210,9 @@ class TestEstimateMu:
         g = strong_digraph(rng, 15)
         L = laplacian(g)
         Lu = symmetrize(L)
-        pairs = estimate_mu(L, Lu, rng.uniform(-1, 1, size=(8, g.n)), 3, SpsSolver(Lu))
-        assert len(pairs) == 8
-        for pair in pairs:
-            assert pair.mu == pytest.approx(1.0, abs=1e-9)
+        mu, H = estimate_mu(L, Lu, rng.uniform(-1, 1, size=(8, g.n)), 3, SpsSolver(Lu))
+        assert mu.shape == (8,) and H.shape == (g.n, 8)
+        np.testing.assert_allclose(mu, 1.0, rtol=0, atol=1e-9)
 
     def test_one_bounded_estimate_per_start(self, rng, monkeypatch):
         # All starts go through one power_iterate call as one block; each
@@ -232,15 +231,14 @@ class TestEstimateMu:
 
         monkeypatch.setattr(sparsify_module, "power_iterate", power_iterate_spy)
         starts = rng.uniform(-1, 1, size=(5, g.n))
-        pairs = estimate_mu(laplacian(g), Lsu, starts, 3, SpsSolver(Lsu))
-        assert len(calls) == 1 and len(pairs) == 5
+        mu, H = estimate_mu(laplacian(g), Lsu, starts, 3, SpsSolver(Lsu))
+        assert len(calls) == 1 and mu.shape == (5,) and H.shape == (g.n, 5) and H.flags.owndata
         assert np.array_equal(calls[0][2], starts)
-        for start, pair in zip(starts, pairs):
-            [alone] = power_iterate(Lgu, Lsu, start[None], t=3, solver=SpsSolver(Lsu))
-            assert pair.t == alone.t == 3 and pair.h.shape == (g.n,)
-            np.testing.assert_allclose(pair.h, alone.h, rtol=0, atol=1e-10 * np.linalg.norm(alone.h))
-            assert pair.mu == pytest.approx(alone.mu, rel=1e-10)
-            assert 1 - 1e-9 <= pair.mu <= mu_true * (1 + 1e-9)
+        for j, start in enumerate(starts):
+            (alone_mu,), alone_H = power_iterate(Lgu, Lsu, start[None], t=3, solver=SpsSolver(Lsu))
+            np.testing.assert_allclose(H[:, j], alone_H[:, 0], rtol=0, atol=1e-10 * np.linalg.norm(alone_H))
+            assert mu[j] == pytest.approx(alone_mu, rel=1e-10)
+            assert 1 - 1e-9 <= mu[j] <= mu_true * (1 + 1e-9)
 
 
 DATA = Path(__file__).parent / "data"

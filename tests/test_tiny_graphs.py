@@ -169,8 +169,15 @@ def test_self_loops_only(capsys, n, data, field, symmetry):
         g = read_matrix_market(path)
         assert g == DirectedGraph(n, [])
         check_cli(capsys, g, path, Path(tmp))
-        # A right-hand side off the (all-constant) range stalls: a data error.
+        # Every node is without edges, so b minus its mean must vanish: a
+        # right-hand side off the (all-constant) range is a data error, and
+        # a constant one gives x = 0.
         if n > 1:
             rhs = write_rhs(Path(tmp) / "off.txt", np.arange(n, dtype=float))
             code, stdout, err = run(capsys, "solve", "--input", path, "--rhs", rhs)
-            assert (code, stdout) == (2, "") and err.startswith("specsparse: error: sparsifier solve stalled")
+            message = "specsparse: error: right-hand side is inconsistent on nodes without edges"
+            assert (code, stdout) == (2, "") and err.startswith(message)
+        rhs = write_rhs(Path(tmp) / "ones.txt", np.ones(n))
+        out = Path(tmp) / "x.csv"
+        assert run(capsys, "solve", "--input", path, "--rhs", rhs, "--output", out) == (0, "", "")
+        assert out.read_text() == "node,x\n" + "".join(f"{i},0\n" for i in range(1, n + 1))
