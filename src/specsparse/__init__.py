@@ -5,7 +5,7 @@ from .mmio import ParseError, read_matrix_market, write_matrix_market
 from .seed import SeedSubgraph, build_seed, maximum_spanning_structure, symmetrized_transition
 from .solver import SolverParams, SolveStats, SpsSolver
 from .sensitivity import filter_similar_edges, power_iterate, score_edges
-from .sparsify import IterationReport, Sparsifier, SparsifyParams, estimate_mu, sparsify
+from .sparsify import IterationReport, Sparsifier, SparsifyParams, sparsify
 from .apps import (
     PageRankResult,
     Partitioning,

@@ -27,6 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .graphs import DirectedGraph, adjacency, laplacian, symmetrize, symmetrized_operator
+from .seed import _scc_labels, _sink_flags
 from .sensitivity import RESIDUAL_CAP
 from .solver import SolverParams, SpsSolver, _shifted_factor, _Sweep
 from .sparsify import Sparsifier
@@ -158,6 +159,8 @@ def _pagerank_comparison(g, sg, alpha, personalization, gs_sweeps, tol=1e-10, ma
     correlation of their vectors, and the correlation after ``gs_sweeps``
     Gauss-Seidel sweeps of g's system applied to sg's vector.
     """
+    if sg.n != g.n:
+        raise ValueError(f"sparsifier has {sg.n} nodes, graph has {g.n}")
     M = _transition(g)
     full = pagerank(g, alpha, personalization, tol, max_iters, transition=M)
     sparse_ = pagerank(sg, alpha, personalization, tol, max_iters)
@@ -195,6 +198,8 @@ def directed_solve(g: DirectedGraph, s, b, gs_sweeps=5, solver_params=None):
     ``SolveStats`` of the sparsifier solve.
     """
     sg = s.graph if isinstance(s, Sparsifier) else s
+    if sg.n != g.n:
+        raise ValueError(f"sparsifier has {sg.n} nodes, graph has {g.n}")
     L_G = laplacian(g)
     L_S = laplacian(sg)
     L_Su = symmetrize(L_S)
@@ -215,7 +220,7 @@ def directed_solve(g: DirectedGraph, s, b, gs_sweeps=5, solver_params=None):
     if not stats.converged and stats.residual > RESIDUAL_CAP:
         raise RuntimeError(f"sparsifier solve stalled at residual {stats.residual:.3e}")
     if gs_sweeps > 0:
-        L_Gu = L_G @ L_G.T
+        L_Gu = symmetrize(L_G)
         live = L_Gu.diagonal() > 0
         if live.all():
             y = _Sweep(L_Gu).run(y, b, gs_sweeps)
@@ -288,15 +293,24 @@ def spectral_partition(g: DirectedGraph, k, seed=0) -> Partitioning:
     eigenspace is valid, so part of it would give an arbitrary split.
 
     The eigenpairs come from ``_low_eigenpairs``: all n up to
-    ``DENSE_CUTOFF`` nodes, else the max(4k, 2k + 10) smallest.
+    ``DENSE_CUTOFF`` nodes, else the max(4k, 2k + 10, c + k) smallest, where
+    c, the multiplicity of eigenvalue 0, is the number of sink strongly
+    connected components of g.  An ARPACK route that still returns fewer
+    than c eigenvalues in the lowest group raises RuntimeError.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if g.n < k:
         raise ValueError(f"k={k} clusters need at least {k} nodes, the graph has {g.n}")
-    vals, vecs = _low_eigenpairs(laplacian(g), max(4 * k, 2 * k + 10), seed)
+    n_comp, labels = _scc_labels(g.n, g.tails, g.heads)
+    nullity = int(_sink_flags(n_comp, labels, g.tails, g.heads).sum())
+    vals, vecs = _low_eigenpairs(laplacian(g), max(4 * k, 2 * k + 10, nullity + k), seed)
 
     groups = _distinct_groups(vals)
+    if len(groups[0]) < nullity:
+        raise RuntimeError(
+            f"the eigensolver found {len(groups[0])} of the {nullity} null vectors of L_u"
+        )
     if len(groups) < k:
         raise ValueError(
             f"requested {k} distinct eigenvalues but only {len(groups)} are available"

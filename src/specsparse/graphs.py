@@ -5,8 +5,11 @@ out-degrees, so every *column* of L sums to zero.  Symmetrizing it as
 L_u = L L^T yields a symmetric positive semidefinite matrix with the all-ones
 vector in its null space; L_u behaves like an undirected Laplacian except that
 off-diagonals may turn positive (negative undirected edge weights) when the
-out-edges of a shared tail couple.  ``symmetrized_operator`` applies L_u as
-two products with L instead, for L_u that are only ever multiplied.
+out-edges of a shared tail couple.  ``symmetrize`` forms L_u as one sparse
+product, which stores no entry whose sum is exactly zero and keeps every
+other entry as computed, rounding-level residues of near-cancellations
+included.  ``symmetrized_operator`` applies L_u as two products with L
+instead, for L_u that are only ever multiplied.
 """
 
 from __future__ import annotations
@@ -23,10 +26,6 @@ __all__ = [
     "symmetrized_operator",
     "incidence_factorization",
 ]
-
-# Relative cutoff below which symmetrization entries are treated as exact
-# cancellations and dropped.
-CANCEL_TOL = 1e-14
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -151,10 +150,7 @@ class DirectedGraph:
 
 def adjacency(g: DirectedGraph) -> sp.csr_array:
     """Adjacency matrix A with A[i, j] = w for each directed edge (i, j)."""
-    A = sp.coo_array((g.weights, (g.tails, g.heads)), shape=(g.n, g.n))
-    A = A.tocsr()
-    A.sum_duplicates()
-    return A
+    return sp.coo_array((g.weights, (g.tails, g.heads)), shape=(g.n, g.n)).tocsr()
 
 
 def laplacian(g: DirectedGraph) -> sp.csr_array:
@@ -162,50 +158,40 @@ def laplacian(g: DirectedGraph) -> sp.csr_array:
 
     Every column of L sums to zero and off-diagonals are non-positive.  Row
     sums vanish only when in- and out-degrees agree, so only the column-sum
-    property is guaranteed.
+    property is guaranteed.  L, like ``adjacency`` and the factors of
+    ``incidence_factorization``, is canonical CSR as converted: a
+    DirectedGraph has no duplicate pairs, no self-loops and only positive
+    weights, so no entry repeats or sums to zero.
     """
     rows = np.concatenate([g.tails, g.heads])
     cols = np.concatenate([g.tails, g.tails])
     vals = np.concatenate([g.weights, -g.weights])
-    L = sp.coo_array((vals, (rows, cols)), shape=(g.n, g.n)).tocsr()
-    L.sum_duplicates()
-    L.eliminate_zeros()
-    return L
+    return sp.coo_array((vals, (rows, cols)), shape=(g.n, g.n)).tocsr()
 
 
 def symmetrize(L: sp.sparray) -> sp.csr_array:
-    """Symmetrized Laplacian L_u = L L^T, computed sparsely.
+    """Symmetrized Laplacian L_u = L L^T as one sparse product, with sorted
+    indices.
 
     The result is SPS with the all-ones vector in its null space, and exactly
     symmetric: with L's column indices sorted, the product sums (i, j) and
-    (j, i) over the same k in the same order.  Entries whose magnitude falls
-    below CANCEL_TOL times both touching diagonals are treated as exact
-    cancellations and dropped (the pattern stays symmetric because the cutoff
-    is applied symmetrically).
+    (j, i) over the same k in the same order.  An entry whose sum is exactly
+    zero is not stored; a near-cancellation leaves its rounding-level residue
+    stored as computed.
     """
     L = sp.csr_array(L)
     if L.shape[0] != L.shape[1]:
         raise ValueError(f"expected square matrix, got {L.shape}")
     if not L.has_sorted_indices:
         L = L.sorted_indices()
-    Lu = (L @ L.T).tocoo()
-
-    diag = np.zeros(Lu.shape[0])
-    on_diag = Lu.row == Lu.col
-    diag[Lu.row[on_diag]] = Lu.data[on_diag]
-
-    cut = CANCEL_TOL * np.maximum(diag[Lu.row], diag[Lu.col])
-    keep = on_diag | (np.abs(Lu.data) >= cut)
-    out = sp.coo_array(
-        (Lu.data[keep], (Lu.row[keep], Lu.col[keep])), shape=Lu.shape
-    ).tocsr()
-    out.eliminate_zeros()
-    return out
+    Lu = L @ L.T
+    Lu.sort_indices()
+    return Lu
 
 
 def symmetrized_operator(L: sp.sparray) -> spla.LinearOperator:
     """L_u = L L^T as the operator v -> L (L^T v) on vectors and n x k
-    blocks; L^T is built once.  Not formed, so no cancellation is dropped."""
+    blocks; L^T is built once."""
     L = sp.csr_array(L)
     if L.shape[0] != L.shape[1]:
         raise ValueError(f"expected square matrix, got {L.shape}")
@@ -238,8 +224,6 @@ def incidence_factorization(g: DirectedGraph):
         ),
         shape=(m, g.n),
     ).tocsr()
-    B.sum_duplicates()
-    B.eliminate_zeros()  # self-loops cancel to an all-zero row
     C = sp.coo_array((np.ones(m), (ids, g.tails)), shape=(m, g.n)).tocsr()
     W = sp.dia_array((g.weights[np.newaxis, :], [0]), shape=(m, m)).tocsr()
     return B, C, W

@@ -4,12 +4,13 @@ Starting from the spanning-structure seed, each iteration scores the
 off-subgraph edges by spectral sensitivity, keeps the top slice, prunes
 spectrally-similar ones, tentatively adds the survivors and re-estimates the
 dominant generalized eigenvalue; the addition sticks only if the eigenvalue
-dropped.  ``estimate_mu`` runs the power iteration from r random starts as
-one block: each step applies L_Gu = L_G L_G^T as two sparse products and
-makes one block solve with the subgraph's L_Su, the only Laplacian product
-ever formed.  Rejected batches are blacklisted until the next accepted
-batch, which rules out livelock without discarding edges forever.  Kept
-edges always retain their original weights.
+dropped.  Each evaluation runs ``power_iterate`` from r random starts as
+one block: each step applies L_Gu = L_G L_G^T as two sparse products, through
+one ``symmetrized_operator`` built per ``sparsify`` call, and makes one block
+solve with the subgraph's L_Su, the only Laplacian product ever formed.
+Rejected batches are blacklisted until the next accepted batch, which rules
+out livelock without discarding edges forever.  Kept edges always retain
+their original weights.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .seed import build_seed
 from .sensitivity import filter_similar_edges, power_iterate, score_edges
 from .solver import SolverParams, SpsSolver
 
-__all__ = ["SparsifyParams", "IterationReport", "Sparsifier", "sparsify", "estimate_mu"]
+__all__ = ["SparsifyParams", "IterationReport", "Sparsifier", "sparsify"]
 
 
 @dataclass
@@ -51,6 +52,8 @@ class SparsifyParams:
             raise ValueError("alpha_percent must lie in (0, 100]")
         if self.d_out < 1 or self.t < 1:
             raise ValueError("d_out and t must be >= 1")
+        if self.r is not None and self.r < 1:
+            raise ValueError(f"r must be >= 1, got {self.r}")
         if self.iter_max < 0:
             raise ValueError("iter_max must be >= 0")
         if not 0 < self.epsilon < 1:
@@ -58,7 +61,7 @@ class SparsifyParams:
 
     def resolve_r(self, n):
         if self.r is not None:
-            return max(1, int(self.r))
+            return int(self.r)
         return int(np.clip(np.ceil(np.log2(max(n, 2))), 4, 16))
 
 
@@ -91,25 +94,15 @@ def _rng_for(seed, iteration):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(iteration,)))
 
 
-def estimate_mu(L_G, L_Su, starts, t, solver):
-    """t-step power-iteration estimates for the pencil (L_G L_G^T, L_Su).
-
-    Returns ``power_iterate``'s (mu, H): one estimate per row of ``starts``
-    and the n x r block of final iterates.  All rows run through one
-    ``power_iterate`` call as one block; L_G L_G^T is applied as
-    ``symmetrized_operator(L_G)`` and never formed.
-    """
-    return power_iterate(symmetrized_operator(L_G), L_Su, starts, t=t, solver=solver)
-
-
-def _evaluate(g, L_G, kept, r, t, solver_params, rng):
+def _evaluate(g, L_Gu, kept, r, t, solver_params, rng):
     """Estimate (mu_max, block of iterates) for the subgraph of the edges
-    where the mask ``kept`` holds; mu_max is the largest estimate, or 0."""
+    where the mask ``kept`` holds, against g's L_Gu (an operator); mu_max is
+    the largest estimate, or 0."""
     S = g.subgraph(np.flatnonzero(kept))
     L_S = laplacian(S)
     L_Su = symmetrize(L_S)
     solver = SpsSolver(L_Su, params=solver_params)
-    mu, H = estimate_mu(L_G, L_Su, rng.uniform(-1.0, 1.0, size=(r, g.n)), t, solver)
+    mu, H = power_iterate(L_Gu, L_Su, rng.uniform(-1.0, 1.0, size=(r, g.n)), t=t, solver=solver)
     # The loop keeps H across evaluations.  Made while the solver's factor
     # was alive, the block pins the top of the heap above the factor's freed
     # pages; copied after the factor is freed, it does not (clustered4k peak
@@ -137,13 +130,13 @@ def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifi
     kept = np.zeros(m, dtype=bool)
     kept[seed.kept_edge_ids] = True
 
-    L_G = laplacian(g)
+    L_Gu = symmetrized_operator(laplacian(g))
     r = params.resolve_r(g.n)
 
     t0 = time.perf_counter()
     try:
         mu, H, S, L_S = _evaluate(
-            g, L_G, kept, r, params.t, params.solver, _rng_for(params.seed, 0)
+            g, L_Gu, kept, r, params.t, params.solver, _rng_for(params.seed, 0)
         )
     except RuntimeError:
         # Pencil is ill-posed (e.g. several attractor components whose null
@@ -188,7 +181,7 @@ def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifi
         tentative[new_ids] = True
         try:
             mu_new, H_new, S_new, L_S_new = _evaluate(
-                g, L_G, tentative, r, params.t, params.solver, _rng_for(params.seed, iteration)
+                g, L_Gu, tentative, r, params.t, params.solver, _rng_for(params.seed, iteration)
             )
         except RuntimeError:
             reports.append(

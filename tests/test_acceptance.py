@@ -106,7 +106,8 @@ def test_criterion_03_eigen_oracle_equivalence():
         true_top = max(exact, key=lambda e: exact[e])
 
         solver = SpsSolver(Lsu)
-        _, H = ss.estimate_mu(ss.laplacian(g), Lsu, rng.uniform(-1, 1, size=(8, n)), 3, solver)
+        starts = rng.uniform(-1, 1, size=(8, n))
+        _, H = ss.power_iterate(ss.symmetrized_operator(ss.laplacian(g)), Lsu, starts, t=3, solver=solver)
         approx, _ = ss.score_edges(H, ss.laplacian(seed.graph), g.tails[off], g.heads[off], g.weights[off])
         rank = np.argsort(-approx)
         pos = int(np.nonzero(np.array(off)[rank] == true_top)[0][0])

@@ -230,6 +230,11 @@ class TestPageRankCorrelation:
         braw, _ = pagerank_correlation(g, baseline_graph)
         assert raw >= braw - 0.02
 
+    def test_sparsifier_size_mismatch(self, rng):
+        g = strong_digraph(rng, 12)
+        with pytest.raises(ValueError, match="sparsifier has 13 nodes, graph has 12"):
+            pagerank_correlation(g, DirectedGraph(13, []))
+
     def test_smoothing_helps(self, rng):
         g = strong_digraph(rng, 40)
         res = sparsify(g, SparsifyParams(iter_max=4, mu_limit=1.0, seed=1, alpha_percent=10))
@@ -301,6 +306,11 @@ class TestDirectedSolve:
             x, _ = directed_solve(g, g, b, gs_sweeps=sweeps)
         want = L_G.T @ (gs_loop(L_G, y0, b, sweeps) if sweeps else y0)
         assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_sparsifier_size_mismatch(self, rng):
+        g = strong_digraph(rng, 12)
+        with pytest.raises(ValueError, match="sparsifier has 11 nodes, graph has 12"):
+            directed_solve(g, DirectedGraph(11, []), np.zeros(12))
 
     def test_sparsifier_path_matches_the_per_node_loop(self, rng):
         g = strong_digraph(rng, 80)
@@ -448,12 +458,28 @@ class TestSpectralPartition:
 
     @pytest.mark.parametrize("dense_cutoff", [2000, 0])
     def test_k_inside_an_eigenvalue_group_raises(self, monkeypatch, dense_cutoff):
-        # k = 4 would take 4 of the 20 null vectors (of those the eigensolver
-        # finds), and the split would depend on which basis it returns.
+        # k = 4 would take 4 of the 20 null vectors, and the split would
+        # depend on which basis the eigensolver returns.  With 18 eigenpairs
+        # (max(4k, 2k + 10)) shift-invert found only 10 of them; the request
+        # of c + k = 24 finds all 20.
         g = random_digraph(np.random.default_rng(3), 300)
         monkeypatch.setattr(apps, "DENSE_CUTOFF", dense_cutoff)
-        with pytest.raises(ValueError, match=r"would take 4 of the \d+ eigenvectors"):
+        with pytest.raises(ValueError, match=r"would take 4 of the 20 eigenvectors"):
             spectral_partition(g, 4)
+
+    def test_partial_null_space_raises(self, monkeypatch):
+        # An eigensolver that returns fewer null vectors than g has sink
+        # components (20 here) leaves the zero group incomplete.
+        g = random_digraph(np.random.default_rng(3), 300)
+        low = apps._low_eigenpairs
+
+        def short(L, want, seed, **kwargs):
+            vals, vecs = low(L, want, seed, **kwargs)
+            return vals[1:], vecs[:, 1:]
+
+        monkeypatch.setattr(apps, "_low_eigenpairs", short)
+        with pytest.raises(RuntimeError, match="found 19 of the 20 null vectors"):
+            spectral_partition(g, 20)
 
 
 class TestKmeans:

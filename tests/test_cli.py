@@ -96,6 +96,17 @@ class TestDataErrors:
         code, _, err = run(capsys, "solve", "--input", graph_file, "--rhs", rhs)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["pagerank", "solve", "spectrum"])
+    def test_sparsifier_size_mismatch(self, capsys, graph_file, tmp_path, command):
+        small = tmp_path / "small.mtx"
+        write_matrix_market(DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]), small)
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("0.0\n" * 40)
+        extra = ["--rhs", rhs] if command == "solve" else []
+        code, stdout, err = run(capsys, command, "--input", graph_file, "--sparsifier", small, *extra)
+        assert (code, stdout) == (2, "")
+        assert err == "specsparse: error: sparsifier has 3 nodes, graph has 40\n"
+
 
 class TestSparsifyCommand:
     def test_creates_output_and_report(self, capsys, graph_file, tmp_path):
@@ -136,6 +147,16 @@ class TestSparsifyCommand:
             )
             assert code == 0
         assert r1.read_bytes() == r2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--r", "0", "r must be >= 1, got 0"), ("--r", "-2", "r must be >= 1, got -2"),
+         ("--t", "0", "d_out and t must be >= 1")],
+    )
+    def test_counts_below_one_are_data_errors(self, capsys, graph_file, flag, value, message):
+        code, stdout, err = run(capsys, "sparsify", "--input", graph_file, flag, value)
+        assert (code, stdout) == (2, "")
+        assert err == f"specsparse: error: {message}\n"
 
     @pytest.mark.parametrize("tol", ["0", "-1"])
     def test_nonpositive_solver_tol_is_data_error(self, capsys, graph_file, tol):

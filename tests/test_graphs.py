@@ -231,18 +231,11 @@ class TestLaplacian:
 
 
 def averaged_symmetrize(L):
-    """L L^T averaged with its transpose, then filtered as ``symmetrize``
-    filters: the construction from before the product was known to be
-    exactly symmetric."""
+    """L L^T averaged with its transpose, in canonical CSR: the construction
+    from before the product was known to be exactly symmetric."""
     Lu = (L @ L.T).tocsr()
-    Lu = ((Lu + Lu.T) * 0.5).tocoo()
-    diag = np.zeros(Lu.shape[0])
-    on_diag = Lu.row == Lu.col
-    diag[Lu.row[on_diag]] = Lu.data[on_diag]
-    cut = 1e-14 * np.maximum(diag[Lu.row], diag[Lu.col])
-    keep = on_diag | (np.abs(Lu.data) >= cut)
-    out = sp.coo_array((Lu.data[keep], (Lu.row[keep], Lu.col[keep])), shape=Lu.shape).tocsr()
-    out.eliminate_zeros()
+    out = ((Lu + Lu.T) * 0.5).tocsr()
+    out.sum_duplicates()
     return out
 
 
@@ -316,16 +309,14 @@ class TestSymmetrize:
         unsorted = sp.csr_array((L.data[order], L.indices[order], L.indptr), shape=L.shape)
         assert_same_csr(symmetrize(unsorted), Lu)
 
-    def test_exact_cancellation_dropped(self):
-        # two tails pointing at the same pair with weights arranged so the
-        # coupling term cancels: 2 -> {0, 1} and edges chosen so that
-        # A_ki A_kj = A_ki D_kj + D_ki A_kj has a solution; the simplest case
-        # is a single tail with two unit edges into nodes that have no other
-        # edges, where the coupling is -w^2 + 0 + 0 != 0, so instead check
-        # the documented dropping rule directly on a crafted matrix.
-        L = sp.csr_array(np.array([[1.0, -1.0, 1e-20], [-1.0, 1.0, 0.0], [1e-20, 0.0, 1.0]]))
-        out = symmetrize(L).toarray()
-        assert out[0, 2] == 0.0 and out[2, 0] == 0.0
+    def test_exact_cancellation_not_stored(self):
+        # Rows 0 and 1 of L are (1, 0, -1) and (-1, 0, -1): their products
+        # meet in column 0 (-1) and column 2 (+1), so (L L^T)[0, 1] sums to
+        # exactly 0, and neither it nor (1, 0) is stored.
+        g = DirectedGraph(3, [(0, 1, 1.0), (2, 0, 1.0), (2, 1, 1.0)])
+        Lu = symmetrize(laplacian(g))
+        np.testing.assert_array_equal(Lu.toarray(), [[2.0, 0.0, -2.0], [0.0, 2.0, -2.0], [-2.0, -2.0, 4.0]])
+        assert Lu.nnz == 7 and Lu.has_canonical_format
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="square"):

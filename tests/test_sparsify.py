@@ -12,10 +12,11 @@ from specsparse import (
     SparsifyParams,
     SpsSolver,
     build_seed,
-    estimate_mu,
     laplacian,
+    power_iterate,
     sparsify,
     symmetrize,
+    symmetrized_operator,
 )
 from specsparse.synth import banded_digraph
 
@@ -36,6 +37,11 @@ class TestParams:
             SparsifyParams(epsilon=1.0)
         with pytest.raises(ValueError):
             SparsifyParams(d_out=0)
+
+    @pytest.mark.parametrize("r", [0, -2])
+    def test_r_below_one_rejected(self, r):
+        with pytest.raises(ValueError, match=f"r must be >= 1, got {r}"):
+            SparsifyParams(r=r)
 
     def test_r_default_clamped(self):
         p = SparsifyParams()
@@ -206,34 +212,29 @@ class TestSparsify:
 
 
 class TestEstimateMu:
+    """``power_iterate`` on the pencil of ``symmetrized_operator(L_G)`` and
+    L_Su, as ``sparsify`` runs it."""
+
     def test_identity_case(self, rng):
         g = strong_digraph(rng, 15)
         L = laplacian(g)
         Lu = symmetrize(L)
-        mu, H = estimate_mu(L, Lu, rng.uniform(-1, 1, size=(8, g.n)), 3, SpsSolver(Lu))
+        starts = rng.uniform(-1, 1, size=(8, g.n))
+        mu, H = power_iterate(symmetrized_operator(L), Lu, starts, t=3, solver=SpsSolver(Lu))
         assert mu.shape == (8,) and H.shape == (g.n, 8)
         np.testing.assert_allclose(mu, 1.0, rtol=0, atol=1e-9)
 
-    def test_one_bounded_estimate_per_start(self, rng, monkeypatch):
-        # All starts go through one power_iterate call as one block; each
-        # column matches the same start run alone.
+    def test_one_bounded_estimate_per_start(self, rng):
+        # All starts run as one block; each column matches the same start
+        # run alone against the formed L_Gu.
         g = strong_digraph(rng, 15)
         seed = build_seed(g)
         Lgu = symmetrize(laplacian(g))
         Lsu = symmetrize(laplacian(seed.graph))
         mu_true, _ = dense_pencil(Lgu, Lsu)
-        calls = []
-        power_iterate = sparsify_module.power_iterate
-
-        def power_iterate_spy(*args, **kwargs):
-            calls.append(args)
-            return power_iterate(*args, **kwargs)
-
-        monkeypatch.setattr(sparsify_module, "power_iterate", power_iterate_spy)
         starts = rng.uniform(-1, 1, size=(5, g.n))
-        mu, H = estimate_mu(laplacian(g), Lsu, starts, 3, SpsSolver(Lsu))
-        assert len(calls) == 1 and mu.shape == (5,) and H.shape == (g.n, 5) and H.flags.owndata
-        assert np.array_equal(calls[0][2], starts)
+        mu, H = power_iterate(symmetrized_operator(laplacian(g)), Lsu, starts, t=3, solver=SpsSolver(Lsu))
+        assert mu.shape == (5,) and H.shape == (g.n, 5) and H.flags.owndata
         for j, start in enumerate(starts):
             (alone_mu,), alone_H = power_iterate(Lgu, Lsu, start[None], t=3, solver=SpsSolver(Lsu))
             np.testing.assert_allclose(H[:, j], alone_H[:, 0], rtol=0, atol=1e-10 * np.linalg.norm(alone_H))
@@ -252,13 +253,13 @@ def disagreements(g, params, monkeypatch):
     """
     Lgu = symmetrize(laplacian(g))
     exact = []
-    estimate_mu = sparsify_module.estimate_mu
+    power_iterate = sparsify_module.power_iterate
 
-    def estimate_mu_spy(L_G, L_Su, *args, **kwargs):
+    def power_iterate_spy(L_Gu, L_Su, *args, **kwargs):
         exact.append(dense_pencil(Lgu, L_Su)[0])
-        return estimate_mu(L_G, L_Su, *args, **kwargs)
+        return power_iterate(L_Gu, L_Su, *args, **kwargs)
 
-    monkeypatch.setattr(sparsify_module, "estimate_mu", estimate_mu_spy)
+    monkeypatch.setattr(sparsify_module, "power_iterate", power_iterate_spy)
     res = sparsify(g, params)
     monkeypatch.undo()
     current, tried = exact[0], iter(exact[1:])
@@ -345,3 +346,19 @@ class TestCostGuards:
         res = sparsify(g, SparsifyParams(seed=0, **params))
         assert len(res.iterations) > 1
         assert calls == []
+
+    def test_one_symmetrized_operator_per_call(self, monkeypatch):
+        # L_Gu is the same operator in every evaluation: it is built once.
+        calls = []
+        real = sparsify_module.symmetrized_operator
+
+        def spy(L):
+            calls.append(L)
+            return real(L)
+
+        monkeypatch.setattr(sparsify_module, "symmetrized_operator", spy)
+        g = read_matrix_market(DATA / "synth115.mtx")
+        params = dict(d_out=10, iter_max=60, mu_limit=6.0, alpha_percent=10.0, epsilon=0.9, r=16, t=5)
+        res = sparsify(g, SparsifyParams(seed=0, **params))
+        assert len(res.iterations) > 2
+        assert len(calls) == 1
