@@ -110,7 +110,12 @@ def pagerank(
         pr = np.full(n, 1.0 / n)
     else:
         pr = np.asarray(personalization, dtype=np.float64)
-        if pr.shape != (n,) or pr.min() < 0 or abs(pr.sum() - 1.0) > 1e-8:
+        if (
+            pr.shape != (n,)
+            or not np.isfinite(pr).all()
+            or pr.min() < 0
+            or abs(pr.sum() - 1.0) > 1e-8
+        ):
             raise ValueError("personalization must be a nonnegative distribution over the nodes")
     M = _transition(g) if transition is None else transition
     damping = 1.0 - alpha

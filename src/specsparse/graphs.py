@@ -125,6 +125,11 @@ class DirectedGraph:
         any iterable), each once; canonical arrays under a mask stay canonical."""
         if not isinstance(edge_ids, np.ndarray):
             edge_ids = np.fromiter(edge_ids, dtype=np.int64)
+        if edge_ids.size:
+            lo, hi = edge_ids.min(), edge_ids.max()
+            if lo < 0 or hi >= self.num_edges:
+                bad = lo if lo < 0 else hi
+                raise ValueError(f"edge id {bad} out of range for m={self.num_edges}")
         keep = np.zeros(self.num_edges, dtype=bool)
         keep[edge_ids] = True
         sub = DirectedGraph(self.n, ())

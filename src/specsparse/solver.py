@@ -61,6 +61,8 @@ class SolverParams:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
 @dataclass

@@ -133,6 +133,15 @@ class TestPageRank:
         with pytest.raises(ValueError, match="personalization"):
             pagerank(g, personalization=np.array([1.0, 0, 0, 0, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_personalization_non_finite_rejected(self, rng, bad):
+        # min() < 0 and the sum check are both False for NaN, so a NaN entry
+        # would run every iteration and return a NaN vector
+        g = strong_digraph(rng, 5)
+        pr = np.array([0.5, 0.5, 0, 0, bad])
+        with pytest.raises(ValueError, match="personalization must be a nonnegative distribution"):
+            pagerank(g, personalization=pr)
+
     def test_alpha_validated(self, rng):
         g = strong_digraph(rng, 4)
         with pytest.raises(ValueError, match="alpha"):

@@ -50,6 +50,17 @@ class TestDirectedGraph:
             assert g.subgraph(iter(set(ids))) == rebuilt
             assert g.subgraph(np.array(ids, dtype=np.int64)) == rebuilt
 
+    @pytest.mark.parametrize("ids", [[-1], [0, -3], [3], [0, 1, 2, 7]])
+    def test_subgraph_rejects_out_of_range_ids(self, ids):
+        # a negative id would otherwise wrap around to an edge from the end
+        g = DirectedGraph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)])
+        bad = min(ids) if min(ids) < 0 else max(ids)
+        with pytest.raises(ValueError, match=rf"^edge id {bad} out of range for m=3$"):
+            g.subgraph(ids)
+        with pytest.raises(ValueError, match="out of range"):
+            g.subgraph(np.array(ids, dtype=np.int64))
+        assert g.subgraph([]).num_edges == 0
+
 
 def loop_reference(n, edges):
     """The per-edge dict loop ``DirectedGraph`` used to merge edges with."""

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import specsparse.seed as seed_mod
 from specsparse import (
     DirectedGraph,
     build_seed,
@@ -9,6 +13,9 @@ from specsparse import (
     symmetrize,
     symmetrized_transition,
 )
+from specsparse.mmio import read_matrix_market
+from specsparse.seed import _heaviest_per_group, _run_starts, _scc_labels, _sink_flags
+from specsparse.synth import clustered_digraph
 
 from conftest import nullity, random_digraph
 
@@ -263,3 +270,135 @@ class TestVectorizedAgainstLoops:
             kept, dangling = seed_loop_reference(g, forest_loop_reference(symmetrized_transition(g)))
             assert seed.added_for_dangling == dangling
             assert seed.kept_edge_ids == sorted(set(kept) | set(dangling) | set(seed.added_for_rank))
+
+
+def rank_repair_loop_reference(g, in_seed):
+    """The round loop ``seed._rank_repair`` replaced: one SCC pass over the
+    whole seed per round, and every spurious sink of that round given its
+    heaviest exit edge not in the seed."""
+    n = g.n
+    ng, lab_g = _scc_labels(n, g.tails, g.heads)
+    sink_g = _sink_flags(ng, lab_g, g.tails, g.heads)
+
+    before = in_seed.copy()
+    for _ in range(n):
+        ids = np.nonzero(in_seed)[0]
+        ns, lab_s = _scc_labels(n, g.tails[ids], g.heads[ids])
+        sink_s = _sink_flags(ns, lab_s, g.tails[ids], g.heads[ids])
+
+        comp_min = np.full(ns, n, dtype=np.int64)
+        np.minimum.at(comp_min, lab_s, np.arange(n))
+        gcomp = lab_g[comp_min]  # seed SCCs never straddle original SCCs
+
+        spurious = sink_s & ~sink_g[gcomp]
+        # Inside each original sink component, keep one anchor seed sink
+        # (smallest node id) and drain the rest.
+        sink_ids = np.nonzero(sink_s & sink_g[gcomp])[0]
+        sink_ids = sink_ids[np.lexsort((comp_min[sink_ids], gcomp[sink_ids]))]
+        spurious[sink_ids[~_run_starts(gcomp[sink_ids])]] = True
+        if not spurious.any():
+            break
+
+        cand = (
+            spurious[lab_s[g.tails]]
+            & (lab_s[g.tails] != lab_s[g.heads])
+            & ~in_seed
+        )
+        cand_ids = np.nonzero(cand)[0]
+        if cand_ids.size == 0:
+            break
+        chosen = _heaviest_per_group(g, cand_ids, lab_s[g.tails[cand_ids]])
+        in_seed[chosen] = True
+    return np.flatnonzero(in_seed & ~before)
+
+
+def assert_repair_matches_loop(g):
+    """Run ``build_seed`` and check its rank repair against the round loop,
+    started from the same mask."""
+    seen = {}
+    real = seed_mod._rank_repair
+
+    def spy(g_, in_seed):
+        seen["start"] = in_seed.copy()
+        seen["ids"] = real(g_, in_seed)
+        seen["end"] = in_seed.copy()
+        return seen["ids"]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seed_mod, "_rank_repair", spy)
+        seed = build_seed(g)
+    mask = seen["start"].copy()
+    ids = rank_repair_loop_reference(g, mask)
+    np.testing.assert_array_equal(seen["ids"], ids)
+    np.testing.assert_array_equal(seen["end"], mask)
+    assert seed.added_for_rank == ids.tolist()
+    return ids
+
+
+def disjoint_union(parts):
+    edges, base = [], 0
+    for part in parts:
+        edges += [(t + base, h + base, w) for t, h, w in part.edges]
+        base += part.n
+    return DirectedGraph(base, edges)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestRankRepairAgainstLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parts=st.lists(
+            st.tuples(st.booleans(), st.integers(1, 60), st.integers(0, 2**32 - 1)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_random_and_tied_graphs(self, parts):
+        # Tied integer weights exercise the (-w, tail, head) order; a union
+        # of parts has several sink components in g, each with its anchor.
+        graphs = []
+        for tied, n, s in parts:
+            rng = np.random.default_rng(s)
+            graphs.append(tied_digraph(rng, n) if tied else random_digraph(rng, n))
+        assert_repair_matches_loop(disjoint_union(graphs))
+
+    def test_clustered_needs_many_rounds(self):
+        # 474 edges over about 150 rounds, almost all after the first
+        ids = assert_repair_matches_loop(clustered_digraph(n=4000, k=8, seed=11))
+        assert ids.size > 400
+
+    def test_merged_sink_takes_over_the_anchor(self):
+        # g's one sink component is {0, 3, ..., 9}; a cycle closed after the
+        # first round is a new seed sink there holding a smaller node id than
+        # the anchor, which then becomes spurious in its turn
+        g = DirectedGraph(10, [
+            (0, 9, 1.7231018609893884), (1, 5, 1.2174596827190638), (1, 7, 1.514164509138078),
+            (2, 6, 1.4883484244423204), (2, 9, 0.9490728691255238), (3, 0, 0.670100120986519),
+            (3, 4, 1.4913160048815508), (3, 8, 0.8772973589085873), (4, 0, 1.8956853740343977),
+            (4, 5, 1.8239067530176674), (4, 9, 1.8854718147718708), (5, 8, 1.8273201908765577),
+            (6, 4, 0.6668234625846532), (6, 5, 1.322784681486), (6, 8, 1.0250889606536697),
+            (7, 0, 0.1864644038613458), (7, 4, 1.7219680974001776), (7, 9, 1.4089076116760295),
+            (8, 6, 0.1512576784989958), (9, 3, 0.8142651306336879), (9, 7, 0.47804427187806),
+        ])
+        assert assert_repair_matches_loop(g).size > 0
+
+    @pytest.mark.parametrize("name", ["synth115.mtx", "synth32.mtx"])
+    def test_bundled_inputs(self, name):
+        assert_repair_matches_loop(read_matrix_market(DATA / name))
+
+    def test_scc_passes_do_not_grow_with_rounds(self, monkeypatch):
+        # the loop made one pass per round (36 here); one for g and two for
+        # the seed remain
+        calls = []
+        real = seed_mod._scc_labels
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(seed_mod, "_scc_labels", counting)
+        seed = build_seed(clustered_digraph(n=400, k=4, seed=11))
+        assert seed.added_for_rank
+        assert len(calls) <= 3

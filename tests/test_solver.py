@@ -221,6 +221,13 @@ class TestSpsSolver:
         with pytest.raises(ValueError, match="tol must be positive"):
             SolverParams(tol=tol)
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_invalid_max_iters(self, max_iters):
+        # -1 would never equal the step count, so PCG would run without a cap
+        with pytest.raises(ValueError, match=f"max_iters must be at least 1, got {max_iters}"):
+            SolverParams(max_iters=max_iters)
+        assert SolverParams(max_iters=1).max_iters == 1
+
     def test_matches_pseudoinverse_on_random_systems(self, rng):
         # small systems take the dense pseudo-inverse, the last few the factor
         tol = 1e-9
