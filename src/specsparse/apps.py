@@ -96,13 +96,16 @@ def pagerank(
     """Fixed-point iteration of p = (1 - alpha) A^T D^-1 p + alpha * pr.
 
     ``personalization`` must be a nonnegative distribution summing to 1;
-    omitted, the uniform vector is used.  The result is a probability
-    distribution; non-convergence is flagged rather than raised.
+    omitted, the uniform vector is used.  The iteration stops when the
+    1-norm of a step is at most ``tol``, which must be positive, or after
+    ``max_iters`` >= 1 steps.  The result is a probability distribution;
+    non-convergence is flagged rather than raised.
     ``transition`` is g's operator A^T D^-1 when the caller has already
     built it (as ``pagerank_correlation`` has); omitted, it is built here.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
+    SolverParams(tol, max_iters)  # the same stopping-rule checks as the solver's
     n = g.n
     if n == 0:
         raise ValueError("PageRank needs a graph with at least one node")
@@ -149,6 +152,11 @@ def _pagerank_smoothed(M, p0, alpha, pr, sweeps):
     return p / s if s != 0 else p
 
 
+def _check_sweeps(gs_sweeps):
+    if gs_sweeps < 0:
+        raise ValueError(f"gs_sweeps must not be negative, got {gs_sweeps}")
+
+
 def _pearson(a, b):
     # Pearson of a vector with itself is exactly 1; corrcoef's normalization
     # loses the last ulp even for bit-identical inputs.
@@ -166,6 +174,7 @@ def _pagerank_comparison(g, sg, alpha, personalization, gs_sweeps, tol=1e-10, ma
     """
     if sg.n != g.n:
         raise ValueError(f"sparsifier has {sg.n} nodes, graph has {g.n}")
+    _check_sweeps(gs_sweeps)
     M = _transition(g)
     full = pagerank(g, alpha, personalization, tol, max_iters, transition=M)
     sparse_ = pagerank(sg, alpha, personalization, tol, max_iters)
@@ -178,8 +187,8 @@ def pagerank_correlation(g: DirectedGraph, s, alpha=0.15, personalization=None, 
     """Pearson correlation of PageRank on g vs on its sparsifier.
 
     Returns (raw, smoothed): the raw correlation of the two vectors, and the
-    correlation after a few Gauss-Seidel sweeps of the original-graph system
-    applied to the sparsifier's vector.
+    correlation after ``gs_sweeps`` (not negative) Gauss-Seidel sweeps of
+    the original-graph system applied to the sparsifier's vector.
     """
     sg = s.graph if isinstance(s, Sparsifier) else s
     return _pagerank_comparison(g, sg, alpha, personalization, gs_sweeps, tol, max_iters)[2:]
@@ -195,24 +204,29 @@ def directed_solve(g: DirectedGraph, s, b, gs_sweeps=5, solver_params=None):
     rows with a nonzero diagonal; an isolated node keeps its y_i.  b must lie
     in the range of L_Gu for the smoothed system to be consistent.
 
-    L_Su has the all-ones null vector, so a nonzero mean of b is projected
-    away.  A node without edges in the sparsifier is a zero row of L_Su,
-    which no y can meet: when b minus its mean is larger on those rows than
-    the solve accepts (relative ``RESIDUAL_CAP``, or the solver's tol if
-    larger), ValueError is raised before the solve.  Returns x and the
-    ``SolveStats`` of the sparsifier solve.
+    b is a vector or an n x k block, whose columns are solved alike.  L_Su
+    has the all-ones null vector, so a nonzero mean of b (of each column) is
+    projected away.  A node without edges in the sparsifier is a zero row
+    of L_Su, which no y can meet: when b minus its mean is larger on those
+    rows than the solve accepts (relative ``RESIDUAL_CAP``, or the solver's
+    tol if larger), ValueError is raised before the solve, as it is for a b
+    whose first dimension is not n and for a negative ``gs_sweeps``.
+    Returns x and the ``SolveStats`` of the sparsifier solve.
     """
     sg = s.graph if isinstance(s, Sparsifier) else s
     if sg.n != g.n:
         raise ValueError(f"sparsifier has {sg.n} nodes, graph has {g.n}")
+    _check_sweeps(gs_sweeps)
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim not in (1, 2) or b.shape[0] != g.n:
+        raise ValueError(f"rhs has shape {b.shape}, expected ({g.n},) or ({g.n}, k)")
     L_G = laplacian(g)
     L_S = laplacian(sg)
     L_Su = symmetrize(L_S)
     params = solver_params or SolverParams()
-    b = np.asarray(b, dtype=np.float64)
     free = L_Su.diagonal() == 0
     if free.any():
-        centered = b - b.mean()
+        centered = b - b.mean(axis=0)
         stray, total = np.linalg.norm(centered[free]), np.linalg.norm(centered)
         if stray > max(RESIDUAL_CAP, params.tol) * total:
             raise ValueError(
@@ -344,12 +358,15 @@ def kmeans(X, k, seed=0, restarts=10, max_iters=100):
     """Plain k-means with k-means++ seeding; best inertia over restarts wins.
 
     Labels are relabeled densely in order of first appearance so the output
-    is deterministic for a fixed seed.
+    is deterministic for a fixed seed.  ``restarts`` and ``max_iters`` must
+    be at least 1.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if not 2 <= k <= n:
         raise ValueError(f"k must lie in [2, {n}]")
+    if restarts < 1 or max_iters < 1:
+        raise ValueError(f"restarts and max_iters must be at least 1, got {restarts} and {max_iters}")
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(restarts):

@@ -1,17 +1,19 @@
-"""Preconditioned conjugate gradient for SPS Laplacian-like systems.
+"""Direct and preconditioned conjugate gradient solves of SPS Laplacian-like systems.
 
 Symmetrized Laplacians L_u = L L^T may carry positive off-diagonals, which
 rules out M-matrix-only methods.  ``SpsSolver`` drops the all-zero rows and
-runs conjugate gradient on the remaining (active) system, preconditioned by
-one operator built once per matrix.  Up to ``DENSE_MAX`` nodes it is the
-explicit inverse from a dense Cholesky factor: of the system itself, or, for
-a singular system with the all-ones null vector, of the system plus
-(d/n) 1 1^T (d its largest diagonal), which acts as the pseudo-inverse on the
-zero-mean subspace.  Larger systems, and small ones whose Cholesky factor is
-singular to working precision (a null space wider than the all-ones
-vector), get one SuperLU factor of the system shifted by ``FACTOR_SHIFT``
-(1e-12) of its largest diagonal.  Singular systems with the all-ones null
-vector are handled by deflation onto the zero-mean subspace.
+solves the remaining (active) system with one factor built once per matrix.
+Up to ``DENSE_MAX`` nodes it is a dense Cholesky factor: of the system
+itself, or, for a singular system with the all-ones null vector, of the
+system plus (d/n) 1 1^T (d its largest diagonal), which solves like the
+pseudo-inverse on the zero-mean subspace.  That factor solves the system
+directly; only columns whose residual misses the tolerance go on into
+conjugate gradient, preconditioned by the same factor.  Larger systems, and
+small ones whose Cholesky factor is singular to working precision (a null
+space wider than the all-ones vector), run preconditioned conjugate gradient
+with one SuperLU factor of the system shifted by ``FACTOR_SHIFT`` (1e-12) of
+its largest diagonal.  Singular systems with the all-ones null vector are
+handled by deflation onto the zero-mean subspace.
 The right-hand side may be an n x k block: its columns run through one
 column-wise conjugate gradient, one product and one preconditioner call per
 step for all columns still running.
@@ -32,14 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve, lapack
+from scipy.linalg import lapack
 from scipy.sparse.linalg._dsolve import _superlu
 
 __all__ = ["SolverParams", "SolveStats", "SpsSolver"]
 
-# Active systems up to this many nodes are preconditioned by the explicit
-# inverse of their dense Cholesky factor, which solves them in one CG step;
-# larger ones are factored sparsely.
+# Active systems up to this many nodes are solved directly by their dense
+# Cholesky factor; larger ones are factored sparsely and solved by PCG.
 DENSE_MAX = 200
 
 # Shift of the sparse factor, relative to the largest diagonal.  It keeps the
@@ -165,9 +166,27 @@ def _shifted_factor(A, shift):
     )
 
 
-def _cholesky_inverse(A, singular):
-    """Explicit inverse of the dense SPS matrix A, deflated when ``singular``,
-    or None when its Cholesky factor is not definite enough.
+class _Cholesky:
+    """Solves with the dense upper Cholesky factor ``c`` of a small system.
+
+    Called on a vector or an n x k block r, it returns A^-1 r by two
+    triangular solves (LAPACK ``dpotrs``), as a new array.  ``SpsSolver``
+    solves with it directly, and it preconditions PCG for the columns that
+    the direct solve leaves above the tolerance.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = c
+
+    def __call__(self, r):
+        return lapack.dpotrs(self.c, r)[0]
+
+
+def _cholesky(A, singular):
+    """``_Cholesky`` of the dense SPS matrix A, deflated when ``singular``,
+    or None when its factor is not definite enough.  A is overwritten.
 
     A singular A with A 1 = 0 is factored as B = A + (d/n) 1 1^T, d its
     largest diagonal: when null(A) is span(1), B^-1 r = A^+ r for every
@@ -180,50 +199,51 @@ def _cholesky_inverse(A, singular):
     reached 2.8e-12 of the largest diagonal on a singular B, above
     ``FACTOR_SHIFT``.
     """
-    n = A.shape[0]
-    if n == 0:
-        return A  # LAPACK refuses an empty matrix
     if singular:
-        A += A.diagonal().max() / n
+        A += A.diagonal().max() / A.shape[0]
     anorm = np.abs(A).sum(axis=0).max()
-    try:
-        factor = cho_factor(A, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
+    c, info = lapack.dpotrf(A, clean=0, overwrite_a=1)
+    if info:
         return None
-    rcond, info = lapack.dpocon(factor[0], anorm)
+    rcond, info = lapack.dpocon(c, anorm)
     if info or not rcond >= FACTOR_SHIFT:
         return None
-    return cho_solve(factor, np.eye(n), overwrite_b=True, check_finite=False)
+    return _Cholesky(c)
 
 
 def build_hierarchy(L, singular):
-    """Preconditioner for the square CSR SPS matrix L, as a function r -> M r.
+    """Factor of the square CSR SPS matrix L, as a function r -> M r.
 
-    Up to ``DENSE_MAX`` nodes M is the inverse from a dense Cholesky factor
-    of L, or of L + (d/n) 1 1^T when ``singular`` (L 1 = 0), which equals
-    the pseudo-inverse of L on zero-mean vectors.  Larger L, and small ones
-    whose factor is rejected as singular, get one shifted sparse factor,
+    Up to ``DENSE_MAX`` nodes it is a ``_Cholesky``, the dense Cholesky
+    factor of L, or of L + (d/n) 1 1^T when ``singular`` (L 1 = 0): M is
+    then L^-1, or the pseudo-inverse of L on zero-mean vectors, and
+    ``SpsSolver`` solves with it directly.  Larger L, and small ones whose
+    factor is rejected as singular, get one shifted sparse factor,
     M = (L + FACTOR_SHIFT max(diag L) I)^-1, which keeps M positive definite
-    when L is singular.  M applies to vectors and to n x k blocks alike.
+    when L is singular and preconditions PCG.  An empty L gets the identity.
+    M applies to vectors and to n x k blocks alike.
 
     The name predates this design: the benchmark's tracer
     (``perfbench/tracer.py``) wraps ``specsparse.solver.build_hierarchy`` as
     its span ``solver.hierarchy``, so the name stays until the benchmark
     renames that span.
     """
-    if L.shape[0] <= DENSE_MAX:
-        inv = _cholesky_inverse(L.toarray(), singular)
-        if inv is not None:
-            return lambda r: inv @ r
+    n = L.shape[0]
+    if n == 0:
+        return np.copy  # LAPACK refuses an empty matrix
+    if n <= DENSE_MAX:
+        factor = _cholesky(L.toarray(), singular)
+        if factor is not None:
+            return factor
     return _shifted_factor(L, FACTOR_SHIFT * max(L.diagonal().max(), 1e-300)).solve
 
 
 class SpsSolver:
     """Reusable solver for one SPS matrix; build once, solve many right-hand sides.
 
-    The preconditioner is built here, once, by ``build_hierarchy`` on the
-    active system.  It is called through the module global so that the
-    benchmark's tracer, which wraps that global by name, sees every build.
+    The factor is built here, once, by ``build_hierarchy`` on the active
+    system.  It is called through the module global so that the benchmark's
+    tracer, which wraps that global by name, sees every build.
     """
 
     def __init__(self, L, params: SolverParams | None = None):
@@ -242,45 +262,96 @@ class SpsSolver:
 
         self.active = np.nonzero(diag > 0)[0]
         # Usually every node is active, and the reduced system is L itself.
-        self.reduced = L if self.active.size == self.n else L[np.ix_(self.active, self.active)].tocsr()
+        self.partial = self.active.size < self.n
+        self.reduced = L[np.ix_(self.active, self.active)].tocsr() if self.partial else L
         self._precond = build_hierarchy(self.reduced, self.singular)
 
     def solve(self, b):
         """Solve L x = b for a vector b or an n x k block b; returns (x, SolveStats).
 
         The stopping rule is the solver's ``SolverParams``, for every call.
-        A block x is a new array that owns its data.
-        A block is solved column by column: each column has its own step
-        sizes, stopping test and best iterate, but every step makes one
-        product with L and one preconditioner call for all the columns still
-        running, and a column leaves the block when it stops.  Singular
-        systems get b projected onto the zero-mean subspace and the solution
-        deflated to 1^T x = 0.  A column that does not converge returns its
-        best iterate.  The stats cover the whole block: ``iterations`` is the
-        number of block steps, ``residual`` the largest relative residual of
-        a column and ``converged`` true only if every column converged.
+        A block x is a new array that owns its data.  Singular systems get b
+        projected onto the zero-mean subspace and the solution deflated to
+        1^T x = 0.
+
+        With a dense Cholesky factor the block is solved directly, which is
+        the one step that PCG makes with that factor as preconditioner; a
+        column whose residual misses the tolerance then runs PCG, with the
+        same factor, on its residual.  Otherwise the block is solved column
+        by column by PCG: each column has its own step sizes, stopping test
+        and best iterate, but every step makes one product with L and one
+        preconditioner call for all the columns still running, and a column
+        leaves the block when it stops.  A column that does not converge
+        returns its best iterate.  The stats cover the whole block:
+        ``iterations`` is the number of block steps (the direct solve counts
+        as one, a zero right-hand side takes none), ``residual`` the largest
+        relative residual of a column and ``converged`` true only if every
+        column converged.
         """
-        tol = self.params.tol
+        params = self.params
         b = np.asarray(b, dtype=np.float64)
         if b.ndim not in (1, 2) or b.shape[0] != self.n:
             raise ValueError(f"rhs has shape {b.shape}, expected ({self.n},) or ({self.n}, k)")
         B = b if b.ndim == 2 else b[:, None]
         mean = B.mean(axis=0) if self.singular else np.zeros(B.shape[1])
-        bnorm = _colnorm(B - mean)
+        C = B - mean  # the right-hand side solved for
+        bnorm = _colnorm(C)
+        tol = params.tol * (1 + 1e-9)
+        if isinstance(self._precond, _Cholesky) and bnorm.any():
+            # Deflating the solution is enough: the factor maps the all-ones
+            # vector to a multiple of itself.
+            X = self._spread(self._deflated(self._precond(self._rows(C))))
+            steps, converged = 1, np.ones(B.shape[1], dtype=bool)
+            residual = self._residual(X, B, mean, bnorm)
+            run = residual > tol
+            if run.any() and params.max_iters > 1:
+                R = C[:, run] - self.L @ X[:, run]
+                D, more, converged[run] = self._correction(R, params.tol * bnorm[run], params.max_iters - 1)
+                X[:, run] += D
+                steps += more
+                residual = self._residual(X, B, mean, bnorm)
+        else:
+            X, steps, converged = self._correction(C, params.tol * bnorm, params.max_iters)
+            residual = self._residual(X, B, mean, bnorm)
+        converged &= residual <= tol
+        stats = SolveStats(steps, float(residual.max(initial=0.0)), bool(converged.all()))
+        return (X if b.ndim == 2 else X[:, 0]), stats
 
-        Xa, steps, converged = self._pcg(B[self.active] - mean, tol * bnorm, self.params.max_iters)
-        X = np.zeros(B.shape)
+    def _rows(self, M):
+        """The active rows of the n x k block M: M itself when every node is active."""
+        return M[self.active] if self.partial else M
+
+    def _spread(self, Xa):
+        """The n x k block with the active rows Xa and zeros elsewhere."""
+        if not self.partial:
+            return Xa
+        X = np.zeros((self.n, Xa.shape[1]))
         X[self.active] = Xa
-        if self.singular:
-            X -= X.mean(axis=0)
-        # The residual b - mean - L x, negated and formed in place.
+        return X
+
+    def _deflated(self, M):
+        """M projected in place onto zero-mean columns, for a singular system."""
+        if self.singular and M.shape[0]:  # an empty block has no mean
+            M -= M.mean(axis=0)
+        return M
+
+    def _correction(self, R, atol, max_iters):
+        """PCG on the residual block R, which it may overwrite: returns the
+        deflated n x k correction to x, the block steps and the columns that
+        converged."""
+        Xa, steps, converged = self._pcg(self._rows(R), atol, max_iters)
+        # Deflated as a C-ordered block: the column means of PCG's
+        # Fortran-ordered iterate would sum in another order.
+        return self._deflated(np.ascontiguousarray(self._spread(Xa))), steps, converged
+
+    def _residual(self, X, B, mean, bnorm):
+        """Each column's relative residual ||b - mean - L x|| / ||b - mean||
+        (0 where the denominator is)."""
+        # The residual, negated and formed in place.
         T = self.L @ X
         T -= B
         T += mean
-        residual = np.divide(_colnorm(T), bnorm, out=np.zeros_like(bnorm), where=bnorm > 0)
-        converged &= residual <= tol * (1 + 1e-9)
-        stats = SolveStats(steps, float(residual.max(initial=0.0)), bool(converged.all()))
-        return (X if b.ndim == 2 else X[:, 0]), stats
+        return np.divide(_colnorm(T), bnorm, out=np.zeros_like(bnorm), where=bnorm > 0)
 
     def _pcg(self, R, atol, max_iters):
         """Column-wise PCG on the active system from x = 0.

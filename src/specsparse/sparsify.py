@@ -7,7 +7,9 @@ dominant generalized eigenvalue; the addition sticks only if the eigenvalue
 dropped.  Each evaluation runs ``power_iterate`` from r random starts as
 one block: each step applies L_Gu = L_G L_G^T as two sparse products, through
 one ``symmetrized_operator`` built per ``sparsify`` call, and makes one block
-solve with the subgraph's L_Su, the only Laplacian product ever formed.
+solve with the subgraph's L_Su, the only Laplacian product ever formed.  Up
+to ``solver.DENSE_MAX`` active nodes that solve is direct, by the dense
+Cholesky factor of L_Su; larger subgraphs are solved by PCG.
 Rejected batches are blacklisted until the next accepted batch, which rules
 out livelock without discarding edges forever.  Kept edges always retain
 their original weights.

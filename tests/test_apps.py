@@ -152,6 +152,19 @@ class TestPageRank:
         res = pagerank(g, alpha=1.0)
         np.testing.assert_allclose(res.p, np.full(6, 1 / 6), atol=1e-12)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan])
+    def test_tol_validated(self, rng, tol):
+        # tol=nan ran all 1000 iterations and reported residual 0.0
+        with pytest.raises(ValueError, match="tol must be positive"):
+            pagerank(strong_digraph(rng, 5), tol=tol)
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_max_iters_validated(self, rng, max_iters):
+        # max_iters=0 returned the personalization itself
+        with pytest.raises(ValueError, match=f"max_iters must be at least 1, got {max_iters}"):
+            pagerank(strong_digraph(rng, 5), max_iters=max_iters)
+        assert pagerank(strong_digraph(rng, 5), max_iters=1).iterations == 1
+
 
 def pagerank_reference(g, alpha, pr, tol=1e-10, max_iters=1000):
     """The fixed-point loop with a new array for every intermediate."""
@@ -250,6 +263,11 @@ class TestPageRankCorrelation:
         raw, smoothed = pagerank_correlation(g, res, gs_sweeps=5)
         assert smoothed >= raw - 1e-9
 
+    def test_negative_sweeps_rejected(self, rng):
+        g = strong_digraph(rng, 8)
+        with pytest.raises(ValueError, match="gs_sweeps must not be negative, got -1"):
+            pagerank_correlation(g, g, gs_sweeps=-1)
+
 
 class TestDirectedSolve:
     def test_exact_preconditioner_recovers_solution(self, rng):
@@ -320,6 +338,36 @@ class TestDirectedSolve:
         g = strong_digraph(rng, 12)
         with pytest.raises(ValueError, match="sparsifier has 11 nodes, graph has 12"):
             directed_solve(g, DirectedGraph(11, []), np.zeros(12))
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (3, 2), (4, 2, 1)])
+    @pytest.mark.parametrize("sparsifier", ["3-cycle", "G"])
+    def test_rhs_shape_validated(self, monkeypatch, shape, sparsifier):
+        # Node 3 has no edge in the 3-cycle sparsifier: a b of the wrong
+        # length raised IndexError from the mask of those nodes.
+        g = DirectedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1.0)])
+        s = g.subgraph([0, 1, 2]) if sparsifier == "3-cycle" else g
+        built = []
+        monkeypatch.setattr(apps, "SpsSolver", lambda *args, **kwargs: built.append(args))
+        with pytest.raises(ValueError, match=rf"rhs has shape \({shape[0]},"):
+            directed_solve(g, s, np.zeros(shape))
+        assert not built  # raised before any factor
+
+    def test_block_rhs_matches_column_solves(self):
+        # Each column is centered by its own mean: every column here meets
+        # its mean on node 3, which has no edge in the 3-cycle sparsifier.
+        g = DirectedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1.0)])
+        s = g.subgraph([0, 1, 2])
+        B = np.array([[1.0, 1.0, 3.0], [1.0, -1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
+        X, stats = directed_solve(g, s, B, gs_sweeps=2)
+        assert X.shape == B.shape and stats.converged
+        for j in range(B.shape[1]):
+            x, _ = directed_solve(g, s, B[:, j], gs_sweeps=2)
+            np.testing.assert_allclose(X[:, j], x, rtol=1e-12, atol=1e-12)
+
+    def test_negative_sweeps_rejected(self, rng):
+        g = strong_digraph(rng, 8)
+        with pytest.raises(ValueError, match="gs_sweeps must not be negative, got -2"):
+            directed_solve(g, g, np.zeros(8), gs_sweeps=-2)
 
     def test_sparsifier_path_matches_the_per_node_loop(self, rng):
         g = strong_digraph(rng, 80)
@@ -508,6 +556,14 @@ class TestKmeans:
     def test_k_validated(self, rng):
         with pytest.raises(ValueError):
             kmeans(rng.standard_normal((5, 2)), 6)
+
+    @pytest.mark.parametrize("counts", [dict(restarts=0), dict(restarts=-1), dict(max_iters=0)])
+    def test_counts_validated(self, rng, counts):
+        # restarts=0 returned one label for six points; max_iters=0 failed
+        # inside numpy
+        with pytest.raises(ValueError, match="restarts and max_iters must be at least 1"):
+            kmeans(rng.random((6, 2)), 2, **counts)
+        assert kmeans(rng.random((6, 2)), 2, restarts=1, max_iters=1).shape == (6,)
 
     def test_labels_dense_in_order_of_first_appearance(self, rng):
         for k in (2, 3, 5, 8):

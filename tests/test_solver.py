@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from specsparse import (
     DirectedGraph,
@@ -497,8 +497,8 @@ class TestShiftedFactor:
 
 
 class TestCholeskyRoute:
-    """Systems up to DENSE_MAX nodes: the inverse of a dense Cholesky factor,
-    checked against the pseudo-inverse."""
+    """Systems up to DENSE_MAX nodes: the dense Cholesky factor, checked
+    against the pseudo-inverse."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, DENSE_MAX), singular=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -525,3 +525,102 @@ class TestCholeskyRoute:
     def test_empty_system_builds_without_lapack(self):
         M = build_hierarchy(sp.csr_array((0, 0)), True)
         assert M(np.zeros((0, 2))).shape == (0, 2)
+
+
+def pcg_spy(monkeypatch):
+    """Record the right-hand side widths of every ``SpsSolver._pcg`` call."""
+    widths = []
+    real = SpsSolver._pcg
+
+    def spy(self, R, *args):
+        widths.append(R.shape[1])
+        return real(self, R, *args)
+
+    monkeypatch.setattr(SpsSolver, "_pcg", spy)
+    return widths
+
+
+def weighted_path(rng, n, decades):
+    """Directed path 0 -> 1 -> ... -> n-1, weights 10^u for u uniform in
+    [-decades, decades]."""
+    w = 10.0 ** rng.uniform(-decades, decades, n - 1)
+    return DirectedGraph(n, [(i, i + 1, float(w[i])) for i in range(n - 1)])
+
+
+class TestDirectRoute:
+    """Systems up to DENSE_MAX nodes are solved by their Cholesky factor,
+    without PCG unless a column misses the tolerance."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["strong", "path", "two components", "random"]),
+        n=st.integers(2, 120),
+        isolated=st.integers(0, 4),
+        k=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # A second eigenvalue at 8.3e-10 of the largest: the factor is accepted.
+    @example(kind="random", n=25, isolated=0, k=1, seed=3137)
+    def test_agrees_with_the_sparse_route(self, kind, n, isolated, k, seed):
+        rng = np.random.default_rng(seed)
+        g = {
+            "strong": lambda: strong_digraph(rng, n),
+            "path": lambda: weighted_path(rng, n, 0.5),  # condition grows as n^4
+            "two components": lambda: disjoint_union(strong_digraph(rng, n), strong_digraph(rng, 3)),
+            "random": lambda: random_digraph(rng, n),  # may have several sinks
+        }[kind]()
+        Lu = symmetrize(laplacian(disjoint_union(g, isolated=isolated)))
+        B = Lu @ rng.standard_normal((Lu.shape[0], k))
+        tol = 1e-8
+        dense = SpsSolver(Lu, SolverParams(tol=tol))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_module, "DENSE_MAX", 0)
+            sparse = SpsSolver(Lu, SolverParams(tol=tol))
+        assert dense.partial or not isolated
+        direct = isinstance(dense._precond, solver_module._Cholesky)
+        # A null space wider than span(1) rejects the dense factor.  A random
+        # graph may take either route: it may have several sinks, or a
+        # second eigenvalue near zero that the factor's test still accepts.
+        expected = {"strong": True, "path": True, "two components": False}
+        if kind in expected:
+            assert direct == expected[kind]
+        (xd, sd), (xs, ss) = dense.solve(B), sparse.solve(B)
+        assert sd.converged and ss.converged
+        assert sd.residual <= tol and ss.residual <= tol
+        if direct:
+            assert sd.iterations == 1
+        else:
+            assert np.array_equal(xd, xs) and sd == ss  # the same sparse factor
+        # Both solutions are deflated and meet b to tol, so they agree to
+        # 2 tol through L_u.
+        assert np.abs(xd.sum(axis=0)).max() <= 1e-9 * np.abs(xd).max()
+        assert np.all(np.linalg.norm(Lu @ (xd - xs), axis=0) <= 2 * tol * np.linalg.norm(B, axis=0))
+
+    def test_missed_column_continues_in_pcg(self, rng, monkeypatch):
+        # Weights over four decades: a random right-hand side, rich in the
+        # lowest modes, misses 1e-10 after the direct solve; one from the
+        # range of L_u does not.
+        n = 60
+        Lu = symmetrize(laplacian(weighted_path(rng, n, 2)))
+        B = np.column_stack([Lu @ rng.standard_normal(n), rng.standard_normal(n)])
+        solver = SpsSolver(Lu, SolverParams(tol=1e-10, max_iters=50))
+        assert isinstance(solver._precond, solver_module._Cholesky)
+        C = B - B.mean(axis=0)
+        Z = solver._precond(C)
+        Z -= Z.mean(axis=0)
+        direct = np.linalg.norm(C - Lu @ Z, axis=0) / np.linalg.norm(C, axis=0)
+        assert direct[0] <= 1e-10 < direct[1]
+        widths = pcg_spy(monkeypatch)
+        X, stats = solver.solve(B)
+        assert widths == [1] and stats.iterations >= 2
+        residual = np.linalg.norm(C - Lu @ X, axis=0) / np.linalg.norm(C, axis=0)
+        np.testing.assert_array_equal(X[:, 0], Z[:, 0])  # kept as the factor gave it
+        assert residual[1] <= direct[1] * (1 + 1e-6)  # PCG keeps its best iterate
+        assert stats.residual == pytest.approx(residual.max(), rel=1e-6)
+
+    def test_max_iters_one_is_the_direct_solve(self, rng, monkeypatch):
+        n = 60
+        Lu = symmetrize(laplacian(weighted_path(rng, n, 2)))
+        widths = pcg_spy(monkeypatch)
+        x, stats = SpsSolver(Lu, SolverParams(tol=1e-10, max_iters=1)).solve(rng.standard_normal(n))
+        assert widths == [] and stats.iterations == 1 and not stats.converged

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import lapack
 
 from specsparse import (
     DirectedGraph,
@@ -330,8 +331,8 @@ class TestCostGuards:
     """Work counts that do not depend on the hardware."""
 
     def test_bundled_run_makes_no_dense_eigendecomposition(self, monkeypatch):
-        # Systems of up to DENSE_MAX nodes are preconditioned through a
-        # Cholesky factor: no eigh, and no pinv (an eigh inside).
+        # Systems of up to DENSE_MAX nodes are solved through a Cholesky
+        # factor: no eigh, and no pinv (an eigh inside).
         calls = []
         for name in ("eigh", "pinv"):
             real = getattr(np.linalg, name)
@@ -346,6 +347,37 @@ class TestCostGuards:
         res = sparsify(g, SparsifyParams(seed=0, **params))
         assert len(res.iterations) > 1
         assert calls == []
+
+    def test_small_systems_solved_by_their_factor(self, monkeypatch):
+        # Every solve of the run takes the dense Cholesky route: one factor
+        # solve of its block (no explicit inverse, whose factor solve would
+        # be n columns wide) and no PCG step.
+        solves, factor_widths, pcg_calls = [], [], []
+        real_solve, real_pcg, real_potrs = SpsSolver.solve, SpsSolver._pcg, lapack.dpotrs
+
+        def solve_spy(self, b):
+            x, stats = real_solve(self, b)
+            solves.append(stats)
+            return x, stats
+
+        def pcg_spy(self, *args):
+            pcg_calls.append(args)
+            return real_pcg(self, *args)
+
+        def potrs_spy(c, b, *args, **kwargs):
+            factor_widths.append(b.shape[1] if b.ndim == 2 else 1)
+            return real_potrs(c, b, *args, **kwargs)
+
+        monkeypatch.setattr(SpsSolver, "solve", solve_spy)
+        monkeypatch.setattr(SpsSolver, "_pcg", pcg_spy)
+        monkeypatch.setattr(lapack, "dpotrs", potrs_spy)
+        g = read_matrix_market(DATA / "synth115.mtx")
+        params = dict(d_out=10, iter_max=60, mu_limit=6.0, alpha_percent=10.0, epsilon=0.9, r=16, t=5)
+        res = sparsify(g, SparsifyParams(seed=0, **params))
+        assert len(res.iterations) > 1
+        assert len(pcg_calls) == 0
+        assert len(factor_widths) == len(solves) > 0 and set(factor_widths) == {16}
+        assert all(stats.iterations == 1 and stats.converged for stats in solves)
 
     def test_one_symmetrized_operator_per_call(self, monkeypatch):
         # L_Gu is the same operator in every evaluation: it is built once.
