@@ -67,14 +67,12 @@ def build_parser():
     p.add_argument("--sparsifier", help="Matrix Market file of a sparsified version")
     p.add_argument("--alpha", type=float, default=0.15)
     p.add_argument("--personalize", help="comma-separated node ids (1-based) sharing the restart mass")
-    p.add_argument("--gs-sweeps", type=_count, default=3)
+    p.add_argument("--smoothing-steps", type=_count, default=10)
     p.add_argument("--output", help="CSV destination (default stdout)")
 
-    p = sub.add_parser("solve", help="solve L_G x = b through a sparsifier")
+    p = sub.add_parser("solve", help="solve L_G x = b by Jacobi-preconditioned BiCGSTAB")
     p.add_argument("--input", required=True)
-    p.add_argument("--sparsifier", help="defaults to the graph itself")
     p.add_argument("--rhs", required=True, help="text file, one value per line")
-    p.add_argument("--gs-sweeps", type=_count, default=5)
     p.add_argument("--output", help="CSV destination (default stdout)")
 
     p = sub.add_parser("partition", help="spectral partitioning of the symmetrized Laplacian")
@@ -152,7 +150,7 @@ def _cmd_pagerank(args):
     pr = _personalization(args.personalize, g.n)
     if args.sparsifier:
         s = read_matrix_market(args.sparsifier)
-        full, sparse_, raw, smoothed = _pagerank_comparison(g, s, args.alpha, pr, args.gs_sweeps)
+        full, sparse_, raw, smoothed = _pagerank_comparison(g, s, args.alpha, pr, args.smoothing_steps)
         lines = ["node,score,score_sparsifier"]
         for i in range(g.n):
             lines.append(f"{i + 1},{_fmt(full.p[i])},{_fmt(sparse_.p[i])}")
@@ -169,10 +167,9 @@ def _cmd_pagerank(args):
 
 def _cmd_solve(args):
     g = read_matrix_market(args.input)
-    s = read_matrix_market(args.sparsifier) if args.sparsifier else g
     with open(args.rhs, "r", encoding="ascii") as fh:
         b = np.array([float(line) for line in fh if line.strip()])
-    x, _ = directed_solve(g, s, b, gs_sweeps=args.gs_sweeps)
+    x, _ = directed_solve(g, g, b)
     lines = ["node,x"]
     for i in range(g.n):
         lines.append(f"{i + 1},{_fmt(x[i])}")

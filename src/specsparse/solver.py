@@ -17,14 +17,6 @@ handled by deflation onto the zero-mean subspace.
 The right-hand side may be an n x k block: its columns run through one
 column-wise conjugate gradient, one product and one preconditioner call per
 step for all columns still running.
-
-Forward Gauss-Seidel sweeps, which the PageRank smoothing and the directed
-solve use, prepare the lower triangle once for SuperLU's triangular-solve
-kernel ``gstrs`` (the one ``spsolve_triangular`` ends in).  One mask splits
-the CSR arrays into the triangle and the strict upper part; the triangle's
-CSR arrays are the CSC arrays of its transpose, so only its values are
-scaled and no transposed copy is made.  A sweep then costs one sparse
-product, one substitution and one diagonal rescale.
 """
 
 from __future__ import annotations
@@ -35,7 +27,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
-from scipy.sparse.linalg._dsolve import _superlu
 
 __all__ = ["SolverParams", "SolveStats", "SpsSolver"]
 
@@ -80,74 +71,6 @@ def _coldot(U, V):
 
 def _colnorm(U):
     return np.sqrt(_coldot(U, U))
-
-
-def _as_intc(index):
-    """Index array as C ``int``, the index type of SuperLU.
-
-    Raises ValueError where a plain cast would wrap (values above 2**31 - 1).
-    """
-    index = np.asarray(index)
-    limit = np.iinfo(np.intc).max
-    if index.size and index.max() > limit:
-        raise ValueError(
-            f"index value {int(index.max())} exceeds the C int limit {limit} of SuperLU"
-        )
-    return index.astype(np.intc, copy=False)
-
-
-class _Sweep:
-    """Forward Gauss-Seidel sweeps on L, prepared at construction for SuperLU.
-
-    L must have a nonzero diagonal; a zero entry on it raises
-    ``np.linalg.LinAlgError`` here, before any sweep.  A sweep solves with
-    tril(L).  ``spsolve_triangular`` redoes the preparation on every call:
-    it transposes the CSR triangle to CSC (solving with ``trans="T"``),
-    scales it to unit diagonal, sums duplicates and lays it out as SuperLU
-    L/U arrays with C-int indices.  Here one
-    ``col <= row`` mask splits the CSR arrays of L into the triangle and the
-    strict upper ``rest``, each with duplicates summed as ``tril``/``triu``
-    sum them.  The triangle's CSR arrays, read as CSC, are the U arrays of
-    its transpose, so they need only the column scaling and a zeroed
-    diagonal.  Every sweep through the ``gstrs`` kernel that
-    ``spsolve_triangular`` ends in is then bit-identical to a sweep through
-    ``spsolve_triangular``.
-    """
-
-    def __init__(self, L):
-        L = sp.csr_array(L)
-        n = L.shape[0]
-        lower = L.indices <= np.repeat(np.arange(n), np.diff(L.indptr))
-        tri = _masked(L, lower)
-        self.rest = _masked(L, ~lower)
-        diag = tri.diagonal()
-        if np.any(diag == 0):
-            raise np.linalg.LinAlgError("Gauss-Seidel triangle is singular: zero entry on diagonal")
-        self.invdiag = 1 / diag
-        data = tri.data * self.invdiag[tri.indices]
-        data[tri.indptr[1:] - 1] = 0  # sorted rows of a triangle end in the diagonal
-        lf = sp.eye_array(n, format="csc")
-        self.factors = (
-            n, lf.nnz, lf.data, _as_intc(lf.indices), _as_intc(lf.indptr),
-            n, tri.nnz, data, _as_intc(tri.indices), _as_intc(tri.indptr),
-        )
-
-    def run(self, x, b, sweeps):
-        for _ in range(sweeps):
-            y, info = _superlu.gstrs("T", *self.factors, b - self.rest @ x)
-            if info:
-                raise np.linalg.LinAlgError("Gauss-Seidel triangle is singular")
-            x = y * self.invdiag.reshape(-1, *([1] * (y.ndim - 1)))
-        return x
-
-
-def _masked(L, mask):
-    """The entries of the CSR matrix L where ``mask`` holds, in canonical CSR."""
-    kept = np.zeros(mask.size + 1, dtype=np.int64)
-    np.cumsum(mask, out=kept[1:])
-    part = sp.csr_array((L.data[mask], L.indices[mask], kept[L.indptr]), shape=L.shape)
-    part.sum_duplicates()
-    return part
 
 
 def _shifted_factor(A, shift):

@@ -166,6 +166,12 @@ def test_criterion_05_monotone_acceptance(sparsified115, graph115):
     report(5, checked == 5, f"accepted mu strictly decreases, E_S subset of E_G with unchanged weights ({checked} runs)")
 
 
+def sparsifier_solve(g, s, b):
+    """The solve through the sparsifier alone: x = L_G^T y with L_Su y = b."""
+    y, _ = SpsSolver(ss.symmetrize(ss.laplacian(s.graph))).solve(b)
+    return ss.laplacian(g).T @ y
+
+
 def test_criterion_06_directed_solver(graph115, sparsified115):
     rng = np.random.default_rng(106)
     wins = 0
@@ -175,28 +181,27 @@ def test_criterion_06_directed_solver(graph115, sparsified115):
         res = ss.sparsify(g, ss.SparsifyParams(iter_max=4, mu_limit=2.0, seed=trial, alpha_percent=10))
         x_true = rng.standard_normal(n)
         b = ss.laplacian(g) @ x_true
-        x0, _ = ss.directed_solve(g, res, b, gs_sweeps=0)
-        x5, _ = ss.directed_solve(g, res, b, gs_sweeps=5)
-        wins += min_norm_error(g, x5, x_true) < min_norm_error(g, x0, x_true)
+        x, _ = ss.directed_solve(g, res, b)
+        wins += min_norm_error(g, x, x_true) < min_norm_error(g, sparsifier_solve(g, res, b), x_true)
 
     g = strong_digraph(rng, 60)
     x_true = rng.standard_normal(60)
     b = ss.laplacian(g) @ x_true
-    exact_err = min_norm_error(g, ss.directed_solve(g, g, b, gs_sweeps=0)[0], x_true)
+    exact_err = min_norm_error(g, ss.directed_solve(g, g, b)[0], x_true)
 
     # The <= 0.15 reproduction clause binds only on the real gre_115, which
     # is not fetchable here; the stand-in numbers are reported for reference.
     x_true = rng.standard_normal(graph115.n)
     b = ss.laplacian(graph115) @ x_true
-    raw115 = min_norm_error(graph115, ss.directed_solve(graph115, sparsified115, b, gs_sweeps=0)[0], x_true)
-    smooth115 = min_norm_error(graph115, ss.directed_solve(graph115, sparsified115, b, gs_sweeps=5)[0], x_true)
+    raw115 = min_norm_error(graph115, sparsifier_solve(graph115, sparsified115, b), x_true)
+    solved115 = min_norm_error(graph115, ss.directed_solve(graph115, sparsified115, b)[0], x_true)
 
-    ok = wins >= 18 and exact_err <= 1e-6 and smooth115 < raw115
+    ok = wins >= 18 and exact_err <= 1e-6 and solved115 < raw115
     report(
         6,
         ok,
-        f"smoothing improved {wins}/20 systems (need 18); s=g error {exact_err:.2e} <= 1e-6; "
-        f"115-node stand-in error {raw115:.2f} -> {smooth115:.2f} "
+        f"BiCGSTAB beat the sparsifier solve on {wins}/20 systems (need 18); s=g error {exact_err:.2e} <= 1e-6; "
+        f"115-node stand-in error {raw115:.2f} -> {solved115:.2e} "
         "(gre_115 <= 0.15 clause skipped: dataset not fetchable)",
     )
 

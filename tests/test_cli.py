@@ -77,7 +77,6 @@ class TestDataErrors:
             ["partition", "--input", "{bad}", "-k", "2"],
             ["spectrum", "--input", "{bad}"],
             ["pagerank", "--input", "{good}", "--sparsifier", "{bad}"],
-            ["solve", "--input", "{good}", "--sparsifier", "{bad}", "--rhs", "{rhs}"],
             ["spectrum", "--input", "{good}", "--sparsifier", "{bad}"],
         ],
     )
@@ -96,14 +95,11 @@ class TestDataErrors:
         code, _, err = run(capsys, "solve", "--input", graph_file, "--rhs", rhs)
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["pagerank", "solve", "spectrum"])
+    @pytest.mark.parametrize("command", ["pagerank", "spectrum"])
     def test_sparsifier_size_mismatch(self, capsys, graph_file, tmp_path, command):
         small = tmp_path / "small.mtx"
         write_matrix_market(DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]), small)
-        rhs = tmp_path / "b.txt"
-        rhs.write_text("0.0\n" * 40)
-        extra = ["--rhs", rhs] if command == "solve" else []
-        code, stdout, err = run(capsys, command, "--input", graph_file, "--sparsifier", small, *extra)
+        code, stdout, err = run(capsys, command, "--input", graph_file, "--sparsifier", small)
         assert (code, stdout) == (2, "")
         assert err == "specsparse: error: sparsifier has 3 nodes, graph has 40\n"
 
@@ -198,7 +194,7 @@ class TestPagerankCommand:
         # The output as the command wrote it when it called pagerank twice
         # and pagerank_correlation once.
         full, sparse_ = pagerank(g, alpha=0.2, personalization=pr), pagerank(sg, alpha=0.2, personalization=pr)
-        raw, smoothed = pagerank_correlation(g, sg, alpha=0.2, personalization=pr, gs_sweeps=4)
+        raw, smoothed = pagerank_correlation(g, sg, alpha=0.2, personalization=pr, smoothing_steps=4)
         want_csv = "node,score,score_sparsifier\n" + "".join(
             f"{i + 1},{a:.17g},{b:.17g}\n" for i, (a, b) in enumerate(zip(full.p, sparse_.p))
         )
@@ -215,7 +211,7 @@ class TestPagerankCommand:
         out = tmp_path / "p.csv"
         code, stdout, _ = run(
             capsys, "pagerank", "--input", graph_file, "--sparsifier", s, "--alpha", 0.2,
-            "--personalize", "1,7", "--gs-sweeps", 4, "--output", out,
+            "--personalize", "1,7", "--smoothing-steps", 4, "--output", out,
         )
         assert code == 0
         assert out.read_bytes() == want_csv.encode("ascii")
@@ -233,11 +229,23 @@ class TestPagerankCommand:
         code, _, _ = run(capsys, "pagerank", "--input", graph_file, "--personalize", "0")
         assert code == 2
 
-    def test_negative_gs_sweeps_is_usage_error(self, capsys, graph_file):
-        code, out, err = run(capsys, "pagerank", "--input", graph_file, "--sparsifier", graph_file, "--gs-sweeps", -2)
+    def test_negative_smoothing_steps_is_usage_error(self, capsys, graph_file):
+        code, out, err = run(
+            capsys, "pagerank", "--input", graph_file, "--sparsifier", graph_file, "--smoothing-steps", -2
+        )
         assert code == 1
-        assert "usage" in err and "--gs-sweeps" in err
+        assert "usage" in err and "--smoothing-steps" in err
         assert out == ""
+
+    def test_constant_pagerank_is_data_error(self, capsys, tmp_path):
+        # The directed 4-cycle has the uniform PageRank, whose correlation
+        # with any other vector is undefined.
+        cyc, path = tmp_path / "cyc.mtx", tmp_path / "path.mtx"
+        write_matrix_market(DirectedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]), cyc)
+        write_matrix_market(DirectedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]), path)
+        code, stdout, err = run(capsys, "pagerank", "--input", cyc, "--sparsifier", path)
+        assert (code, stdout) == (2, "")
+        assert err == "specsparse: error: the graph's PageRank vector is constant: its correlation is undefined\n"
 
 
 class TestTinyGraphs:
@@ -287,20 +295,22 @@ class TestSolveCommand:
         rhs.write_text("\n".join(format(v, ".17g") for v in b) + "\n")
         out = tmp_path / "x.csv"
         code, _, _ = run(
-            capsys, "solve", "--input", graph_file, "--rhs", rhs,
-            "--gs-sweeps", 2, "--output", out,
+            capsys, "solve", "--input", graph_file, "--rhs", rhs, "--output", out,
         )
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "node,x"
         assert len(lines) == g.n + 1
+        x = np.array([float(line.split(",")[1]) for line in lines[1:]])
+        assert np.linalg.norm(laplacian(g) @ x - b) <= 1e-8 * np.linalg.norm(b)
 
-    def test_negative_gs_sweeps_is_usage_error(self, capsys, graph_file, tmp_path):
+    @pytest.mark.parametrize("flag", [["--gs-sweeps", "2"], ["--sparsifier", "s.mtx"]])
+    def test_removed_options_are_usage_errors(self, capsys, graph_file, tmp_path, flag):
         rhs = tmp_path / "b.txt"
         rhs.write_text("0.0\n" * 40)
-        code, out, err = run(capsys, "solve", "--input", graph_file, "--rhs", rhs, "--gs-sweeps", -3)
+        code, out, err = run(capsys, "solve", "--input", graph_file, "--rhs", rhs, *flag)
         assert code == 1
-        assert "usage" in err and "--gs-sweeps" in err
+        assert "usage" in err and flag[0] in err
         assert out == ""
 
 

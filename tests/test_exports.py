@@ -1,6 +1,8 @@
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import specsparse
 
@@ -35,3 +37,23 @@ def test_package_exports_the_union_of_the_library_modules():
     }
     assert exported == listed
     assert isinstance(specsparse.sparsify, types.FunctionType)
+
+
+def test_no_private_scipy_module_is_imported():
+    # A private module (a dotted name with a part that starts with "_") may
+    # change or vanish in any scipy release without notice.
+    private = []
+    for path in sorted(Path(specsparse.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            private += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] == "scipy" and any(part.startswith("_") for part in name.split(".")[1:])
+            ]
+    assert private == []

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
 from specsparse import (
@@ -16,7 +15,7 @@ from specsparse import (
 )
 
 from specsparse import solver as solver_module
-from specsparse.solver import DENSE_MAX, _as_intc, _Sweep, build_hierarchy
+from specsparse.solver import DENSE_MAX, build_hierarchy
 
 from conftest import nullity, random_digraph, strong_digraph
 
@@ -37,154 +36,6 @@ def shifted_factor_spy(monkeypatch):
 
     monkeypatch.setattr(solver_module, "_shifted_factor", spy)
     return calls
-
-
-class TestGaussSeidel:
-    def test_hand_computed_step(self):
-        L = sp.csr_array(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-        x = _Sweep(L).run(np.zeros(2), np.array([1.0, 1.0]), 1)
-        np.testing.assert_allclose(x, [0.5, 0.75])
-
-    def test_zero_rhs_fixed_point(self):
-        L = sp.csr_array(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-        x = _Sweep(L).run(np.zeros(2), np.zeros(2), 5)
-        np.testing.assert_array_equal(x, 0.0)
-
-    def test_identity_one_sweep(self, rng):
-        b = rng.standard_normal(6)
-        x = _Sweep(sp.eye_array(6, format="csr")).run(np.zeros(6), b, 1)
-        np.testing.assert_allclose(x, b)
-
-    def test_residual_does_not_increase_on_sps(self, rng):
-        for _ in range(10):
-            Lu = connected_symmetrized(rng, int(rng.integers(4, 25)))
-            b = Lu @ rng.standard_normal(Lu.shape[0])
-            x0 = rng.standard_normal(Lu.shape[0])
-            r0 = np.linalg.norm(b - Lu @ x0)
-            x1 = _Sweep(Lu).run(x0, b, 1)
-            r1 = np.linalg.norm(b - Lu @ x1)
-            assert r1 <= r0 * (1 + 1e-12)
-
-
-class TestPreparedTriangles:
-    """The prepared sweeps call SuperLU's private ``gstrs`` kernel directly.
-
-    These pin that binding: a change to ``gstrs`` must fail here, bit for
-    bit, rather than shift the smoother unnoticed.
-    """
-
-    @staticmethod
-    def reference(L, x, b, sweeps):
-        tri, rest = sp.tril(L, k=0, format="csr"), sp.triu(L, k=1, format="csr")
-        for _ in range(sweeps):
-            x = spla.spsolve_triangular(tri, b - rest @ x, lower=True)
-        return x
-
-    @pytest.mark.parametrize("sweeps", [1, 3])
-    @pytest.mark.parametrize("width", [None, 5])
-    def test_bit_identical_to_spsolve_triangular(self, rng, sweeps, width):
-        Lu = sp.csr_array(connected_symmetrized(rng, 60))
-        shape = (60,) if width is None else (60, width)
-        x0 = rng.standard_normal(shape)
-        b = rng.standard_normal(shape)
-        gs = _Sweep(Lu)
-        expected = self.reference(Lu, x0, b, sweeps)
-        for _ in range(2):  # the second call reuses the prepared triangle
-            got = gs.run(x0, b, sweeps)
-            assert got.shape == shape
-            assert np.array_equal(got, expected)
-
-    def test_zero_diagonal_raises_linalg_error(self):
-        L = sp.csr_array(np.array([[2.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, 2.0]]))
-        with pytest.raises(np.linalg.LinAlgError, match="zero entry on diagonal") as info:
-            _Sweep(L)  # at construction, before any sweep
-        # sparsify reads a RuntimeError as an ill-posed pencil and returns the seed
-        assert not isinstance(info.value, RuntimeError)
-
-    def test_index_cast_refuses_to_wrap(self):
-        big = np.array([0, 2**31], dtype=np.int64)
-        with pytest.raises(ValueError, match="C int limit"):
-            _as_intc(big)
-        edge = _as_intc(np.array([0, 2**31 - 1], dtype=np.int64))
-        assert edge.dtype == np.intc
-        assert edge[-1] == 2**31 - 1
-        assert _as_intc(np.array([], dtype=np.int64)).dtype == np.intc
-
-
-def copying_sweep(L):
-    """A ``_Sweep`` prepared the way the mask split replaced: ``tril`` and
-    ``triu`` copies, the column scaling as a product with a diagonal matrix,
-    a transpose to CSC, ``sum_duplicates`` and ``setdiag``."""
-    n = L.shape[0]
-    T = sp.tril(L, k=0, format="csr")
-    sweep = _Sweep.__new__(_Sweep)
-    sweep.rest = sp.triu(L, k=1, format="csr")
-    sweep.invdiag = 1 / T.diagonal()
-    uf = (T @ sp.diags_array(sweep.invdiag)).T
-    uf.sum_duplicates()
-    uf.setdiag(0)
-    lf = sp.eye_array(n, format="csc")
-    sweep.factors = (
-        n, lf.nnz, lf.data, _as_intc(lf.indices), _as_intc(lf.indptr),
-        n, uf.nnz, uf.data, _as_intc(uf.indices), _as_intc(uf.indptr),
-    )
-    return sweep
-
-
-def raw_csr(n, rows, cols, vals, shuffle_rng=None):
-    """CSR arrays exactly as given: duplicates, explicit zeros and (with
-    ``shuffle_rng``) unsorted columns are kept."""
-    order = np.argsort(rows, kind="stable") if shuffle_rng is None else np.lexsort((shuffle_rng.random(rows.size), rows))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    return sp.csr_array((vals[order], cols[order], indptr), shape=(n, n))
-
-
-class TestCopyFreePreparation:
-    """The mask split gives the sweeps of the copying construction bit for bit."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 40),
-        density=st.floats(0.0, 12.0),
-        unsorted=st.booleans(),
-        width=st.sampled_from([None, 3]),
-    )
-    def test_same_sweeps_as_the_copying_construction(self, seed, n, density, unsorted, width):
-        rng = np.random.default_rng(seed)
-        m = int(density * n)
-        rows, cols = rng.integers(0, n, m), rng.integers(0, n, m)
-        vals = rng.standard_normal(m) * 10.0 ** rng.integers(-6, 7, m)
-        vals[rng.random(m) < 0.15] = 0.0  # explicit zeros
-        # Repeat some entries (duplicates, up to four copies of one pair) and
-        # give every row a diagonal, split over two stored entries.
-        again = rng.integers(0, m, m // 2) if m else np.zeros(0, dtype=np.int64)
-        again = np.concatenate([again, again[: again.size // 3]])
-        diag = np.arange(n)
-        rows = np.concatenate([rows, rows[again], diag, diag])
-        cols = np.concatenate([cols, cols[again], diag, diag])
-        vals = np.concatenate([vals, rng.standard_normal(again.size), 5 + 30 * rng.random(n), rng.random(n)])
-        L = raw_csr(n, rows, cols, vals, rng if unsorted else None)
-        shape = (n,) if width is None else (n, width)
-        x0, b = rng.standard_normal(shape), rng.standard_normal(shape)
-        want = copying_sweep(L).run(x0, b, 3)
-        got = _Sweep(L).run(x0, b, 3)
-        assert np.array_equal(got, want)
-        assert np.array_equal(got, TestPreparedTriangles.reference(L, x0, b, 3))
-
-    def test_canonical_input_with_explicit_zeros(self, rng):
-        Lu = sp.csr_array(connected_symmetrized(rng, 50))
-        Lu.data[rng.random(Lu.nnz) < 0.2] = 0.0
-        Lu.setdiag(Lu.diagonal() + 1.0)
-        assert Lu.has_canonical_format and np.any(Lu.data == 0)
-        x0, b = rng.standard_normal(50), rng.standard_normal(50)
-        assert np.array_equal(_Sweep(Lu).run(x0, b, 5), copying_sweep(Lu).run(x0, b, 5))
-
-    def test_does_not_change_its_input(self, rng):
-        L = raw_csr(4, np.array([0, 1, 1, 2, 3, 3, 1]), np.array([0, 1, 0, 2, 3, 1, 0]), np.arange(1.0, 8.0))
-        arrays = [a.copy() for a in (L.data, L.indices, L.indptr)]
-        _Sweep(L).run(np.ones(4), np.ones(4), 2)
-        assert all(np.array_equal(a, c) for a, c in zip((L.data, L.indices, L.indptr), arrays))
 
 
 class TestSpsSolver:

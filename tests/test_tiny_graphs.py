@@ -116,7 +116,7 @@ def check_cli(capsys, g, path, tmp):
 
     b = laplacian(g) @ np.arange(1.0, g.n + 1)
     rhs = write_rhs(tmp / "b.txt", b)
-    assert run(capsys, "solve", "--input", path, "--sparsifier", s, "--rhs", rhs, "--output", out) == (0, "", "")
+    assert run(capsys, "solve", "--input", path, "--rhs", rhs, "--output", out) == (0, "", "")
     x = np.array([float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]])
     assert np.linalg.norm(laplacian(g) @ x - b) <= 1e-10 * max(np.linalg.norm(b), 1e-300)
 
