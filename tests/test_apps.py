@@ -41,6 +41,26 @@ def graphs_with_isolated_and_sinks(draw):
     return DirectedGraph.from_arrays(n + draw(st.integers(0, 3)), g.tails[keep], g.heads[keep], g.weights[keep])
 
 
+def _weights_over_six_decades():
+    rng = np.random.default_rng(3)
+    g = strong_digraph(rng, 25)
+    return DirectedGraph.from_arrays(25, g.tails, g.heads, 10.0 ** rng.uniform(-3, 3, g.num_edges))
+
+
+# Small graphs for the directed solve: sinks (zero diagonal of L_G), hubs,
+# several attractors, isolated nodes.
+FIXED_GRAPHS = {
+    "synth32": lambda: read_matrix_market(Path(__file__).parent / "data" / "synth32.mtx"),
+    "path": lambda: DirectedGraph(6, [(i, i + 1, 1.0 + i) for i in range(5)]),  # node 5 a sink
+    "hub": lambda: DirectedGraph(9, [(0, i, 1.0) for i in range(1, 9)] + [(i, 0, 0.5 * i) for i in range(1, 9)]),
+    "two attractors": lambda: DirectedGraph(
+        7, [(0, 1, 1.0), (1, 0, 2.0), (2, 3, 1.0), (3, 4, 1.0), (4, 2, 1.0), (5, 0, 1.0), (6, 4, 3.0), (5, 6, 1.0)]
+    ),
+    "weights over six decades": _weights_over_six_decades,
+    "isolated node": lambda: DirectedGraph(5, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 1.0), (2, 3, 0.5)]),  # node 4
+}
+
+
 class TestPageRank:
     def test_two_cycle_symmetric(self):
         g = DirectedGraph(2, [(0, 1, 1.0), (1, 0, 1.0)])
@@ -131,10 +151,11 @@ class TestPageRank:
         assert pagerank(strong_digraph(rng, 5), max_iters=1).iterations == 1
 
 
-def pagerank_reference(g, alpha, pr, tol=1e-10, max_iters=1000):
-    """The fixed-point loop with a new array for every intermediate."""
+def pagerank_reference(g, alpha, pr, tol=1e-10, max_iters=1000, p0=None):
+    """The fixed-point loop with a new array for every intermediate, from
+    p0 (pr when omitted)."""
     M = apps._transition(g)
-    p = pr.copy()
+    p = (pr if p0 is None else p0).copy()
     for it in range(1, max_iters + 1):
         p_new = (1.0 - alpha) * (M @ p) + alpha * pr
         p_new /= p_new.sum()
@@ -159,6 +180,20 @@ class TestPageRankInPlace:
             p, it, residual = pagerank_reference(g, alpha, np.full(n, 1.0 / n) if pr is None else pr, max_iters=200)
             np.testing.assert_array_equal(res.p, p)
             assert (res.iterations, res.residual) == (it, residual)
+
+    def test_start_is_left_unchanged(self, rng):
+        g = random_digraph(rng, 20)
+        M, pr = apps._transition(g), np.full(20, 0.05)
+        p0 = rng.uniform(0.0, 1.0, 20)
+        p0 /= p0.sum()
+        kept = p0.copy()
+        p, steps, residual, converged = apps._pagerank_iteration(M, p0, 0.15, pr, 1e-10, 5)
+        assert np.array_equal(p0, kept) and p is not p0
+        assert (steps, converged) == (5, False)
+        # No step: a copy of the start, no step norm, not converged.
+        p, steps, residual, converged = apps._pagerank_iteration(M, p0, 0.15, pr, 1e-10, 0)
+        assert np.array_equal(p, p0) and p is not p0
+        assert (steps, residual, converged) == (0, np.inf, False)
 
     def test_given_transition_is_used(self, rng):
         g, h = random_digraph(rng, 30), random_digraph(rng, 30)
@@ -260,6 +295,38 @@ class TestPageRankCorrelation:
                 old = float(np.corrcoef(pagerank(g, personalization=pr).p, swept)[0, 1])
                 assert raw < old <= smoothed
 
+    @pytest.mark.parametrize("steps", [1, 3, 10])
+    def test_smoothing_is_the_graphs_iteration_from_the_sparsifiers_vector(self, rng, steps):
+        g = strong_digraph(rng, 30)
+        res = sparsify(g, SparsifyParams(iter_max=3, mu_limit=1.0, seed=2, alpha_percent=10))
+        pr = np.full(g.n, 1.0 / g.n)
+        p_g = pagerank_reference(g, 0.15, pr)[0]
+        p_s = pagerank_reference(res.graph, 0.15, pr)[0]
+        smoothed = pagerank_reference(g, 0.15, pr, max_iters=steps, p0=p_s)[0]
+        raw, got = pagerank_correlation(g, res, smoothing_steps=steps)
+        assert raw == float(np.corrcoef(p_g, p_s)[0, 1])
+        assert got == float(np.corrcoef(p_g, smoothed)[0, 1])
+
+    @pytest.mark.parametrize("graph", ["strong", "dangling", "synth32"])
+    def test_many_smoothing_steps_recover_the_graphs_pagerank(self, rng, monkeypatch, graph):
+        if graph == "synth32":
+            g = read_matrix_market(Path(__file__).parent / "data" / "synth32.mtx")
+        else:
+            g = strong_digraph(rng, 40) if graph == "strong" else random_digraph(rng, 40)
+        s = g.subgraph(list(range(0, g.num_edges, 2)))
+        iteration, runs = apps._pagerank_iteration, []
+
+        def spy(*args):
+            runs.append(iteration(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(apps, "_pagerank_iteration", spy)
+        raw, smoothed = pagerank_correlation(g, s, smoothing_steps=1000)
+        # g's, s's and the smoothing run; the last stops once a step meets tol.
+        _, steps, residual, converged = runs[2]
+        assert converged and steps < 1000 and residual <= 1e-10
+        assert raw < smoothed and smoothed == pytest.approx(1.0, abs=1e-8)
+
     @pytest.mark.parametrize("name, g, s", [
         ("graph's", DirectedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]),
          DirectedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])),
@@ -349,6 +416,51 @@ class TestDirectedSolve:
             assert np.array_equal(x, X[:, j]) and column.converged
             steps = max(steps, column.iterations)
         assert stats.iterations == steps <= params.max_iters
+
+    @pytest.mark.parametrize("name", ["synth32", "path", "hub", "two attractors", "weights over six decades", "isolated node"])
+    def test_matches_the_min_norm_solution(self, name):
+        g = FIXED_GRAPHS[name]()
+        x_true = np.random.default_rng(0).standard_normal(g.n)
+        params = SolverParams(tol=1e-10)
+        x, stats = directed_solve(g, g, laplacian(g) @ x_true, solver_params=params)
+        assert stats.converged and stats.residual <= params.tol
+        assert 1 <= stats.iterations <= params.max_iters
+        assert min_norm_error(g, x, x_true) <= 1e-6
+
+    @pytest.mark.parametrize("scaled", ["even nodes by 2^10", "odd nodes by 2^-6", "each node by its own"])
+    def test_jacobi_makes_the_solve_blind_to_out_weight_scale(self, scaled):
+        # Scaling node i's out-edges by c_i scales column i of L_G and its
+        # diagonal alike, so L_G J is unchanged; powers of two keep it bit
+        # for bit, and x comes back divided by c.  Unpreconditioned, only a
+        # scale common to all nodes would.
+        g = read_matrix_market(Path(__file__).parent / "data" / "synth32.mtx")
+        b = laplacian(g) @ np.random.default_rng(1).standard_normal(g.n)
+        c = np.ones(g.n)
+        if scaled == "even nodes by 2^10":
+            c[::2] = 2.0**10
+        elif scaled == "odd nodes by 2^-6":
+            c[1::2] = 2.0**-6
+        else:
+            c = np.ldexp(1.0, np.random.default_rng(2).integers(-8, 9, g.n))
+        h = DirectedGraph.from_arrays(g.n, g.tails, g.heads, g.weights * c[g.tails])
+        x, stats = directed_solve(g, g, b)
+        y, scaled = directed_solve(h, h, b)
+        assert np.array_equal(y, x / c) and scaled == stats
+
+    def test_unconverged_below_the_cap_is_flagged(self):
+        rng = np.random.default_rng(0)
+        g = strong_digraph(rng, 40)
+        b = laplacian(g) @ rng.standard_normal(40)
+        x, stats = directed_solve(g, g, b, solver_params=SolverParams(tol=1e-12, max_iters=12))
+        assert stats.iterations == 12 and not stats.converged
+        assert 1e-12 < stats.residual <= apps.RESIDUAL_CAP
+        assert np.linalg.norm(laplacian(g) @ x - b) == pytest.approx(stats.residual * np.linalg.norm(b))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_no_nodes(self, shape):
+        g = DirectedGraph(0, [])
+        x, stats = directed_solve(g, g, np.zeros(shape))
+        assert x.shape == shape and stats == SolveStats(0, 0.0, True)
 
     def test_sparsifier_size_mismatch(self, rng):
         g = strong_digraph(rng, 12)

@@ -237,6 +237,14 @@ class TestPagerankCommand:
         assert "usage" in err and "--smoothing-steps" in err
         assert out == ""
 
+    def test_zero_smoothing_steps_reports_the_raw_correlation(self, capsys, graph_file, tmp_path):
+        s = tmp_path / "s.mtx"
+        run(capsys, "sparsify", "--input", graph_file, "--output", s, "--max-iters", 3, "--mu-limit", "1.0")
+        raw, _ = apps.pagerank_correlation(read_matrix_market(graph_file), read_matrix_market(s))
+        code, stdout, _ = run(capsys, "pagerank", "--input", graph_file, "--sparsifier", s, "--smoothing-steps", 0)
+        assert code == 0
+        assert stdout.endswith(f"\ncorrelation raw {raw:.17g}, smoothed {raw:.17g}\n")
+
     def test_constant_pagerank_is_data_error(self, capsys, tmp_path):
         # The directed 4-cycle has the uniform PageRank, whose correlation
         # with any other vector is undefined.
@@ -303,6 +311,17 @@ class TestSolveCommand:
         assert len(lines) == g.n + 1
         x = np.array([float(line.split(",")[1]) for line in lines[1:]])
         assert np.linalg.norm(laplacian(g) @ x - b) <= 1e-8 * np.linalg.norm(b)
+
+    def test_inconsistent_rhs_is_data_error(self, capsys, tmp_path):
+        # Node 4 has no edges: L_G's row there is zero, and b minus its mean
+        # is not.
+        path = tmp_path / "g.mtx"
+        write_matrix_market(DirectedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]), path)
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("1.0\n-1.0\n0.0\n3.0\n")
+        code, stdout, err = run(capsys, "solve", "--input", path, "--rhs", rhs)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("specsparse: error: right-hand side is inconsistent on nodes without edges")
 
     @pytest.mark.parametrize("flag", [["--gs-sweeps", "2"], ["--sparsifier", "s.mtx"]])
     def test_removed_options_are_usage_errors(self, capsys, graph_file, tmp_path, flag):
