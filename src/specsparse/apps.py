@@ -217,7 +217,8 @@ def directed_solve(g: DirectedGraph, s, b, solver_params=None):
     An isolated node is a zero row of L_G, which no x can meet: when b minus
     its mean is larger on those rows than the solve accepts (relative
     ``RESIDUAL_CAP``, or the solver's tol if larger), ValueError is raised
-    before the solve, as it is for a b whose first dimension is not n.
+    before the solve, as it is for a b whose first dimension is not n or
+    that is not finite.
 
     Returns x and a ``SolveStats`` over the block: ``iterations`` the most
     steps of a column, ``residual`` the largest relative residual
@@ -232,6 +233,8 @@ def directed_solve(g: DirectedGraph, s, b, solver_params=None):
     b = np.asarray(b, dtype=np.float64)
     if b.ndim not in (1, 2) or b.shape[0] != g.n:
         raise ValueError(f"rhs has shape {b.shape}, expected ({g.n},) or ({g.n}, k)")
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side must be finite")
     if g.n == 0:
         return b.copy(), SolveStats(0, 0.0, True)
     params = solver_params or SolverParams()

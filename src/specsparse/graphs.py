@@ -41,9 +41,10 @@ class DirectedGraph:
 
     Edges are canonicalized at construction: duplicates of the same
     (tail, head) pair merge by weight summation, the list is sorted by
-    (tail, head), all weights must be strictly positive and self-loops are
-    rejected.  ``from_arrays`` builds the same graph from parallel arrays in
-    place of an edge list.  Instances are treated as immutable.
+    (tail, head), all weights must be strictly positive and finite (also
+    after the merge) and self-loops are rejected.  ``from_arrays`` builds the
+    same graph from parallel arrays in place of an edge list.  Instances are
+    treated as immutable.
     """
 
     __slots__ = ("n", "tails", "heads", "weights")
@@ -92,21 +93,25 @@ class DirectedGraph:
                 raise ValueError(f"self-loop at node {tail} not allowed")
             raise ValueError(f"edge ({tail}, {head}) has non-positive weight {weight}")
 
-        if np.all((tails[1:] > tails[:-1]) | ((tails[1:] == tails[:-1]) & (heads[1:] > heads[:-1]))):
-            # Already canonical, as every file write_matrix_market writes is.
-            self.tails, self.heads, self.weights = tails, heads, weights
-            return
-        # A stable sort by (tail, head), without a tail * n + head key that
-        # could wrap; bincount sums each pair's weights in input order (and
-        # returns int64 when there are none, hence the cast).
-        order = np.lexsort((heads, tails))
-        tails, heads = tails[order], heads[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = (tails[1:] != tails[:-1]) | (heads[1:] != heads[:-1])
-        pair = np.empty(order.size, dtype=np.int64)
-        pair[order] = np.cumsum(first) - 1
-        self.tails, self.heads = tails[first], heads[first]
-        self.weights = np.bincount(pair, weights=weights).astype(np.float64, copy=False)
+        # Arrays already canonical, as every file write_matrix_market writes
+        # is, are kept as they stand.
+        if not np.all((tails[1:] > tails[:-1]) | ((tails[1:] == tails[:-1]) & (heads[1:] > heads[:-1]))):
+            # A stable sort by (tail, head), without a tail * n + head key that
+            # could wrap; bincount sums each pair's weights in input order (and
+            # returns int64 when there are none, hence the cast).
+            order = np.lexsort((heads, tails))
+            tails, heads = tails[order], heads[order]
+            first = np.ones(order.size, dtype=bool)
+            first[1:] = (tails[1:] != tails[:-1]) | (heads[1:] != heads[:-1])
+            pair = np.empty(order.size, dtype=np.int64)
+            pair[order] = np.cumsum(first) - 1
+            tails, heads = tails[first], heads[first]
+            weights = np.bincount(pair, weights=weights).astype(np.float64, copy=False)
+        # Checked on the merged weights: two finite ones can sum to inf.
+        if not np.isfinite(weights).all():
+            k = int(np.argmax(np.isinf(weights)))
+            raise ValueError(f"edge ({int(tails[k])}, {int(heads[k])}) has non-finite weight {weights[k]}")
+        self.tails, self.heads, self.weights = tails, heads, weights
 
     @property
     def num_edges(self):

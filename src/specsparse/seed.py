@@ -2,15 +2,17 @@
 
 The seed sparsifier is built in four steps: form the symmetrized transition
 matrix P = D_sym^-1 (A + A^T), treat P as the adjacency of an undirected
-graph, take a maximum-weight spanning forest of it, keep every directed edge
-whose endpoint pair lies on the forest, and finally give every node that has
-outgoing edges in the original graph but none in the seed its heaviest
-outgoing edge back.  A rank repair then drains the seed's spurious sink
-components through their heaviest exit edges, in synchronous rounds, so that
-the result has the same rank and nullity as the original symmetrized
-Laplacian.  Only the first round looks at every node: the later ones track
-the seed's strongly connected components on its condensation, with a
-union-find, and touch only the components that a round's new edges reach.
+graph, take a maximum-weight spanning forest of it (Kruskal's, ties going to
+the smaller pair, which is the order of canonical CSR and of the graph's
+edges), keep every directed edge whose endpoint pair lies on the forest, and
+finally give every node that has outgoing edges in the original graph but
+none in the seed its heaviest outgoing edge back.  A rank repair then
+drains the seed's spurious sink components through their heaviest exit
+edges, in synchronous rounds, so that the result has the same rank and
+nullity as the original symmetrized Laplacian.  Only the first round looks
+at every node: the later ones track the seed's strongly connected
+components on its condensation, with a union-find, and touch only the
+components that a round's new edges reach.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def symmetrized_transition(g: DirectedGraph) -> sp.csr_array:
     return P.tocsr()
 
 
-def maximum_spanning_structure(P: sp.sparray) -> list[tuple[int, int]]:
+def maximum_spanning_structure(P: sp.sparray) -> tuple[np.ndarray, np.ndarray]:
     """Maximum-weight spanning forest of the undirected graph behind P.
 
     P is interpreted as the adjacency of an undirected graph where the pair
@@ -59,30 +61,20 @@ def maximum_spanning_structure(P: sp.sparray) -> list[tuple[int, int]]:
     tail id, smaller head id), each taken unless it closes a cycle.  With the
     ranks as distinct weights that forest is the unique minimum spanning
     forest, which ``csgraph.minimum_spanning_tree`` finds.  Returns one tree
-    per connected component, i.e. exactly n - #components edges as (i, j)
-    pairs with i < j, in rank order.
+    per connected component, i.e. exactly n - #components pairs, as two
+    int64 arrays ``(lo, hi)`` with lo < hi, in rank order.
     """
-    n = P.shape[0]
-    C = sp.coo_array(P)
-    keep = (C.row != C.col) & (C.data != 0)
-    lo = np.minimum(C.row, C.col)[keep].astype(np.int64)
-    hi = np.maximum(C.row, C.col)[keep].astype(np.int64)
-    # A canonical P holds at most two entries per pair, P[i, j] and P[j, i],
-    # and a sum of two does not depend on their order.
-    keys, inverse = np.unique(lo * n + hi, return_inverse=True)
-    weights = np.bincount(inverse, weights=C.data[keep], minlength=keys.size)
-    if keys.size == 0:
-        return []
-    lo, hi = np.divmod(keys, n)
-
-    # Keys are unique and ascending, so a stable sort breaks ties on (lo, hi).
-    ranked = np.argsort(-weights, kind="stable")
+    # In canonical CSR, W holds one entry per pair, its weight, and stores
+    # the pairs in (lo, hi) order: a stable sort breaks ties in that order.
+    W = sp.triu(P + P.T, k=1, format="csr")
+    ranked = np.argsort(-W.data, kind="stable")
     # Rank k (from 1: a zero entry is no edge) as the weight of pair ranked[k - 1].
-    rank = np.arange(1, keys.size + 1, dtype=np.float64)
-    R = sp.csr_array((rank, (lo[ranked], hi[ranked])), shape=(n, n))
-    taken = np.sort(csgraph.minimum_spanning_tree(R).data).astype(np.int64) - 1
-    pairs = ranked[taken]
-    return list(zip(lo[pairs].tolist(), hi[pairs].tolist()))
+    rank = np.empty(W.nnz)
+    rank[ranked] = np.arange(1, W.nnz + 1)
+    R = sp.csr_array((rank, W.indices, W.indptr), shape=W.shape)
+    pairs = ranked[np.sort(csgraph.minimum_spanning_tree(R).data).astype(np.int64) - 1]
+    lo = np.searchsorted(W.indptr, pairs, side="right") - 1
+    return lo.astype(np.int64), W.indices[pairs].astype(np.int64)
 
 
 def _row_starts(n, tails):
@@ -340,23 +332,23 @@ def _push_all(heaps, c, entries):
 def build_seed(g: DirectedGraph) -> SeedSubgraph:
     """Construct the initial seed sparsifier of g.
 
-    Every directed edge of g between the endpoints of a forest edge is kept
+    Every directed edge of g between the endpoints of a forest pair is kept
     (both orientations when both exist), then two repairs run so the
     symmetrized Laplacians of seed and original share rank and nullity:
     nodes left without any outgoing edge get their maximum-weight one back,
     and spurious sink components are drained through their heaviest exit
     edges until the sink-component counts coincide.
     """
-    P = symmetrized_transition(g)
-    forest = np.array(maximum_spanning_structure(P), dtype=np.int64).reshape(-1, 2)
+    forest_lo, forest_hi = maximum_spanning_structure(symmetrized_transition(g))
     lo = np.minimum(g.tails, g.heads)
     hi = np.maximum(g.tails, g.heads)
-    in_seed = np.isin(lo * g.n + hi, forest[:, 0] * g.n + forest[:, 1])
+    in_seed = np.isin(lo * g.n + hi, forest_lo * g.n + forest_hi)
 
     has_out = np.zeros(g.n, dtype=bool)
     has_out[g.tails[in_seed]] = True
     bare = np.flatnonzero(~has_out[g.tails])
-    dangling = np.sort(_heaviest_per_group(g, bare, g.tails[bare]))
+    # Picked per tail in ascending tail order, so the ids ascend.
+    dangling = _heaviest_per_group(g, bare, g.tails[bare])
     in_seed[dangling] = True
     rank_fix = _rank_repair(g, in_seed)
 

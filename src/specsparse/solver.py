@@ -209,12 +209,14 @@ class SpsSolver:
         ``iterations`` is the number of block steps (the direct solve counts
         as one, a zero right-hand side takes none), ``residual`` the largest
         relative residual of a column and ``converged`` true only if every
-        column converged.
+        column converged.  A b that is not finite raises ValueError.
         """
         params = self.params
         b = np.asarray(b, dtype=np.float64)
         if b.ndim not in (1, 2) or b.shape[0] != self.n:
             raise ValueError(f"rhs has shape {b.shape}, expected ({self.n},) or ({self.n}, k)")
+        if not np.isfinite(b).all():
+            raise ValueError("right-hand side must be finite")
         B = b if b.ndim == 2 else b[:, None]
         mean = B.mean(axis=0) if self.singular else np.zeros(B.shape[1])
         C = B - mean  # the right-hand side solved for

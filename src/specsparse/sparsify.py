@@ -60,6 +60,8 @@ class SparsifyParams:
             raise ValueError("iter_max must be >= 0")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
+        if np.isnan(self.mu_limit):
+            raise ValueError("mu_limit must be a number, got nan")
 
     def resolve_r(self, n):
         if self.r is not None:
@@ -165,9 +167,9 @@ def sparsify(g: DirectedGraph, params: SparsifyParams | None = None) -> Sparsifi
         weights = g.weights[off_ids]
         sens, embeddings = score_edges(H, L_S, tails, heads, weights)
 
-        order = np.lexsort((off_ids, -sens))
         n_top = max(1, int(np.floor(params.alpha_percent / 100.0 * off_ids.size)))
-        top = order[:n_top]
+        # off_ids ascend, so a stable sort ranks ties by edge id.
+        top = np.argsort(-sens, kind="stable")[:n_top]
         out_deg = np.bincount(S.tails, minlength=g.n)
         accepted = filter_similar_edges(
             embeddings[top], tails[top], params.epsilon, params.d_out, out_deg

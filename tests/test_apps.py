@@ -373,6 +373,15 @@ class TestDirectedSolve:
         assert x.shape == (15,)
         assert isinstance(stats, SolveStats) and stats.converged and stats.residual <= 1e-8
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_rejected(self, bad):
+        # A NaN norm of b made the relative residual 0: all max_iters
+        # BiCGSTAB steps ran and a NaN x was reported as converged.
+        g = DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+        for b in ([bad, 1.0, 2.0], [[0.0, 1.0], [1.0, 2.0], [2.0, bad]]):
+            with pytest.raises(ValueError, match="^right-hand side must be finite$"):
+                directed_solve(g, g, b)
+
     def test_inconsistent_rhs_on_nodes_without_edges(self):
         # Nodes without edges are zero rows of L_G; b minus its mean must
         # vanish there, so a nonzero mean alone is projected away.

@@ -89,6 +89,27 @@ class TestDataErrors:
         assert code == 2
         assert f"{bad}:{line}:" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rhs(self, capsys, graph_file, tmp_path, value):
+        rhs = tmp_path / "b.txt"
+        rhs.write_text(f"{value}\n" + "1.0\n" * 39)
+        code, stdout, err = run(capsys, "solve", "--input", graph_file, "--rhs", rhs)
+        assert (code, stdout) == (2, "")
+        assert err == "specsparse: error: right-hand side must be finite\n"
+
+    @pytest.mark.parametrize("value", ["1e999", "inf"])
+    def test_infinite_weight(self, capsys, tmp_path, value):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text(f"%%MatrixMarket matrix coordinate real general\n3 3 3\n1 2 1.0\n2 3 {value}\n3 1 1.0\n")
+        code, stdout, err = run(capsys, "pagerank", "--input", bad)
+        assert (code, stdout) == (2, "")
+        assert err == "specsparse: error: edge (1, 2) has non-finite weight inf\n"
+
+    def test_nan_mu_limit(self, capsys, graph_file):
+        code, stdout, err = run(capsys, "sparsify", "--input", graph_file, "--mu-limit", "nan")
+        assert (code, stdout) == (2, "")
+        assert err == "specsparse: error: mu_limit must be a number, got nan\n"
+
     def test_rhs_size_mismatch(self, capsys, graph_file, tmp_path):
         rhs = tmp_path / "b.txt"
         rhs.write_text("1.0\n2.0\n")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -29,6 +31,18 @@ class TestDirectedGraph:
             DirectedGraph(2, [(0, 1, 0.0)])
         with pytest.raises(ValueError, match="weight"):
             DirectedGraph(2, [(0, 1, -1.0)])
+
+    @pytest.mark.parametrize(
+        "edges, edge",
+        [
+            ([(0, 1, 1.0), (1, 0, np.inf)], "(1, 0)"),
+            ([(1, 0, 1.0), (0, 1, 1e308), (0, 1, 1e308)], "(0, 1)"),  # merges to inf
+        ],
+    )
+    def test_non_finite_weight_rejected(self, edges, edge):
+        for build in (DirectedGraph, TestFromArrays.from_arrays):
+            with pytest.raises(ValueError, match=rf"^edge {re.escape(edge)} has non-finite weight inf$"):
+                build(2, edges)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):

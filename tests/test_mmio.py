@@ -102,6 +102,13 @@ class TestReadErrors:
         p = write(tmp_path, f"%%MatrixMarket matrix coordinate real general\n{2**63 - 1} {2**63 - 1} 1\n{2**63 - 1} 1 1.0\n")
         assert read_matrix_market(p).edges == [(2**63 - 2, 0, 1.0)]
 
+    @pytest.mark.parametrize("value", ["1e999", "inf"])
+    def test_infinite_weight(self, tmp_path, value):
+        # 1e999 is plain numerals, read by the block parser; inf by the line loop.
+        p = write(tmp_path, f"%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 1.0\n2 3 {value}\n")
+        with pytest.raises(ValueError, match=r"^edge \(1, 2\) has non-finite weight inf$"):
+            read_matrix_market(p)
+
     def test_non_square(self, tmp_path):
         p = write(tmp_path, "%%MatrixMarket matrix coordinate real general\n2 3 0\n")
         with pytest.raises(ParseError, match="square"):

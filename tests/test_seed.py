@@ -48,10 +48,23 @@ class TestSymmetrizedTransition:
         np.testing.assert_allclose(sums[~touched], 0.0)
 
 
+def pair_list(forest):
+    """The (lo, hi) arrays of maximum_spanning_structure as a list of pairs."""
+    lo, hi = forest
+    return list(zip(lo.tolist(), hi.tolist()))
+
+
 class TestMaximumSpanningStructure:
+    def test_two_int64_arrays_also_when_empty(self):
+        for n in (0, 1, 5):
+            lo, hi = maximum_spanning_structure(symmetrized_transition(DirectedGraph(n, [])))
+            assert lo.shape == hi.shape == (0,) and lo.dtype == hi.dtype == np.int64
+        lo, hi = maximum_spanning_structure(symmetrized_transition(DirectedGraph(2, [(1, 0, 1.0)])))
+        assert lo.dtype == hi.dtype == np.int64 and pair_list((lo, hi)) == [(0, 1)]
+
     def test_path_kept(self):
         g = DirectedGraph(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
-        forest = maximum_spanning_structure(symmetrized_transition(g))
+        forest = pair_list(maximum_spanning_structure(symmetrized_transition(g)))
         assert sorted(forest) == [(0, 1), (1, 2)]
 
     def test_triangle_drops_lightest(self):
@@ -59,7 +72,7 @@ class TestMaximumSpanningStructure:
         import scipy.sparse as sp
 
         P = sp.csr_array(np.array([[0, 3.0, 1.0], [3.0, 0, 2.0], [1.0, 2.0, 0]]) / 10)
-        forest = maximum_spanning_structure(P)
+        forest = pair_list(maximum_spanning_structure(P))
         assert sorted(forest) == [(0, 1), (1, 2)]
 
     def test_brute_force_maximum(self, rng):
@@ -70,7 +83,7 @@ class TestMaximumSpanningStructure:
         n = 5
         W = np.triu(rng.uniform(0.1, 1.0, (n, n)), k=1)
         P = sp.csr_array(W + W.T)
-        forest = set(maximum_spanning_structure(P))
+        forest = set(pair_list(maximum_spanning_structure(P)))
         got = sum(W[i, j] for i, j in forest)
 
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -97,7 +110,7 @@ class TestMaximumSpanningStructure:
 
     def test_forest_per_component(self):
         g = DirectedGraph(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)])
-        forest = maximum_spanning_structure(symmetrized_transition(g))
+        forest = pair_list(maximum_spanning_structure(symmetrized_transition(g)))
         assert sorted(forest) == [(0, 1), (2, 3)]
 
     def test_edge_count_is_n_minus_components(self, rng):
@@ -107,8 +120,8 @@ class TestMaximumSpanningStructure:
             g = random_digraph(rng, int(rng.integers(2, 30)))
             P = symmetrized_transition(g)
             n_comp, _ = csgraph.connected_components(P, directed=False)
-            forest = maximum_spanning_structure(P)
-            assert len(forest) == g.n - n_comp
+            lo, hi = maximum_spanning_structure(P)
+            assert lo.size == hi.size == g.n - n_comp
 
 
 class TestBuildSeed:
@@ -241,11 +254,11 @@ class TestVectorizedAgainstLoops:
         for _ in range(60):
             g = tied_digraph(rng, int(rng.integers(1, 40)))
             P = symmetrized_transition(g)
-            assert maximum_spanning_structure(P) == forest_loop_reference(P)
+            assert pair_list(maximum_spanning_structure(P)) == forest_loop_reference(P)
         # n = 0 and 1, and several components of tied weights side by side
         for n in (0, 1):
             P = symmetrized_transition(DirectedGraph(n, []))
-            assert maximum_spanning_structure(P) == forest_loop_reference(P) == []
+            assert pair_list(maximum_spanning_structure(P)) == forest_loop_reference(P) == []
         for _ in range(20):
             parts = [tied_digraph(rng, int(rng.integers(1, 12))) for _ in range(int(rng.integers(2, 5)))]
             edges, base = [], 0
@@ -253,14 +266,14 @@ class TestVectorizedAgainstLoops:
                 edges += [(t + base, h + base, w) for t, h, w in part.edges]
                 base += part.n
             P = symmetrized_transition(DirectedGraph(base, edges))
-            assert maximum_spanning_structure(P) == forest_loop_reference(P)
+            assert pair_list(maximum_spanning_structure(P)) == forest_loop_reference(P)
         # asymmetric P with tied pair sums and explicit zeros
         for _ in range(20):
             n = int(rng.integers(2, 15))
             M = rng.integers(0, 3, size=(n, n)).astype(float)
             P = sp.csr_array(M)
             P.data[::3] = 0.0
-            assert maximum_spanning_structure(P) == forest_loop_reference(P)
+            assert pair_list(maximum_spanning_structure(P)) == forest_loop_reference(P)
 
     def test_seed_matches_loop(self, rng):
         for trial in range(80):

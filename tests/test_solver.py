@@ -289,6 +289,18 @@ class TestBlockSolve:
             with pytest.raises(ValueError, match="rhs has shape"):
                 solver.solve(np.zeros(shape))
 
+    @pytest.mark.parametrize("dense_max", [DENSE_MAX, 0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_rejected(self, monkeypatch, dense_max, bad):
+        # A NaN norm of b made the relative residual 0: a NaN x was
+        # reported as solved in one step.
+        monkeypatch.setattr(solver_module, "DENSE_MAX", dense_max)
+        Lu = symmetrize(laplacian(DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])))
+        solver = SpsSolver(Lu)
+        for b in (np.array([bad, 1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 2.0], [2.0, bad]])):
+            with pytest.raises(ValueError, match="^right-hand side must be finite$"):
+                solver.solve(b)
+
 
 def disjoint_union(*graphs, isolated=0):
     """Directed graph made of the given graphs side by side, plus isolated nodes."""

@@ -39,6 +39,11 @@ class TestParams:
         with pytest.raises(ValueError):
             SparsifyParams(d_out=0)
 
+    def test_nan_mu_limit_rejected(self):
+        # mu > nan is false: the loop ran no iteration.
+        with pytest.raises(ValueError, match="mu_limit must be a number, got nan"):
+            SparsifyParams(mu_limit=float("nan"))
+
     @pytest.mark.parametrize("r", [0, -2])
     def test_r_below_one_rejected(self, r):
         with pytest.raises(ValueError, match=f"r must be >= 1, got {r}"):
