@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -64,14 +66,27 @@ def min_norm_error(g, x, x_true):
     return float(np.linalg.norm(x_row - x_ref) / denom) if denom > 0 else float(np.linalg.norm(x_row))
 
 
+class EigshCall(tuple):
+    """(sigma, output) of one ``eigsh`` call, with the ``k`` and ``ncv`` it
+    was given as attributes (ncv None when left to ARPACK's default)."""
+
+    def __new__(cls, sigma, out, k, ncv):
+        call = super().__new__(cls, (sigma, out))
+        call.k, call.ncv = k, ncv
+        return call
+
+
 def eigsh_spy(monkeypatch):
-    """Record (sigma, output) of every ``scipy.sparse.linalg.eigsh`` call."""
+    """Record an ``EigshCall`` for every ``scipy.sparse.linalg.eigsh`` call."""
     calls = []
     real = spla.eigsh
+    signature = inspect.signature(real)
 
     def spy(*args, **kwargs):
+        given = signature.bind(*args, **kwargs)
+        given.apply_defaults()
         out = real(*args, **kwargs)
-        calls.append((kwargs.get("sigma"), out))
+        calls.append(EigshCall(given.arguments["sigma"], out, given.arguments["k"], given.arguments["ncv"]))
         return out
 
     monkeypatch.setattr(spla, "eigsh", spy)

@@ -26,6 +26,7 @@ from specsparse import (
 )
 
 from specsparse import apps
+from specsparse.synth import clustered_digraph
 
 from conftest import eigsh_spy, min_norm_error, random_digraph, strong_digraph
 
@@ -506,21 +507,25 @@ class TestDirectedSolve:
             directed_solve(g, g, b, solver_params=SolverParams(max_iters=1))
 
 
-def _sparse_matches_dense(monkeypatch, g, k, shift_invert):
+def _sparse_matches_dense(monkeypatch, g, k, shift_invert, requests):
     """Partition g through ARPACK (DENSE_CUTOFF = 0) and check it against eigh.
 
-    The route taken must be the expected one, the eigenvalues and indices
-    must agree, and each chosen eigenvector must lie in the dense eigenspace
-    of its eigenvalue (any orthonormal basis of a repeated eigenvalue is
-    valid, so the vectors themselves need not agree).  Returns both results.
+    ARPACK must be asked for ``requests`` eigenpairs in turn, each on a basis
+    of min(max(2k + 1, ARPACK_MIN_NCV), n) vectors by the expected route; the
+    eigenvalues and indices must agree, and each chosen eigenvector of the
+    last call must lie in the dense eigenspace of its eigenvalue (any
+    orthonormal basis of a repeated eigenvalue is valid, so the vectors
+    themselves need not agree).  Returns both results.
     """
     dense = spectral_partition(g, k, seed=0)
     calls = eigsh_spy(monkeypatch)
     monkeypatch.setattr(apps, "DENSE_CUTOFF", 0)
     sparse = spectral_partition(g, k, seed=0)
-    assert len(calls) == 1
-    sigma, (vals, vecs) = calls[0]
-    assert (sigma is not None) == shift_invert
+    assert [call.k for call in calls] == requests
+    for call in calls:
+        assert call.ncv == min(max(2 * call.k + 1, apps.ARPACK_MIN_NCV), g.n)
+        assert (call[0] is not None) == shift_invert
+    vals, vecs = calls[-1][1]
 
     w, V = np.linalg.eigh(symmetrize(laplacian(g)).toarray())
     scale = max(abs(w).max(), 1e-300)
@@ -536,8 +541,9 @@ def _sparse_matches_dense(monkeypatch, g, k, shift_invert):
 class TestSpectralPartition:
     def test_disconnected_cycles_separate_exactly(self, monkeypatch):
         # Two directed rings of `size` nodes, of weights 1 and 2.  Above the
-        # cutoff, k = 2 asks for 14 eigenpairs: the 32-node graph takes
-        # shift-invert, while the 4-node one is dense either way.
+        # cutoff, k = 2 asks for c + k = 4 eigenpairs, which the 32-node
+        # graph's paired eigenvalues split into 2 groups, then for 8, by
+        # shift-invert; the 4-node one is dense either way.
         for size in (2, 16):
             edges = [(i, (i + 1) % size, 1.0) for i in range(size)]
             edges += [(size + i, size + (i + 1) % size, 2.0) for i in range(size)]
@@ -545,7 +551,7 @@ class TestSpectralPartition:
             if size == 2:
                 parts = [spectral_partition(g, 2, seed=0)]
             else:
-                parts = _sparse_matches_dense(monkeypatch, g, 2, shift_invert=True)
+                parts = _sparse_matches_dense(monkeypatch, g, 2, shift_invert=True, requests=[4, 8])
             for part in parts:
                 assert len(set(part.assignment[:size])) == len(set(part.assignment[size:])) == 1
                 assert part.assignment[0] != part.assignment[size]
@@ -599,17 +605,64 @@ class TestSpectralPartition:
             np.testing.assert_allclose(part.eigenvalues, 0.0, atol=1e-9)
 
     def test_shift_invert_route_matches_dense_synth32(self, monkeypatch):
-        # k = 2 asks for 14 eigenpairs, few enough for ARPACK on 32 nodes;
-        # k = 4 (18 of them) takes the dense route above the cutoff too.
+        # k = 2 asks for c + k = 3 eigenpairs, 3 distinct values.
         g = read_matrix_market(Path(__file__).parent / "data" / "synth32.mtx")
-        dense, sparse = _sparse_matches_dense(monkeypatch, g, 2, shift_invert=True)
+        dense, sparse = _sparse_matches_dense(monkeypatch, g, 2, shift_invert=True, requests=[3])
         assert adjusted_rand_index(dense.assignment, sparse.assignment) == 1.0
 
     def test_lanczos_route_matches_dense_on_dense_laplacian(self, rng, monkeypatch):
         g = strong_digraph(rng, 300, extra_factor=12)
         assert symmetrize(laplacian(g)).nnz > apps.SHIFT_INVERT_NNZ_PER_ROW * g.n
-        dense, sparse = _sparse_matches_dense(monkeypatch, g, 4, shift_invert=False)
+        dense, sparse = _sparse_matches_dense(monkeypatch, g, 4, shift_invert=False, requests=[5])
         assert adjusted_rand_index(dense.assignment, sparse.assignment) == 1.0
+
+    def test_dense_input_partitions_in_one_lanczos_call(self, monkeypatch):
+        # clustered_digraph's L_u is too dense to factor, so plain Lanczos
+        # runs once, for c + k = 5 eigenpairs on a basis of 40 vectors.
+        g = clustered_digraph(n=400, k=4, seed=5)
+        assert symmetrize(laplacian(g)).nnz > apps.SHIFT_INVERT_NNZ_PER_ROW * g.n
+        dense, sparse = _sparse_matches_dense(monkeypatch, g, 4, shift_invert=False, requests=[5])
+        assert adjusted_rand_index(dense.assignment, sparse.assignment) == 1.0
+
+    def test_paired_eigenvalues_grow_the_request(self, monkeypatch):
+        # A bidirected 60-node cycle: past 0, every eigenvalue of L_u comes
+        # in a pair.  k = 4 ends inside the second pair; ARPACK's c + k = 5
+        # pairs hold only 3 groups, too few to show that, so the request
+        # doubles to 10.  Both routes agree on every k.
+        n = 60
+        g = DirectedGraph(n, [(i, (i + d) % n, 1.0) for i in range(n) for d in (1, n - 1)])
+        parts = {}
+        calls = eigsh_spy(monkeypatch)
+        for dense_cutoff in (2000, 0):
+            monkeypatch.setattr(apps, "DENSE_CUTOFF", dense_cutoff)
+            calls.clear()
+            with pytest.raises(ValueError, match=r"k=4 would take 1 of the 2 eigenvectors"):
+                spectral_partition(g, 4)
+            assert [call.k for call in calls] == ([5, 10] if dense_cutoff == 0 else [])
+            parts[dense_cutoff] = [spectral_partition(g, k, seed=0) for k in (3, 5)]
+        for dense, sparse in zip(parts[2000], parts[0]):
+            assert sparse.eigvec_indices == dense.eigvec_indices == list(range(dense.k))
+            np.testing.assert_allclose(sparse.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("dense_cutoff", [2000, 0])
+    def test_requests_grow_past_a_whole_eigenspace(self, monkeypatch, dense_cutoff):
+        # The bidirected 6-cube: L_u has the eigenvalues 4 i^2 with
+        # multiplicity C(6, i), 7 distinct in all.  For k = 2, ARPACK's 3 and
+        # then 6 pairs show only two groups, the second cut short; the 12 of
+        # the third request show all 6 eigenvectors of eigenvalue 4.  k = 8
+        # grows the request until it goes dense.
+        d = 6
+        g = DirectedGraph(2**d, [(i, i ^ (1 << b), 1.0) for i in range(2**d) for b in range(d)])
+        monkeypatch.setattr(apps, "DENSE_CUTOFF", dense_cutoff)
+        calls = eigsh_spy(monkeypatch)
+        with pytest.raises(ValueError, match=r"k=2 would take 1 of the 6 eigenvectors"):
+            spectral_partition(g, 2)
+        assert [call.k for call in calls] == ([3, 6, 12] if dense_cutoff == 0 else [])
+        assert spectral_partition(g, 7).eigvec_indices == list(range(7))
+        calls.clear()
+        with pytest.raises(ValueError, match=r"requested 8 distinct eigenvalues but only 7 are available"):
+            spectral_partition(g, 8)
+        assert [call.k for call in calls] == ([9, 18] if dense_cutoff == 0 else [])
 
     def test_multi_attractor_converges_by_shift_invert(self, monkeypatch):
         # Zero has multiplicity 20 here; plain Lanczos for the smallest
@@ -618,7 +671,7 @@ class TestSpectralPartition:
         # differently, so only the eigenvalues and the subspace are compared.
         # k = 20 takes the whole null space.
         g = random_digraph(np.random.default_rng(3), 300)
-        dense, _ = _sparse_matches_dense(monkeypatch, g, 20, shift_invert=True)
+        dense, _ = _sparse_matches_dense(monkeypatch, g, 20, shift_invert=True, requests=[40])
         assert dense.eigvec_indices == list(range(20))
 
     @pytest.mark.parametrize("want", [17, 20, 39, 60])
