@@ -14,10 +14,10 @@ import sys
 import numpy as np
 
 from .apps import _low_eigenpairs, _pagerank_comparison, directed_solve, pagerank, spectral_partition
-from .graphs import laplacian, symmetrize, symmetrized_operator
+from .graphs import laplacian, symmetrized_operator
 from .mmio import ParseError, read_matrix_market, write_matrix_market
 from .sensitivity import power_iterate
-from .solver import SolverParams, SpsSolver
+from .solver import GroundedSolver, SolverParams
 from .sparsify import SparsifyParams, sparsify
 
 __all__ = ["main", "console_main"]
@@ -59,7 +59,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t", type=int, default=3)
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--solver-tol", type=float, default=1e-8)
+    p.add_argument("--solver-tol", type=float, default=1e-8,
+                   help="validated only: the loop's subgraph solves are direct")
     p.add_argument("--no-timing", action="store_true", help="zero the wall-time column for reproducible reports")
 
     p = sub.add_parser("pagerank", help="PageRank on a graph and optionally its sparsifier")
@@ -197,9 +198,11 @@ def _cmd_spectrum(args):
             raise ValueError(f"sparsifier has {s.n} nodes, graph has {g.n}")
         if s.num_edges == 0:
             raise ValueError("sparsifier has no edges: the generalized eigenvalues are undefined")
-        Su = symmetrize(laplacian(s))
+        L_S = laplacian(s)
         starts = np.random.default_rng(args.seed).uniform(-1, 1, size=(args.top, g.n))
-        mu, _ = power_iterate(symmetrized_operator(L), Su, starts, t=3, solver=SpsSolver(Su))
+        mu, _ = power_iterate(
+            symmetrized_operator(L), symmetrized_operator(L_S), starts, t=3, solver=GroundedSolver(L_S)
+        )
         lines.append("index,mu_estimate")
         for i, value in enumerate(sorted(mu.tolist(), reverse=True)):
             lines.append(f"{i},{_fmt(value)}")

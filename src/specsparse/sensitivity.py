@@ -3,13 +3,15 @@
 The dominant eigenvalue mu_max of the pencil (L_Gu, L_Su) measures how far
 the subgraph's symmetrized Laplacian is from the original's.  A few steps of
 generalized power iteration (multiply by L_Gu, solve with L_Su) give a vector
-h_t rich in the top eigenvector directions (L_Gu may be an operator that is
-never formed); ``power_iterate`` runs r starts as one n x r block, so a step
-is one product and one block solve, and returns the r estimates with that
-block.  ``score_edges`` then scores all off-subgraph edges at once from the
-block by first-order perturbation of the pencil, with an r-dimensional
-embedding of the same quadratic forms that lets the selection step skip
-edges that perturb the same spectral directions.
+h_t rich in the top eigenvector directions (L_Gu and L_Su may be operators
+that are never formed: the loop applies both as two products with a directed
+Laplacian, and solves with L_Su through a ``GroundedSolver`` of L_S);
+``power_iterate`` runs r starts as one n x r block, so a step is one product
+and one block solve, and returns the r estimates with that block.
+``score_edges`` then scores all off-subgraph edges at once from the block by
+first-order perturbation of the pencil, with an r-dimensional embedding of
+the same quadratic forms that lets the selection step skip edges that
+perturb the same spectral directions.
 
 ``filter_similar_edges`` makes that selection greedily over the ranked
 candidates.  It compares a candidate only with kept edges whose embedding
@@ -26,7 +28,7 @@ import math
 
 import numpy as np
 
-from .solver import SpsSolver, _coldot, _colnorm
+from .solver import _coldot, _colnorm
 
 __all__ = [
     "power_iterate",
@@ -43,29 +45,33 @@ FILTER_BUFFER = 1 << 16
 # Margin on epsilon for the norm window of ``_norm_windows``.
 WINDOW_SLACK = 1e-9
 
-# Largest relative residual of a subgraph solve that the power iteration
-# accepts (see ``power_iterate``).
+# Largest relative residual of an iterative solve that the power iteration
+# and ``apps.directed_solve`` accept.
 RESIDUAL_CAP = 1e-3
 
 
-def power_iterate(L_Gu, L_Su, h0, t=3, *, solver: SpsSolver):
+def power_iterate(L_Gu, L_Su, h0, t=3, *, solver):
     """t alternations of (multiply by L_Gu, solve with L_Su) from the rows of h0.
 
     h0 is an r x n array with one start per row.  Returns (mu, H): the r
     estimates of mu_max as an array, and the final iterates as the columns
     of the n x r block H, which owns its data (the last block solve's).
     The r starts run as one block, so each step makes one product with L_Gu
-    and one block solve with ``solver``, the ``SpsSolver`` of L_Su.  L_Gu
+    and one block solve with ``solver``: a ``GroundedSolver`` of L_S or an
+    ``SpsSolver`` of L_Su, whose ``solve`` returns (x, SolveStats).  L_Gu
     and L_Su may be any operands of ``@``.  The starts are deflated to zero
-    mean up front and each iterate renormalized every step (the Rayleigh
-    quotient is scale-invariant); a column whose norm reaches 0 stays 0.
+    mean up front; both solvers return iterates orthogonal to null(L_Su),
+    which holds the all-ones vector, so they stay deflated.  Each iterate is
+    renormalized every step (the Rayleigh quotient is scale-invariant); a
+    column whose norm reaches 0 stays 0.
     mu[j] is (h^T L_Gu h) / (h^T L_Su h) at column h = H[:, j], which is at
     least 1 - eps whenever S is a subgraph of G with matching null space.
 
-    Badly conditioned subgraph systems can bottom out above the solver's
-    tolerance in double precision; since only an approximate eigenvector is
-    needed, solves are accepted up to ``RESIDUAL_CAP`` and anything worse
-    propagates as an error.
+    An iterative solve of a badly conditioned system can bottom out above
+    the solver's tolerance in double precision; since only an approximate
+    eigenvector is needed, solves are accepted up to ``RESIDUAL_CAP`` and
+    anything worse raises RuntimeError.  A direct solve reports itself
+    converged.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -82,7 +88,6 @@ def power_iterate(L_Gu, L_Su, h0, t=3, *, solver: SpsSolver):
             raise RuntimeError(
                 f"subgraph solve stalled at residual {stats.residual:.3e}"
             )
-        H -= H.mean(axis=0)
         norms = _colnorm(H)
         np.divide(H, norms, out=H, where=norms > 0)
     num = _coldot(H, L_Gu @ H)

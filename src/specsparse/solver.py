@@ -1,8 +1,17 @@
-"""Direct and preconditioned conjugate gradient solves of SPS Laplacian-like systems.
+"""Solves with symmetrized Laplacians L_u = L L^T: through a factor of L, or of L_u.
 
-Symmetrized Laplacians L_u = L L^T may carry positive off-diagonals, which
-rules out M-matrix-only methods.  ``SpsSolver`` drops the all-zero rows and
-solves the remaining (active) system with one factor built once per matrix.
+``GroundedSolver`` is the route of the sparsification loop.  It never forms
+L_u: for any matrix (L L^T)^+ = (L^T)^+ L^+, so one LU factor of the
+directed Laplacian L, grounded at one node per sink strongly connected
+component, gives the pseudo-inverse solve as two solves with that factor and
+its transpose, between projections onto the complements of L's two null
+spaces.  Its condition number is that of L, not of L_u, and any number of
+sink components is handled.
+
+``SpsSolver`` solves a given SPS matrix.  Symmetrized Laplacians may carry
+positive off-diagonals, which rules out M-matrix-only methods.  It drops the
+all-zero rows and solves the remaining (active) system with one factor built
+once per matrix.
 Up to ``DENSE_MAX`` nodes it is a dense Cholesky factor: of the system
 itself, or, for a singular system with the all-ones null vector, of the
 system plus (d/n) 1 1^T (d its largest diagonal), which solves like the
@@ -27,11 +36,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
+from scipy.sparse import csgraph
 
-__all__ = ["SolverParams", "SolveStats", "SpsSolver"]
+__all__ = ["SolverParams", "SolveStats", "SpsSolver", "GroundedSolver"]
 
-# Active systems up to this many nodes are solved directly by their dense
-# Cholesky factor; larger ones are factored sparsely and solved by PCG.
+# Systems up to this many nodes (active nodes, for ``SpsSolver``) are factored
+# densely by LAPACK; larger ones by SuperLU.
 DENSE_MAX = 200
 
 # Shift of the sparse factor, relative to the largest diagonal.  It keeps the
@@ -149,7 +159,9 @@ def build_hierarchy(L, singular):
     The name predates this design: the benchmark's tracer
     (``perfbench/tracer.py``) wraps ``specsparse.solver.build_hierarchy`` as
     its span ``solver.hierarchy``, so the name stays until the benchmark
-    renames that span.
+    renames that span.  Only ``SpsSolver`` builds through it; the
+    sparsification loop solves through ``GroundedSolver``, so that span
+    reads 0 for ``sparsify``.
     """
     n = L.shape[0]
     if n == 0:
@@ -345,3 +357,135 @@ class SpsSolver:
             best_r = np.where(improved, rn, best_r)
             steps += 1
         return X, steps, converged
+
+
+class _DenseLU:
+    """Solves with the dense LAPACK LU factor (``dgetrf``) of a small matrix,
+    through the interface of SuperLU's ``solve``."""
+
+    __slots__ = ("lu", "piv")
+
+    def __init__(self, lu, piv):
+        self.lu, self.piv = lu, piv
+
+    def solve(self, b, trans="N"):
+        return lapack.dgetrs(self.lu, self.piv, b, trans=int(trans == "T"))[0]
+
+
+class GroundedSolver:
+    """Pseudo-inverse solves with L_u = L L^T through one LU factor of L.
+
+    L is a directed Laplacian D - A^T: its columns sum to zero and its
+    off-diagonals are not positive, so it is column diagonally dominant.
+    One node per sink strongly connected component of its graph, found from
+    L's pattern, is grounded: the component's lowest-numbered node.  The
+    factor is of L with the ground rows and columns replaced by those of the
+    identity, which keeps a right-hand side's ground entries and solves the
+    minor M of the other nodes.  Every other node reaches a ground node, so
+    M is nonsingular and, being column diagonally dominant, needs no
+    pivoting.  Up to ``DENSE_MAX`` nodes the factor is dense LAPACK
+    ``dgetrf``; above that SuperLU's, in a minimum-degree ordering on
+    A^T + A with diagonal pivots and no shift.
+
+    With c sink components, null(L) is spanned by the c stationary vectors,
+    each supported on its sink, and null(L^T) = null(L_u) by the c
+    absorption-probability vectors, or by the all-ones vector when c = 1.
+    The first come from one solve of c columns, the others, when c > 1, from
+    one transposed solve; both are kept as dense n x c bases with
+    orthonormal columns.  An L without edges grounds every node and is 0,
+    as is its pseudo-inverse; it gets no factor.
+    """
+
+    def __init__(self, L):
+        L = sp.csr_array(L, dtype=np.float64)
+        if L.shape[0] != L.shape[1]:
+            raise ValueError(f"expected square matrix, got {L.shape}")
+        self.L = L
+        self.n = n = L.shape[0]
+        ncomp, labels = csgraph.connected_components(L, directed=True, connection="strong")
+        # Entry (i, j, v) of L; off the diagonal it is the edge j -> i.  A
+        # component that an edge leaves is no sink.
+        i, j, v = np.repeat(np.arange(n), np.diff(L.indptr)), L.indices, L.data
+        sink = np.ones(ncomp, dtype=bool)
+        sink[labels[j[labels[i] != labels[j]]]] = False
+        self.ground = ground = np.sort(np.unique(labels, return_index=True)[1][sink])
+        self._factor = None
+        if ground.size == n:
+            return
+        c = ground.size
+        grounded = np.zeros(n, dtype=bool)
+        grounded[ground] = True
+        gi, gj = grounded[i], grounded[j]
+
+        keep = ~(gi | gj)
+        rows, cols = np.concatenate([i[keep], ground]), np.concatenate([j[keep], ground])
+        vals = np.concatenate([v[keep], np.ones(c)])
+        if n <= DENSE_MAX:
+            A = np.zeros((n, n), order="F")
+            A[rows, cols] = vals
+            lu, piv, info = lapack.dgetrf(A, overwrite_a=1)
+            if info:
+                raise RuntimeError("grounded Laplacian minor is singular")
+            self._factor = _DenseLU(lu, piv)
+        else:
+            self._factor = spla.splu(
+                sp.csc_array((vals, (rows, cols)), shape=(n, n)),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+
+        def ground_block(cut, node, ground_node):
+            """n x c block with 1 at (g_k, k) for the k-th ground node g_k,
+            and -v at (node, k) for each entry of ``cut`` whose ground_node
+            is g_k."""
+            B = np.zeros((n, c))
+            B[ground, np.arange(c)] = 1.0
+            B[node[cut], np.searchsorted(ground, ground_node[cut])] = -v[cut]
+            return B
+
+        # Stationary vectors: L pi = 0 with pi = 1 on its own ground node and
+        # 0 on the others, so the other rows solve M pi = -L[:, g].  pi is 0
+        # off its sink (no edge leaves a sink), so the normalized vectors are
+        # orthonormal.
+        right = self._factor.solve(ground_block(gj & ~gi, i, j))
+        self._right = right / np.linalg.norm(right, axis=0)
+        # Absorption probabilities: L^T z = 0 with z = 1 on its own ground
+        # node and 0 on the others, so M^T z = -L[g, :]^T.  None stands for
+        # the all-ones vector.
+        self._left = None
+        if c > 1:
+            left = self._factor.solve(ground_block(gi & ~gj, j, i), trans="T")
+            self._left = np.linalg.qr(left)[0]
+
+    def solve(self, b):
+        """x = L_u^+ b for a vector b or an n x k block b; returns (x, SolveStats).
+
+        b is projected onto null(L^T)^perp, solved with M (ground entries
+        0), projected onto null(L)^perp, solved with M^T, and projected onto
+        null(L^T)^perp again.  x is a new array.  The route is direct and
+        measures no residual: the stats read one iteration, residual nan and
+        converged true.  A b that is not finite raises ValueError.
+        """
+        b = np.asarray(b, dtype=np.float64)
+        if b.ndim not in (1, 2) or b.shape[0] != self.n:
+            raise ValueError(f"rhs has shape {b.shape}, expected ({self.n},) or ({self.n}, k)")
+        if not np.isfinite(b).all():
+            raise ValueError("right-hand side must be finite")
+        B = b if b.ndim == 2 else b[:, None]
+        if self._factor is None or not B.shape[1]:
+            X = np.zeros(B.shape)
+        else:
+            Y = self._off_left(B)
+            Y[self.ground] = 0.0
+            Y = self._factor.solve(Y)
+            Y -= self._right @ (self._right.T @ Y)
+            Y[self.ground] = 0.0
+            X = self._off_left(self._factor.solve(Y, trans="T"))
+        return (X if b.ndim == 2 else X[:, 0]), SolveStats(1, float("nan"), True)
+
+    def _off_left(self, M):
+        """M projected onto null(L^T)^perp, as a new array."""
+        if self._left is None:
+            return M - M.mean(axis=0)
+        return M - self._left @ (self._left.T @ M)

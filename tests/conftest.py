@@ -3,7 +3,9 @@ import inspect
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from specsparse import DirectedGraph, laplacian
 
@@ -31,6 +33,37 @@ def strong_digraph(rng, n, extra_factor=2.0):
         if t != h and (int(t), int(h)) not in edges:
             edges[(int(t), int(h))] = float(rng.uniform(0.2, 2.0))
     return DirectedGraph(n, [(t, h, w) for (t, h), w in edges.items()])
+
+
+def multi_attractor_digraph(rng, core=30):
+    """A strongly connected core of ``core`` nodes (a ring plus random
+    chords) with three sink nodes, each entered by up to two core edges."""
+    edges = {}
+    for i in range(core):
+        edges[(i, (i + 1) % core)] = float(rng.uniform(0.5, 2))
+    for _ in range(2 * core):
+        t, h = rng.integers(0, core, 2)
+        if t != h:
+            edges[(int(t), int(h))] = float(rng.uniform(0.5, 2))
+    for s in (core, core + 1, core + 2):
+        edges[(int(rng.integers(0, core)), s)] = 1.0
+        edges[(int(rng.integers(0, core)), s)] = 1.0
+    return DirectedGraph(core + 3, [(t, h, w) for (t, h), w in edges.items()])
+
+
+def sink_components(g):
+    """The sink strongly connected components of g, as a set of frozensets."""
+    A = scipy.sparse.coo_array((np.ones(g.num_edges), (g.tails, g.heads)), shape=(g.n, g.n))
+    _, labels = csgraph.connected_components(A, directed=True, connection="strong")
+    exits = set(labels[g.tails[labels[g.tails] != labels[g.heads]]].tolist())
+    return {frozenset(np.flatnonzero(labels == c).tolist()) for c in set(labels.tolist()) - exits}
+
+
+def pinv_mu(L_Gu, L_Su):
+    """Largest eigenvalue of pinv(L_Su) L_Gu, dense."""
+    A = L_Gu.toarray() if hasattr(L_Gu, "toarray") else np.asarray(L_Gu)
+    B = L_Su.toarray() if hasattr(L_Su, "toarray") else np.asarray(L_Su)
+    return float(np.linalg.eigvals(np.linalg.pinv(B) @ A).real.max())
 
 
 def dense_pencil(L_Gu, L_Su, tol=1e-9):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from specsparse import DirectedGraph, apps, laplacian, read_matrix_market, symmetrize, write_matrix_market
+from specsparse import DirectedGraph, apps, build_seed, laplacian, read_matrix_market, symmetrize, write_matrix_market
 from specsparse.cli import main
 from specsparse.synth import banded_digraph
 
-from conftest import eigsh_spy, strong_digraph
+from conftest import eigsh_spy, multi_attractor_digraph, pinv_mu, strong_digraph
 
 
 @pytest.fixture
@@ -180,6 +180,17 @@ class TestSparsifyCommand:
         code, stdout, err = run(capsys, "sparsify", "--input", graph_file, "--solver-tol", tol)
         assert (code, stdout) == (2, "")
         assert err == f"specsparse: error: tol must be positive, got {float(tol)}\n"
+
+    def test_multi_attractor_graph_reports_no_nan(self, capsys, tmp_path):
+        # Three sink components: the run sparsifies and reports finite mu.
+        path = tmp_path / "g.mtx"
+        write_matrix_market(multi_attractor_digraph(np.random.default_rng(12345)), path)
+        report = tmp_path / "r.csv"
+        code, out, err = run(capsys, "sparsify", "--input", path, "--report", report,
+                             "--max-iters", 5, "--mu-limit", 2.0, "--no-timing")
+        assert (code, err) == (0, "")
+        assert "nan" not in out and "inf" not in out
+        assert "nan" not in report.read_text() and "inf" not in report.read_text()
 
 
 class TestPagerankCommand:
@@ -397,6 +408,20 @@ class TestSpectrumCommand:
         vals = [float(l.split(",")[1]) for l in lines[1:]]
         assert vals == sorted(vals, reverse=True)
         assert all(v >= 1 - 1e-6 for v in vals)
+
+    def test_multi_attractor_seed_as_sparsifier(self, capsys, tmp_path):
+        # null(L_Su) has three dimensions; the grounded solve handles them.
+        g = multi_attractor_digraph(np.random.default_rng(12345))
+        seed = build_seed(g).graph
+        graph, sparsifier, out = tmp_path / "g.mtx", tmp_path / "s.mtx", tmp_path / "spec.csv"
+        write_matrix_market(g, graph)
+        write_matrix_market(seed, sparsifier)
+        code, _, err = run(capsys, "spectrum", "--input", graph, "--sparsifier", sparsifier,
+                           "--top", 4, "--output", out)
+        assert (code, err) == (0, "")
+        vals = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        oracle = pinv_mu(symmetrize(laplacian(g)), symmetrize(laplacian(seed)))
+        assert len(vals) == 4 and 1 - 1e-6 <= vals[0] <= oracle * (1 + 1e-6)
 
     @pytest.mark.parametrize("with_sparsifier", [False, True])
     def test_zero_top_writes_only_the_header(self, capsys, graph_file, tmp_path, monkeypatch, with_sparsifier):

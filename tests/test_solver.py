@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import lapack
 
 from specsparse import (
     DirectedGraph,
+    GroundedSolver,
     SolveStats,
     banded_digraph,
     build_seed,
@@ -487,3 +491,141 @@ class TestDirectRoute:
         widths = pcg_spy(monkeypatch)
         x, stats = SpsSolver(Lu, SolverParams(tol=1e-10, max_iters=1)).solve(rng.standard_normal(n))
         assert widths == [] and stats.iterations == 1 and not stats.converged
+
+
+def sinks_digraph(rng, body, sink_sizes, decades):
+    """Digraph whose sink strongly connected components have the given
+    sizes (a ring with chords, or a dangling node for size 1), plus
+    ``body`` nodes that each reach a sink, with weights 10^u, u uniform in
+    [0, decades).  Node labels are shuffled."""
+    n = body + sum(sink_sizes)
+    pairs, sinks, start = set(), [], body
+    for size in sink_sizes:
+        nodes = list(range(start, start + size))
+        sinks += nodes
+        if size > 1:
+            pairs.update(zip(nodes, nodes[1:] + nodes[:1]))
+            pairs.update(tuple(int(v) for v in rng.choice(nodes, 2, replace=False)) for _ in range(size))
+        start += size
+    for i in range(body):
+        # An edge to a later body node or into a sink: every node reaches one.
+        pairs.add((i, int(rng.choice(list(range(i + 1, body)) + sinks))))
+        for _ in range(2):
+            j = int(rng.integers(0, n))
+            if j != i:
+                pairs.add((i, j))
+    perm = rng.permutation(n)
+    return DirectedGraph(n, [(int(perm[t]), int(perm[h]), float(10 ** rng.uniform(0, decades))) for t, h in sorted(pairs)])
+
+
+def lapack_and_splu_spy(monkeypatch):
+    """Record every ``dgetrf`` and ``splu`` call."""
+    calls = []
+    real_getrf, real_splu = lapack.dgetrf, spla.splu
+
+    def getrf_spy(*args, **kwargs):
+        calls.append("dgetrf")
+        return real_getrf(*args, **kwargs)
+
+    def splu_spy(*args, **kwargs):
+        calls.append("splu")
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgetrf", getrf_spy)
+    monkeypatch.setattr(spla, "splu", splu_spy)
+    return calls
+
+
+class TestGroundedSolver:
+    """``GroundedSolver(L_S).solve(b)`` against dense oracles of L_Su = L_S L_S^T."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        body=st.integers(0, 25),
+        sink_sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        decades=st.floats(0, 2),
+        k=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        dense_max=st.sampled_from([DENSE_MAX, 0]),
+    )
+    @example(body=0, sink_sizes=[1, 1, 1], decades=0.0, k=2, seed=0, dense_max=DENSE_MAX)  # no edges
+    @example(body=6, sink_sizes=[1, 1, 1, 1], decades=2.0, k=1, seed=1, dense_max=DENSE_MAX)  # dangling
+    @example(body=0, sink_sizes=[4], decades=1.0, k=1, seed=2, dense_max=0)
+    def test_solves_the_pseudo_inverse(self, body, sink_sizes, decades, k, seed, dense_max):
+        # Bounds from 1000 such graphs on each route: the relative residual
+        # on the projected right-hand side reached 2.2e-14 kappa, the
+        # distance from the pinv solution 5.9e-15 kappa (kappa = cond(L_Su)
+        # off its null space, at most 1.9e5), and the null-space part of x
+        # 6.5e-15.
+        rng = np.random.default_rng(seed)
+        g = sinks_digraph(rng, body, sink_sizes, decades)
+        L = laplacian(g)
+        Ld = L.toarray()
+        Lu = Ld @ Ld.T
+        N = scipy.linalg.null_space(Ld.T)
+        assert N.shape[1] == len(sink_sizes)
+        sv = np.linalg.svd(Ld, compute_uv=False)
+        sv = sv[sv > 1e-10 * max(sv.max(initial=0.0), 1e-300)]
+        kappa = (sv.max() / sv.min()) ** 2 if sv.size else 1.0
+        b = rng.standard_normal((g.n, k))
+        b_range = b - N @ (N.T @ b)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(solver_module, "DENSE_MAX", dense_max)
+            x, stats = GroundedSolver(L).solve(b)
+        assert x.shape == b.shape
+        assert (stats.iterations, stats.converged) == (1, True) and np.isnan(stats.residual)
+        scale = max(np.linalg.norm(b_range), 1e-300)
+        assert np.linalg.norm(Lu @ x - b_range) <= 1e-12 * kappa * scale
+        assert np.linalg.norm(N.T @ x) <= 1e-12 * np.linalg.norm(x)
+        x_pinv = np.linalg.pinv(Lu) @ b
+        assert np.linalg.norm(x - x_pinv) <= 1e-12 * kappa * max(np.linalg.norm(x_pinv), 1e-300)
+
+    def test_dense_and_sparse_routes_agree(self, rng, monkeypatch):
+        g = sinks_digraph(rng, 40, [1, 3, 2], 1.0)
+        b = rng.standard_normal((g.n, 3))
+        dense, _ = GroundedSolver(laplacian(g)).solve(b)
+        calls = lapack_and_splu_spy(monkeypatch)
+        monkeypatch.setattr(solver_module, "DENSE_MAX", g.n - 1)
+        sparse, _ = GroundedSolver(laplacian(g)).solve(b)
+        assert calls == ["splu"]
+        np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-10 * np.abs(dense).max())
+
+    def test_vector_and_block(self, rng):
+        g = sinks_digraph(rng, 10, [2, 1], 1.0)
+        solver = GroundedSolver(laplacian(g))
+        B = rng.standard_normal((g.n, 3))
+        X, _ = solver.solve(B)
+        x, _ = solver.solve(B[:, 1])
+        assert x.shape == (g.n,)
+        np.testing.assert_allclose(x, X[:, 1], rtol=0, atol=1e-12 * np.abs(X).max())
+        assert solver.solve(np.zeros((g.n, 0)))[0].shape == (g.n, 0)
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_no_edges_is_zero_without_a_factor(self, monkeypatch, n):
+        # Every node is its own sink and grounded: L = 0 and L_Su^+ = 0.
+        # LAPACK refuses the empty minor, so no factor is built.
+        calls = lapack_and_splu_spy(monkeypatch)
+        solver = GroundedSolver(laplacian(DirectedGraph(n, [])))
+        x, stats = solver.solve(np.arange(n, dtype=np.float64))
+        X, _ = solver.solve(np.ones((n, 2)))
+        assert calls == [] and x.shape == (n,) and X.shape == (n, 2)
+        assert not x.any() and not X.any() and stats.converged
+
+    def test_dangling_nodes(self):
+        # A star: the centre's three heads are dangling nodes, each a sink.
+        g = DirectedGraph(4, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 0.5)])
+        Ld = laplacian(g).toarray()
+        b = np.array([1.0, -2.0, 0.5, 3.0])
+        x, _ = GroundedSolver(laplacian(g)).solve(b)
+        np.testing.assert_allclose(x, np.linalg.pinv(Ld @ Ld.T) @ b, rtol=0, atol=1e-12)
+
+    def test_input_validated(self):
+        L = laplacian(DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]))
+        with pytest.raises(ValueError, match="expected square matrix"):
+            GroundedSolver(sp.csr_array(np.ones((2, 3))))
+        solver = GroundedSolver(L)
+        with pytest.raises(ValueError, match="rhs has shape"):
+            solver.solve(np.ones(4))
+        with pytest.raises(ValueError, match="right-hand side must be finite"):
+            solver.solve(np.array([1.0, np.nan, 0.0]))

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from specsparse import (
@@ -21,7 +22,7 @@ from specsparse import (
 )
 from specsparse.synth import banded_digraph
 
-from conftest import dense_pencil, random_digraph, strong_digraph
+from conftest import dense_pencil, multi_attractor_digraph, pinv_mu, random_digraph, sink_components, strong_digraph
 
 # The package attribute ``specsparse.sparsify`` is the function; the spies
 # below patch globals of the module.
@@ -151,29 +152,18 @@ class TestSparsify:
         added = sum(r.edges_added for r in res.iterations[1:])
         assert len(res.kept_edge_ids) == res.iterations[0].edges_added + added
 
-    def test_multi_attractor_graph_degrades_to_seed(self, rng):
-        # several sink nodes inside one component make the generalized pair
-        # structurally ill-posed for any subgraph; the loop must hand back
-        # the seed instead of crashing
-        from specsparse import build_seed
-
-        core = 30
-        n = core + 3
-        edges = {}
-        for i in range(core):
-            edges[(i, (i + 1) % core)] = float(rng.uniform(0.5, 2))
-        for _ in range(60):
-            t, h = rng.integers(0, core, 2)
-            if t != h:
-                edges[(int(t), int(h))] = float(rng.uniform(0.5, 2))
-        for s in (core, core + 1, core + 2):
-            edges[(int(rng.integers(0, core)), s)] = 1.0
-            edges[(int(rng.integers(0, core)), s)] = 1.0
-        g = DirectedGraph(n, [(t, h, w) for (t, h), w in edges.items()])
-
+    def test_multi_attractor_graph_sparsifies(self, rng):
+        # Three sink nodes fed by one strongly connected core: null(L_Su)
+        # has three dimensions, which the grounded solve handles.
+        g = multi_attractor_digraph(rng)
         res = sparsify(g, SparsifyParams(iter_max=5, mu_limit=2.0, seed=0))
-        assert res.kept_edge_ids == build_seed(g).kept_edge_ids
-        assert np.isinf(res.mu_initial) and np.isinf(res.mu_final)
+        assert sum(row.edges_added for row in res.iterations[1:]) > 0
+        assert sink_components(res.graph) == sink_components(g) and len(sink_components(g)) == 3
+        Lgu = symmetrize(laplacian(g))
+        assert np.isfinite(res.mu_initial) and np.isfinite(res.mu_final)
+        assert res.mu_final <= pinv_mu(Lgu, symmetrize(laplacian(res.graph))) * (1 + 1e-6)
+        seed_mu = pinv_mu(Lgu, symmetrize(laplacian(build_seed(g).graph)))
+        assert res.mu_initial <= seed_mu * (1 + 1e-6)
 
     def test_mu_estimate_tracks_oracle(self, rng):
         g = strong_digraph(rng, 25)
@@ -194,7 +184,9 @@ class TestSparsify:
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 40), graph_seed=st.integers(0, 2**32 - 1))
-    def test_original_laplacian_never_symmetrized(self, n, graph_seed):
+    def test_never_symmetrizes(self, n, graph_seed):
+        # The loop solves through a factor of the directed L_S and applies
+        # L_Gu as an operator: no symmetrized Laplacian is formed.
         g = random_digraph(np.random.default_rng(graph_seed), n)
         original_laplacians, symmetrized = [], []
 
@@ -213,8 +205,7 @@ class TestSparsify:
             m.setattr(sparsify_module, "symmetrize", symmetrize_spy)
             sparsify(g, SparsifyParams(iter_max=3, mu_limit=1.0, seed=0, alpha_percent=20))
         assert bool(original_laplacians) == (len(build_seed(g).kept_edge_ids) < g.num_edges)
-        assert bool(symmetrized) == bool(original_laplacians)
-        assert not any(L is L_G for L in symmetrized for L_G in original_laplacians)
+        assert symmetrized == []
 
 
 class TestEstimateMu:
@@ -261,9 +252,10 @@ def disagreements(g, params, monkeypatch):
     exact = []
     power_iterate = sparsify_module.power_iterate
 
-    def power_iterate_spy(L_Gu, L_Su, *args, **kwargs):
-        exact.append(dense_pencil(Lgu, L_Su)[0])
-        return power_iterate(L_Gu, L_Su, *args, **kwargs)
+    def power_iterate_spy(L_Gu, L_Su, *args, solver, **kwargs):
+        # L_Su is an operator; the solver holds the subgraph's L_S.
+        exact.append(dense_pencil(Lgu, symmetrize(solver.L))[0])
+        return power_iterate(L_Gu, L_Su, *args, solver=solver, **kwargs)
 
     monkeypatch.setattr(sparsify_module, "power_iterate", power_iterate_spy)
     res = sparsify(g, params)
@@ -353,49 +345,72 @@ class TestCostGuards:
         assert len(res.iterations) > 1
         assert calls == []
 
-    def test_small_systems_solved_by_their_factor(self, monkeypatch):
-        # Every solve of the run takes the dense Cholesky route: one factor
-        # solve of its block (no explicit inverse, whose factor solve would
-        # be n columns wide) and no PCG step.
-        solves, factor_widths, pcg_calls = [], [], []
-        real_solve, real_pcg, real_potrs = SpsSolver.solve, SpsSolver._pcg, lapack.dpotrs
+    def test_one_dense_factor_per_evaluation(self, monkeypatch):
+        # Every evaluation factors its grounded L_S once, densely: no
+        # SuperLU factor and no SpsSolver.  Its block solves are one factor
+        # solve and one transposed solve of the block (no explicit inverse,
+        # whose factor solve would be n columns wide), and its one sink
+        # component takes one more solve of one column.
+        evaluations, factors, splus, sps_solvers, widths = [], [], [], [], []
+        real_power_iterate = sparsify_module.power_iterate
+        real_getrf, real_getrs, real_splu = lapack.dgetrf, lapack.dgetrs, spla.splu
+        real_sps_init = SpsSolver.__init__
 
-        def solve_spy(self, b):
-            x, stats = real_solve(self, b)
-            solves.append(stats)
-            return x, stats
+        def power_iterate_spy(*args, **kwargs):
+            evaluations.append(args)
+            return real_power_iterate(*args, **kwargs)
 
-        def pcg_spy(self, *args):
-            pcg_calls.append(args)
-            return real_pcg(self, *args)
+        def getrf_spy(a, *args, **kwargs):
+            factors.append(a.shape)
+            return real_getrf(a, *args, **kwargs)
 
-        def potrs_spy(c, b, *args, **kwargs):
-            factor_widths.append(b.shape[1] if b.ndim == 2 else 1)
-            return real_potrs(c, b, *args, **kwargs)
+        def getrs_spy(lu, piv, b, *args, **kwargs):
+            widths.append(b.shape[1] if b.ndim == 2 else 1)
+            return real_getrs(lu, piv, b, *args, **kwargs)
 
-        monkeypatch.setattr(SpsSolver, "solve", solve_spy)
-        monkeypatch.setattr(SpsSolver, "_pcg", pcg_spy)
-        monkeypatch.setattr(lapack, "dpotrs", potrs_spy)
+        def splu_spy(*args, **kwargs):
+            splus.append(args)
+            return real_splu(*args, **kwargs)
+
+        def sps_init_spy(self, *args, **kwargs):
+            sps_solvers.append(args)
+            real_sps_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sparsify_module, "power_iterate", power_iterate_spy)
+        monkeypatch.setattr(lapack, "dgetrf", getrf_spy)
+        monkeypatch.setattr(lapack, "dgetrs", getrs_spy)
+        monkeypatch.setattr(spla, "splu", splu_spy)
+        monkeypatch.setattr(SpsSolver, "__init__", sps_init_spy)
         g = read_matrix_market(DATA / "synth115.mtx")
         params = dict(d_out=10, iter_max=60, mu_limit=6.0, alpha_percent=10.0, epsilon=0.9, r=16, t=5)
         res = sparsify(g, SparsifyParams(seed=0, **params))
         assert len(res.iterations) > 1
-        assert len(pcg_calls) == 0
-        assert len(factor_widths) == len(solves) > 0 and set(factor_widths) == {16}
-        assert all(stats.iterations == 1 and stats.converged for stats in solves)
+        assert len(factors) == len(evaluations) > 1 and set(factors) == {(g.n, g.n)}
+        assert splus == [] and sps_solvers == []
+        assert widths.count(16) == 2 * params["t"] * len(evaluations)
+        assert widths.count(1) == len(evaluations) and len(widths) == (2 * params["t"] + 1) * len(evaluations)
 
     def test_one_symmetrized_operator_per_call(self, monkeypatch):
         # L_Gu is the same operator in every evaluation: it is built once.
-        calls = []
-        real = sparsify_module.symmetrized_operator
+        # (Each evaluation builds one of its subgraph's L_S as well.)
+        calls, original = [], []
+        real, real_laplacian = sparsify_module.symmetrized_operator, sparsify_module.laplacian
+        g = read_matrix_market(DATA / "synth115.mtx")
 
         def spy(L):
             calls.append(L)
             return real(L)
 
+        def laplacian_spy(graph):
+            L = real_laplacian(graph)
+            if graph is g:
+                original.append(L)
+            return L
+
         monkeypatch.setattr(sparsify_module, "symmetrized_operator", spy)
-        g = read_matrix_market(DATA / "synth115.mtx")
+        monkeypatch.setattr(sparsify_module, "laplacian", laplacian_spy)
         params = dict(d_out=10, iter_max=60, mu_limit=6.0, alpha_percent=10.0, epsilon=0.9, r=16, t=5)
         res = sparsify(g, SparsifyParams(seed=0, **params))
         assert len(res.iterations) > 2
-        assert len(calls) == 1
+        assert len(original) == 1
+        assert sum(L is original[0] for L in calls) == 1

@@ -10,6 +10,8 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
+
 import specsparse as ss
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -42,6 +44,10 @@ def test_tracer_spans_fire_and_uninstall_restores():
         res = ss.sparsify(g, ss.SparsifyParams(mu_limit=1.0, iter_max=3, seed=0))
         ss.pagerank_correlation(g, res)
         ss.spectral_partition(res.graph, 4)
+        # sparsify solves through GroundedSolver, which the tracer does not
+        # wrap; the solver.* spans fire on an explicit SpsSolver solve.
+        b = np.arange(g.n, dtype=np.float64)
+        ss.SpsSolver(ss.symmetrize(ss.laplacian(res.graph))).solve(b - b.mean())
     finally:
         tracer.uninstall()
     assert all(getattr(owner, attr) is fn for owner, attr, fn in originals)
