@@ -1,13 +1,17 @@
 """Downstream uses of the sparsifiers: PageRank, directed solves, partitioning.
 
-PageRank runs the damped fixed-point iteration on the out-degree transition
-operator, in which a dangling node keeps its own mass (its column is e_i).
-The smoothed PageRank correlation takes more steps of that iteration on the
-original graph, started from the sparsifier's vector.  The directed
-Laplacian solve runs BiCGSTAB on L_G itself, with L_G's diagonal as
-preconditioner.  Partitioning embeds nodes with the low eigenvectors of
-the symmetrized Laplacian, collapsing repeated eigenvalues into distinct
-groups, and clusters them with k-means.
+PageRank solves (I - (1 - alpha) M) p = alpha pr, M the out-degree
+transition operator, in which a dangling node keeps its own mass (its
+column is e_i), by BiCGSTAB from pr, as Gleich, Zhukov and Berkhin (2004)
+propose, and finishes with the damped fixed-point iteration from the
+clipped, normalized iterate: a residual within tol is a fixed-point step
+within tol, so one step normally ends it.  Its iteration counts are
+products with M.  The smoothed PageRank correlation takes more steps of
+that fixed-point iteration on the original graph, started from the
+sparsifier's vector.  The directed Laplacian solve runs BiCGSTAB on L_G
+itself, with L_G's diagonal as preconditioner.  Partitioning embeds nodes
+with the low eigenvectors of the symmetrized Laplacian, collapsing repeated
+eigenvalues into distinct groups, and clusters them with k-means.
 
 ``_low_eigenpairs`` is the one eigensolve of L_u, for the partition and for
 ``specsparse spectrum``.  It takes one of three routes: dense up to
@@ -48,8 +52,8 @@ __all__ = [
     "adjusted_rand_index",
 ]
 
-# Eigenvalues closer than this (relative to the spectral radius) collapse
-# into one distinct value.
+# Eigenvalues closer than this, relative to ||L_u||_1 (a bound on its
+# spectral radius), collapse into one distinct value.
 EIGENVALUE_GROUP_TOL = 1e-8
 
 # Up to this many nodes the eigensolve of L_u is dense (all n eigenpairs).
@@ -106,15 +110,24 @@ def _transition(g: DirectedGraph):
 def pagerank(
     g: DirectedGraph, alpha=0.15, personalization=None, tol=1e-10, max_iters=1000, *, transition=None
 ) -> PageRankResult:
-    """Fixed-point iteration of p = (1 - alpha) A^T D^-1 p + alpha * pr.
+    """Personalized PageRank: the solution p of p = (1 - alpha) M p + alpha pr,
+    M = A^T D^-1, as a probability distribution.
+
+    The linear system (I - (1 - alpha) M) p = alpha pr is solved by
+    BiCGSTAB from pr (``_pagerank_bicgstab``) until the 1-norm of its
+    residual is at most ``tol``; its iterate, clipped at 0 and normalized,
+    then starts the fixed-point iteration, which stops when the 1-norm of a
+    step is at most ``tol``, which must be positive.  A residual within tol
+    is a step within tol, so one step normally ends it; after a BiCGSTAB
+    breakdown or a spent budget the iteration runs on with what is left.
+    ``iterations`` and ``max_iters`` (>= 1) count products with M: one for
+    the initial residual and two per BiCGSTAB step, one per fixed-point
+    step.  Non-convergence is flagged rather than raised.
 
     ``personalization`` must be a nonnegative distribution summing to 1;
-    omitted, the uniform vector is used.  The iteration stops when the
-    1-norm of a step is at most ``tol``, which must be positive, or after
-    ``max_iters`` >= 1 steps.  The result is a probability distribution;
-    non-convergence is flagged rather than raised.
-    ``transition`` is g's operator A^T D^-1 when the caller has already
-    built it (as ``pagerank_correlation`` has); omitted, it is built here.
+    omitted, the uniform vector is used.  ``transition`` is g's operator
+    A^T D^-1 when the caller has already built it (as
+    ``pagerank_correlation`` has); omitted, it is built here.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
@@ -134,8 +147,71 @@ def pagerank(
         ):
             raise ValueError("personalization must be a nonnegative distribution over the nodes")
     M = _transition(g) if transition is None else transition
-    p, steps, residual, converged = _pagerank_iteration(M, pr, alpha, pr, tol, max_iters)
-    return PageRankResult(p, alpha, steps, residual, converged)
+    start, used = pr, 0
+    # Room for the initial residual, one BiCGSTAB step and the finishing step.
+    if max_iters >= 4:
+        start, used = _pagerank_bicgstab(M, alpha, pr, tol, max_iters - 1)
+    p, steps, residual, converged = _pagerank_iteration(M, start, alpha, pr, tol, max_iters - used)
+    return PageRankResult(p, alpha, used + steps, residual, converged)
+
+
+def _pagerank_bicgstab(M, alpha, pr, tol, budget):
+    """BiCGSTAB (van der Vorst, 1992) on (I - (1 - alpha) M) x = alpha pr
+    from x = pr, with the operator applied as x - (1 - alpha) (M x).
+
+    Stops when the 1-norm of the recurrence residual is at most ``tol``, on
+    a breakdown (r_hat . r, r_hat . v or omega equal to 0, where r_hat is
+    the initial residual) or before a step would take more than ``budget``
+    products with M.  Returns (x, products): x clipped at 0 and normalized,
+    and the products spent, at most ``budget`` (>= 3).
+    """
+    damping = 1.0 - alpha
+    x = pr.copy()
+    # r = alpha pr - (pr - (1 - alpha) M pr): the fixed-point step from pr.
+    r = M @ pr
+    r -= pr
+    r *= damping
+    products = 1
+    r_hat = r.copy()
+    p = None
+    while np.abs(r).sum() > tol and products + 2 <= budget:
+        rho_next = r_hat @ r
+        if rho_next == 0.0:
+            break
+        if p is None:
+            p = r.copy()
+        else:
+            # p = r + beta (p - omega v)
+            p -= omega * v
+            p *= (rho_next / rho) * (step / omega)
+            p += r
+        rho = rho_next
+        v = M @ p
+        v *= -damping
+        v += p
+        products += 1
+        rv = r_hat @ v
+        if rv == 0.0:
+            break
+        step = rho / rv
+        x += step * p
+        r -= step * v  # the half-step residual s
+        if np.abs(r).sum() <= tol:
+            break
+        t = M @ r
+        t *= -damping
+        t += r
+        products += 1
+        omega = (t @ r) / (t @ t)
+        if omega == 0.0:
+            break
+        x += omega * r
+        r -= omega * t
+    # M is column-stochastic, so r, p, v, s and t all sum to 0 and x keeps
+    # the sum 1 of pr: clipped, it sums to at least that.
+    np.maximum(x, 0.0, out=x)
+    x /= x.sum()
+    return x, products
 
 
 def _pagerank_iteration(M, p0, alpha, pr, tol, max_iters):
@@ -293,9 +369,11 @@ def directed_solve(g: DirectedGraph, s, b, solver_params=None):
     return (X if b.ndim == 2 else X[:, 0]), SolveStats(steps, worst, converged)
 
 
-def _distinct_groups(eigenvalues):
-    """Group ascending eigenvalues whose gap is below the relative tolerance."""
-    scale = max(abs(eigenvalues[0]), abs(eigenvalues[-1]), 1e-300)
+def _distinct_groups(eigenvalues, scale):
+    """Group ascending eigenvalues: each joins the group of the one before
+    when it lies within ``EIGENVALUE_GROUP_TOL * scale`` of that group's
+    first value.  ``scale`` is fixed by the matrix, not by the values
+    given, so the dense and the ARPACK routes group alike."""
     groups = [[0]]
     for i in range(1, len(eigenvalues)):
         if eigenvalues[i] - eigenvalues[groups[-1][0]] <= EIGENVALUE_GROUP_TOL * scale:
@@ -356,11 +434,12 @@ def spectral_partition(g: DirectedGraph, k, seed=0) -> Partitioning:
     """Cluster nodes with eigenvectors of the first k distinct eigenvalues.
 
     Eigenvalues of the symmetrized Laplacian come with multiplicities; values
-    within a relative 1e-8 band collapse into one distinct group.  Embedding
-    columns are taken group by group in ascending order so that exactly k
-    coordinates are used, then clustered by seeded k-means with 10 restarts.
-    A k that ends inside a group raises ValueError: any basis of that
-    eigenspace is valid, so part of it would give an arbitrary split.
+    within 1e-8 ||L_u||_1 of a group's first value join that group, on
+    every route alike.  Embedding columns are taken group by group in
+    ascending order so that exactly k coordinates are used, then clustered
+    by seeded k-means with 10 restarts.  A k that ends inside a group
+    raises ValueError: any basis of that eigenspace is valid, so part of it
+    would give an arbitrary split.
 
     The eigenpairs come from ``_low_eigenpairs``: all n up to
     ``DENSE_CUTOFF`` nodes, else the c + k smallest, where c, the
@@ -382,10 +461,11 @@ def spectral_partition(g: DirectedGraph, k, seed=0) -> Partitioning:
     nullity = int(_sink_flags(n_comp, labels, g.tails, g.heads).sum())
     L = laplacian(g)
     Lu = symmetrize(L)
+    scale = spla.norm(Lu, 1)
     want = nullity + k
     while True:
         vals, vecs = _low_eigenpairs(L, want, seed, Lu=Lu)
-        groups = _distinct_groups(vals)
+        groups = _distinct_groups(vals, scale)
         if len(groups) > k or vals.size == g.n:
             break
         want *= 2

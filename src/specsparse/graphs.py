@@ -158,9 +158,21 @@ class DirectedGraph:
         return f"DirectedGraph(n={self.n}, m={self.num_edges})"
 
 
+def _row_starts(n, tails):
+    """CSR row pointer of edges sorted by tail: node v's out-edges are
+    ``starts[v]:starts[v + 1]``."""
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=starts[1:])
+    return starts
+
+
 def adjacency(g: DirectedGraph) -> sp.csr_array:
-    """Adjacency matrix A with A[i, j] = w for each directed edge (i, j)."""
-    return sp.coo_array((g.weights, (g.tails, g.heads)), shape=(g.n, g.n)).tocsr()
+    """Adjacency matrix A with A[i, j] = w for each directed edge (i, j).
+
+    The graph's (tail, head)-sorted arrays are A's canonical CSR arrays:
+    only the row pointer is computed, and no COO entry is sorted.  A holds
+    copies, so changing it in place leaves the graph as it was."""
+    return sp.csr_array((g.weights.copy(), g.heads.copy(), _row_starts(g.n, g.tails)), shape=(g.n, g.n))
 
 
 def laplacian(g: DirectedGraph) -> sp.csr_array:
@@ -169,7 +181,7 @@ def laplacian(g: DirectedGraph) -> sp.csr_array:
     Every column of L sums to zero and off-diagonals are non-positive.  Row
     sums vanish only when in- and out-degrees agree, so only the column-sum
     property is guaranteed.  L, like ``adjacency`` and the factors of
-    ``incidence_factorization``, is canonical CSR as converted: a
+    ``incidence_factorization``, is canonical CSR as built: a
     DirectedGraph has no duplicate pairs, no self-loops and only positive
     weights, so no entry repeats or sums to zero.
     """
@@ -201,11 +213,11 @@ def symmetrize(L: sp.sparray) -> sp.csr_array:
 
 def symmetrized_operator(L: sp.sparray) -> spla.LinearOperator:
     """L_u = L L^T as the operator v -> L (L^T v) on vectors and n x k
-    blocks; L^T is built once."""
+    blocks; L^T is L's transposed view, which copies nothing."""
     L = sp.csr_array(L)
     if L.shape[0] != L.shape[1]:
         raise ValueError(f"expected square matrix, got {L.shape}")
-    LT = L.T.tocsr()
+    LT = L.T
 
     def apply(v):
         return L @ (LT @ v)

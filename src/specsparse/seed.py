@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .graphs import DirectedGraph, adjacency
+from .graphs import DirectedGraph, _row_starts, adjacency
 
 __all__ = ["SeedSubgraph", "symmetrized_transition", "maximum_spanning_structure", "build_seed"]
 
@@ -75,14 +75,6 @@ def maximum_spanning_structure(P: sp.sparray) -> tuple[np.ndarray, np.ndarray]:
     pairs = ranked[np.sort(csgraph.minimum_spanning_tree(R).data).astype(np.int64) - 1]
     lo = np.searchsorted(W.indptr, pairs, side="right") - 1
     return lo.astype(np.int64), W.indices[pairs].astype(np.int64)
-
-
-def _row_starts(n, tails):
-    """CSR row pointer of edges sorted by tail: node v's out-edges are
-    ``starts[v]:starts[v + 1]``."""
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tails, minlength=n), out=starts[1:])
-    return starts
 
 
 def _scc_labels(n, tails, heads):

@@ -167,20 +167,108 @@ def pagerank_reference(g, alpha, pr, tol=1e-10, max_iters=1000, p0=None):
     return p, it, residual
 
 
+class DoubledSecondProduct:
+    """A transition operator whose second product returns 2 x: with
+    alpha = 0.5 the first BiCGSTAB step then meets v = x - 0.5 (2 x) = 0,
+    so r_hat . v = 0, a breakdown.  Every other product is M's."""
+
+    def __init__(self, M):
+        self.M, self.calls = M, 0
+
+    def __matmul__(self, x):
+        self.calls += 1
+        return 2.0 * x if self.calls == 2 else self.M @ x
+
+
+class TestPageRankSolve:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        g=graphs_with_isolated_and_sinks(),
+        alpha=st.sampled_from([0.15, 0.5, 1.0]),
+        pr_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    )
+    def test_matches_the_dense_solve(self, g, alpha, pr_seed):
+        # Dangling nodes (their column of M is e_i), several sinks and
+        # isolated nodes.  A last step within tol bounds the 1-norm error
+        # by tol / alpha.
+        n, tol = g.n, 1e-10
+        pr = np.full(n, 1.0 / n)
+        if pr_seed is not None:
+            pr = np.random.default_rng(pr_seed).uniform(0.0, 1.0, n) * (np.arange(n) % 3 != 1)
+            pr[0] += 0.1
+            pr /= pr.sum()
+        M = apps._transition(g).toarray()
+        want = np.linalg.solve(np.eye(n) - (1.0 - alpha) * M, alpha * pr)
+        res = pagerank(g, alpha, pr, tol=tol)
+        assert res.converged and res.residual <= tol
+        assert res.p.min() >= 0 and abs(res.p.sum() - 1.0) <= 1e-12
+        assert np.abs(res.p - want).sum() <= tol / alpha + 1e-12
+
+    def test_budget_counts_products(self, rng):
+        g = random_digraph(rng, 40)
+        M = apps._transition(g)
+        pr = np.full(40, 1.0 / 40)
+        for max_iters in range(1, 30):
+            res = pagerank(g, max_iters=max_iters)
+            assert 1 <= res.iterations <= max_iters
+            if not res.converged:
+                assert res.iterations == max_iters
+        # Too small a budget for BiCGSTAB: the fixed-point loop, bit for bit.
+        for max_iters in (1, 2, 3):
+            res = pagerank(g, max_iters=max_iters)
+            p, steps, residual, _ = apps._pagerank_iteration(M, pr, 0.15, pr, 1e-10, max_iters)
+            np.testing.assert_array_equal(res.p, p)
+            assert res.iterations == steps == max_iters and res.residual == residual
+
+    def test_breakdown_falls_through_to_the_fixed_point_loop(self, rng):
+        g = random_digraph(rng, 30)
+        M = apps._transition(g)
+        pr = rng.uniform(0.0, 1.0, 30)
+        pr /= pr.sum()
+        res = pagerank(g, 0.5, pr, transition=DoubledSecondProduct(M))
+        # Two products (the initial residual and v), then the fixed-point
+        # loop from pr, clipped and normalized, with the budget left.
+        p, steps, residual, converged = apps._pagerank_iteration(M, pr / pr.sum(), 0.5, pr, 1e-10, 998)
+        assert converged and steps > 1
+        np.testing.assert_array_equal(res.p, p)
+        assert (res.iterations, res.residual, res.converged) == (2 + steps, residual, True)
+        want = np.linalg.solve(np.eye(30) - 0.5 * M.toarray(), 0.5 * pr)
+        assert np.abs(res.p - want).sum() <= 1e-10 / 0.5 + 1e-12
+
+    @pytest.mark.parametrize("name", ["synth115", "synth32"])
+    def test_fewer_products_than_the_fixed_point_loop(self, name):
+        # At most 70 % of the plain loop's products, summed over the uniform
+        # and 8 personalized queries: a silent fall back to the loop fails.
+        g = read_matrix_market(Path(__file__).parent / "data" / f"{name}.mtx")
+        queries = [np.full(g.n, 1.0 / g.n)]
+        for i in range(8):
+            pr = np.zeros(g.n)
+            pr[np.random.default_rng([7, g.n, i]).choice(g.n, 5, replace=False)] = 0.2
+            queries.append(pr)
+        M = apps._transition(g)
+        solved = sum(pagerank(g, personalization=pr).iterations for pr in queries)
+        looped = sum(apps._pagerank_iteration(M, pr, 0.15, pr, 1e-10, 1000)[1] for pr in queries)
+        assert solved <= 0.7 * looped
+
+
 class TestPageRankInPlace:
     def test_same_bits_as_the_allocating_loop(self, rng):
+        # The fixed-point loop that finishes every solve and smooths the
+        # correlation, from pr as well as from another start.
         for trial in range(20):
             n = int(rng.integers(1, 60))
             g = random_digraph(rng, n)  # dangling nodes included
-            pr = None
+            pr = np.full(n, 1.0 / n)
             if trial % 2:
                 pr = rng.uniform(0.0, 1.0, n)
                 pr /= pr.sum()
+            p0 = None if trial % 4 < 2 else pagerank(random_digraph(rng, n), personalization=pr).p
             alpha = float(rng.choice([0.15, 0.5, 1.0]))
-            res = pagerank(g, alpha, pr, max_iters=200)
-            p, it, residual = pagerank_reference(g, alpha, np.full(n, 1.0 / n) if pr is None else pr, max_iters=200)
-            np.testing.assert_array_equal(res.p, p)
-            assert (res.iterations, res.residual) == (it, residual)
+            M = apps._transition(g)
+            p, steps, residual, _ = apps._pagerank_iteration(M, pr if p0 is None else p0, alpha, pr, 1e-10, 200)
+            want, it, want_residual = pagerank_reference(g, alpha, pr, max_iters=200, p0=p0)
+            np.testing.assert_array_equal(p, want)
+            assert (steps, residual) == (it, want_residual)
 
     def test_start_is_left_unchanged(self, rng):
         g = random_digraph(rng, 20)
@@ -301,8 +389,8 @@ class TestPageRankCorrelation:
         g = strong_digraph(rng, 30)
         res = sparsify(g, SparsifyParams(iter_max=3, mu_limit=1.0, seed=2, alpha_percent=10))
         pr = np.full(g.n, 1.0 / g.n)
-        p_g = pagerank_reference(g, 0.15, pr)[0]
-        p_s = pagerank_reference(res.graph, 0.15, pr)[0]
+        p_g = pagerank(g, personalization=pr).p
+        p_s = pagerank(res.graph, personalization=pr).p
         smoothed = pagerank_reference(g, 0.15, pr, max_iters=steps, p0=p_s)[0]
         raw, got = pagerank_correlation(g, res, smoothing_steps=steps)
         assert raw == float(np.corrcoef(p_g, p_s)[0, 1])
@@ -603,6 +691,32 @@ class TestSpectralPartition:
             part = spectral_partition(g, 2, seed=0)
             assert part.eigvec_indices == [0, 1]
             np.testing.assert_allclose(part.eigenvalues, 0.0, atol=1e-9)
+
+    def test_grouping_does_not_depend_on_the_values_returned(self, rng, monkeypatch):
+        # Two eigenvalues 1e-5 apart group alike whether the eigensolve
+        # returns 4 values ending at 0.868 (as ARPACK's few pairs) or all 6,
+        # ending at 1258 (as the dense route): the band is fixed by L_u.
+        g = strong_digraph(rng, 6)
+        low = [0.0, 0.5, 0.5 + 1e-5, 0.868]
+        outcomes = []
+        for vals in (low, low + [600.0, 1258.0]):
+            vecs = np.linalg.qr(rng.standard_normal((6, len(vals))))[0]
+            monkeypatch.setattr(apps, "_low_eigenpairs", lambda *a, v=np.array(vals), q=vecs, **kw: (v, q))
+            try:
+                outcomes.append(spectral_partition(g, 2, seed=0).eigvec_indices)
+            except ValueError as e:
+                outcomes.append(str(e))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("scale, groups", [
+        (0.868, [[0, 1], [2], [3], [4]]),  # a band of 8.7e-9
+        (1258.0, [[0, 1], [2, 3], [4]]),  # a band of 1.3e-5
+    ])
+    def test_groups_within_the_band_of_the_scale_given(self, scale, groups):
+        vals = np.array([0.0, 1e-12, 0.5, 0.5 + 1e-5, 0.868])
+        assert apps._distinct_groups(vals, scale) == groups
+        # The values past them do not move the groups.
+        assert apps._distinct_groups(np.append(vals, [600.0, 1258.0]), scale) == groups + [[5], [6]]
 
     def test_shift_invert_route_matches_dense_synth32(self, monkeypatch):
         # k = 2 asks for c + k = 3 eigenpairs, 3 distinct values.

@@ -220,6 +220,34 @@ class TestAdjacency:
         expected[0, 1], expected[0, 2], expected[1, 2] = 2.0, 1.0, 3.0
         np.testing.assert_array_equal(adjacency(g).toarray(), expected)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        drop=st.floats(0.0, 0.6),
+        isolated=st.integers(0, 3),
+    )
+    @example(seed=0, n=1, drop=0.0, isolated=2)  # no edge at all
+    def test_same_arrays_as_the_coo_route(self, seed, n, drop, isolated):
+        # Dangling nodes (out-edges of some tails dropped) and isolated ones.
+        rng = np.random.default_rng(seed)
+        g = random_digraph(rng, n)
+        keep = rng.random(n)[g.tails] >= drop
+        g = DirectedGraph.from_arrays(n + isolated, g.tails[keep], g.heads[keep], g.weights[keep])
+        A = adjacency(g)
+        want = sp.coo_array((g.weights, (g.tails, g.heads)), shape=(g.n, g.n)).tocsr()
+        for attr in ("indptr", "indices", "data"):
+            got, ref = getattr(A, attr), getattr(want, attr)
+            if g.num_edges:
+                assert got.tobytes() == ref.tobytes()
+            else:  # scipy's conversion picks int32 for an empty matrix
+                assert np.array_equal(got, ref)
+        assert A.has_canonical_format
+        weights, heads = g.weights.copy(), g.heads.copy()
+        A.data[:] = -1.0
+        A.indices[:] = 0
+        assert np.array_equal(g.weights, weights) and np.array_equal(g.heads, heads)
+
 
 class TestLaplacian:
     def test_single_edge(self):
@@ -370,6 +398,14 @@ class TestSymmetrizedOperator:
         g = random_digraph(rng, n)
         V = rng.standard_normal(n if block == 0 else (n, block))
         assert_operator_matches(laplacian(g), V)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 50), graph_seed=st.integers(0, 2**32 - 1), block=st.sampled_from([0, 1, 16]))
+    def test_same_bits_as_a_transposed_copy(self, n, graph_seed, block):
+        rng = np.random.default_rng(graph_seed)
+        L = laplacian(random_digraph(rng, n))
+        V = rng.standard_normal(n if block == 0 else (n, block))
+        np.testing.assert_array_equal(symmetrized_operator(L) @ V, L @ (L.T.tocsr() @ V))
 
     def test_hub_with_2000_out_edges(self, rng):
         d = 2000
