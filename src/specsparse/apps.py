@@ -38,7 +38,7 @@ import scipy.sparse.linalg as spla
 from .graphs import DirectedGraph, adjacency, laplacian, symmetrize, symmetrized_operator
 from .seed import _scc_labels, _sink_flags
 from .sensitivity import RESIDUAL_CAP
-from .solver import SolverParams, SolveStats, _shifted_factor
+from .solver import SolverParams, SolveStats, _checked_rhs, _shifted_factor
 from .sparsify import Sparsifier
 
 __all__ = [
@@ -318,11 +318,7 @@ def directed_solve(g: DirectedGraph, s, b, solver_params=None):
     sg = s.graph if isinstance(s, Sparsifier) else s
     if sg.n != g.n:
         raise ValueError(f"sparsifier has {sg.n} nodes, graph has {g.n}")
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim not in (1, 2) or b.shape[0] != g.n:
-        raise ValueError(f"rhs has shape {b.shape}, expected ({g.n},) or ({g.n}, k)")
-    if not np.isfinite(b).all():
-        raise ValueError("right-hand side must be finite")
+    b = _checked_rhs(b, g.n)
     if g.n == 0:
         return b.copy(), SolveStats(0, 0.0, True)
     params = solver_params or SolverParams()

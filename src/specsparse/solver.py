@@ -10,19 +10,11 @@ sink components is handled.
 
 ``SpsSolver`` solves a given SPS matrix.  Symmetrized Laplacians may carry
 positive off-diagonals, which rules out M-matrix-only methods.  It drops the
-all-zero rows and solves the remaining (active) system with one factor built
-once per matrix.
-Up to ``DENSE_MAX`` nodes it is a dense Cholesky factor: of the system
-itself, or, for a singular system with the all-ones null vector, of the
-system plus (d/n) 1 1^T (d its largest diagonal), which solves like the
-pseudo-inverse on the zero-mean subspace.  That factor solves the system
-directly; only columns whose residual misses the tolerance go on into
-conjugate gradient, preconditioned by the same factor.  Larger systems, and
-small ones whose Cholesky factor is singular to working precision (a null
-space wider than the all-ones vector), run preconditioned conjugate gradient
-with one SuperLU factor of the system shifted by ``FACTOR_SHIFT`` (1e-12) of
-its largest diagonal.  Singular systems with the all-ones null vector are
-handled by deflation onto the zero-mean subspace.
+all-zero rows and solves the remaining (active) system by preconditioned
+conjugate gradient, with one SuperLU factor of the system shifted by
+``FACTOR_SHIFT`` (1e-12) of its largest diagonal, built once per matrix.
+Singular systems with the all-ones null vector are handled by deflation onto
+the zero-mean subspace.
 The right-hand side may be an n x k block: its columns run through one
 column-wise conjugate gradient, one product and one preconditioner call per
 step for all columns still running.
@@ -40,22 +32,23 @@ from scipy.sparse import csgraph
 
 __all__ = ["SolverParams", "SolveStats", "SpsSolver", "GroundedSolver"]
 
-# Systems up to this many nodes (active nodes, for ``SpsSolver``) are factored
-# densely by LAPACK; larger ones by SuperLU.
+# ``GroundedSolver`` factors systems up to this many nodes densely by LAPACK,
+# larger ones by SuperLU.
 DENSE_MAX = 200
 
 # Shift of the sparse factor, relative to the largest diagonal.  It keeps the
 # factor of a singular system definite; the inverse of a larger shift damps
 # the near-null directions that power-iteration right-hand sides are rich in,
-# which costs PCG steps.  It is also the least reciprocal condition estimate
-# at which a dense Cholesky factor is accepted.
+# which costs PCG steps.
 FACTOR_SHIFT = 1e-12
 
 
 @dataclass
 class SolverParams:
-    """Stopping rule of the conjugate gradient: relative residual ``tol``
-    within ``max_iters`` steps."""
+    """Stopping rule of an iterative solve: relative residual ``tol`` within
+    ``max_iters`` steps.  ``SpsSolver``'s conjugate gradient and
+    ``directed_solve``'s BiCGSTAB stop by it, and ``pagerank`` checks its
+    own ``tol`` and ``max_iters`` through it."""
 
     tol: float = 1e-8
     max_iters: int = 400
@@ -83,6 +76,17 @@ def _colnorm(U):
     return np.sqrt(_coldot(U, U))
 
 
+def _checked_rhs(b, n):
+    """b as a float64 array; ValueError unless it is an n-vector or an n x k
+    block of finite entries."""
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"rhs has shape {b.shape}, expected ({n},) or ({n}, k)")
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side must be finite")
+    return b
+
+
 def _shifted_factor(A, shift):
     """SuperLU factor of A + shift I, for a symmetric A.
 
@@ -99,62 +103,13 @@ def _shifted_factor(A, shift):
     )
 
 
-class _Cholesky:
-    """Solves with the dense upper Cholesky factor ``c`` of a small system.
-
-    Called on a vector or an n x k block r, it returns A^-1 r by two
-    triangular solves (LAPACK ``dpotrs``), as a new array.  ``SpsSolver``
-    solves with it directly, and it preconditions PCG for the columns that
-    the direct solve leaves above the tolerance.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, c):
-        self.c = c
-
-    def __call__(self, r):
-        return lapack.dpotrs(self.c, r)[0]
-
-
-def _cholesky(A, singular):
-    """``_Cholesky`` of the dense SPS matrix A, deflated when ``singular``,
-    or None when its factor is not definite enough.  A is overwritten.
-
-    A singular A with A 1 = 0 is factored as B = A + (d/n) 1 1^T, d its
-    largest diagonal: when null(A) is span(1), B^-1 r = A^+ r for every
-    zero-mean r.  The factor is accepted when LAPACK's reciprocal condition
-    estimate (``dpocon``) is at least ``FACTOR_SHIFT``.  That rejects a B
-    that is singular because null(A) is wider than span(1) (several sink
-    components).  Over 1500 random graphs of 3 to 199 nodes, such a B either
-    failed to factor or had an estimate of at most 1.7e-17, and a definite
-    one had at least 1.2e-10.  The smallest pivot is no such test: its square
-    reached 2.8e-12 of the largest diagonal on a singular B, above
-    ``FACTOR_SHIFT``.
-    """
-    if singular:
-        A += A.diagonal().max() / A.shape[0]
-    anorm = np.abs(A).sum(axis=0).max()
-    c, info = lapack.dpotrf(A, clean=0, overwrite_a=1)
-    if info:
-        return None
-    rcond, info = lapack.dpocon(c, anorm)
-    if info or not rcond >= FACTOR_SHIFT:
-        return None
-    return _Cholesky(c)
-
-
-def build_hierarchy(L, singular):
+def build_hierarchy(L):
     """Factor of the square CSR SPS matrix L, as a function r -> M r.
 
-    Up to ``DENSE_MAX`` nodes it is a ``_Cholesky``, the dense Cholesky
-    factor of L, or of L + (d/n) 1 1^T when ``singular`` (L 1 = 0): M is
-    then L^-1, or the pseudo-inverse of L on zero-mean vectors, and
-    ``SpsSolver`` solves with it directly.  Larger L, and small ones whose
-    factor is rejected as singular, get one shifted sparse factor,
-    M = (L + FACTOR_SHIFT max(diag L) I)^-1, which keeps M positive definite
-    when L is singular and preconditions PCG.  An empty L gets the identity.
-    M applies to vectors and to n x k blocks alike.
+    M = (L + FACTOR_SHIFT max(diag L) I)^-1, from one shifted sparse factor,
+    which keeps M positive definite when L is singular and preconditions
+    PCG.  An empty L gets the identity.  M applies to vectors and to n x k
+    blocks alike.
 
     The name predates this design: the benchmark's tracer
     (``perfbench/tracer.py``) wraps ``specsparse.solver.build_hierarchy`` as
@@ -163,13 +118,8 @@ def build_hierarchy(L, singular):
     sparsification loop solves through ``GroundedSolver``, so that span
     reads 0 for ``sparsify``.
     """
-    n = L.shape[0]
-    if n == 0:
-        return np.copy  # LAPACK refuses an empty matrix
-    if n <= DENSE_MAX:
-        factor = _cholesky(L.toarray(), singular)
-        if factor is not None:
-            return factor
+    if L.shape[0] == 0:
+        return np.copy  # an empty diagonal has no largest entry
     return _shifted_factor(L, FACTOR_SHIFT * max(L.diagonal().max(), 1e-300)).solve
 
 
@@ -199,7 +149,7 @@ class SpsSolver:
         # Usually every node is active, and the reduced system is L itself.
         self.partial = self.active.size < self.n
         self.reduced = L[np.ix_(self.active, self.active)].tocsr() if self.partial else L
-        self._precond = build_hierarchy(self.reduced, self.singular)
+        self._precond = build_hierarchy(self.reduced)
 
     def solve(self, b):
         """Solve L x = b for a vector b or an n x k block b; returns (x, SolveStats).
@@ -209,77 +159,37 @@ class SpsSolver:
         projected onto the zero-mean subspace and the solution deflated to
         1^T x = 0.
 
-        With a dense Cholesky factor the block is solved directly, which is
-        the one step that PCG makes with that factor as preconditioner; a
-        column whose residual misses the tolerance then runs PCG, with the
-        same factor, on its residual.  Otherwise the block is solved column
-        by column by PCG: each column has its own step sizes, stopping test
-        and best iterate, but every step makes one product with L and one
-        preconditioner call for all the columns still running, and a column
-        leaves the block when it stops.  A column that does not converge
-        returns its best iterate.  The stats cover the whole block:
-        ``iterations`` is the number of block steps (the direct solve counts
-        as one, a zero right-hand side takes none), ``residual`` the largest
-        relative residual of a column and ``converged`` true only if every
-        column converged.  A b that is not finite raises ValueError.
+        The block is solved column by column by PCG: each column has its own
+        step sizes, stopping test and best iterate, but every step makes one
+        product with L and one preconditioner call for all the columns still
+        running, and a column leaves the block when it stops.  A column that
+        does not converge returns its best iterate.  The stats cover the
+        whole block: ``iterations`` is the number of block steps (a zero
+        right-hand side takes none), ``residual`` the largest relative
+        residual of a column and ``converged`` true only if every column
+        converged.  A b that is not finite raises ValueError.
         """
         params = self.params
-        b = np.asarray(b, dtype=np.float64)
-        if b.ndim not in (1, 2) or b.shape[0] != self.n:
-            raise ValueError(f"rhs has shape {b.shape}, expected ({self.n},) or ({self.n}, k)")
-        if not np.isfinite(b).all():
-            raise ValueError("right-hand side must be finite")
+        b = _checked_rhs(b, self.n)
         B = b if b.ndim == 2 else b[:, None]
         mean = B.mean(axis=0) if self.singular else np.zeros(B.shape[1])
         C = B - mean  # the right-hand side solved for
         bnorm = _colnorm(C)
-        tol = params.tol * (1 + 1e-9)
-        if isinstance(self._precond, _Cholesky) and bnorm.any():
-            # Deflating the solution is enough: the factor maps the all-ones
-            # vector to a multiple of itself.
-            X = self._spread(self._deflated(self._precond(self._rows(C))))
-            steps, converged = 1, np.ones(B.shape[1], dtype=bool)
-            residual = self._residual(X, B, mean, bnorm)
-            run = residual > tol
-            if run.any() and params.max_iters > 1:
-                R = C[:, run] - self.L @ X[:, run]
-                D, more, converged[run] = self._correction(R, params.tol * bnorm[run], params.max_iters - 1)
-                X[:, run] += D
-                steps += more
-                residual = self._residual(X, B, mean, bnorm)
+        if self.partial:
+            Xa, steps, converged = self._pcg(C[self.active], params.tol * bnorm, params.max_iters)
+            X = np.zeros(C.shape)
+            X[self.active] = Xa
         else:
-            X, steps, converged = self._correction(C, params.tol * bnorm, params.max_iters)
-            residual = self._residual(X, B, mean, bnorm)
-        converged &= residual <= tol
+            X, steps, converged = self._pcg(C, params.tol * bnorm, params.max_iters)
+            # Deflated as a C-ordered block: the column means of PCG's
+            # Fortran-ordered iterate would sum in another order.
+            X = np.ascontiguousarray(X)
+        if self.singular:
+            X -= X.mean(axis=0)
+        residual = self._residual(X, B, mean, bnorm)
+        converged &= residual <= params.tol * (1 + 1e-9)
         stats = SolveStats(steps, float(residual.max(initial=0.0)), bool(converged.all()))
         return (X if b.ndim == 2 else X[:, 0]), stats
-
-    def _rows(self, M):
-        """The active rows of the n x k block M: M itself when every node is active."""
-        return M[self.active] if self.partial else M
-
-    def _spread(self, Xa):
-        """The n x k block with the active rows Xa and zeros elsewhere."""
-        if not self.partial:
-            return Xa
-        X = np.zeros((self.n, Xa.shape[1]))
-        X[self.active] = Xa
-        return X
-
-    def _deflated(self, M):
-        """M projected in place onto zero-mean columns, for a singular system."""
-        if self.singular and M.shape[0]:  # an empty block has no mean
-            M -= M.mean(axis=0)
-        return M
-
-    def _correction(self, R, atol, max_iters):
-        """PCG on the residual block R, which it may overwrite: returns the
-        deflated n x k correction to x, the block steps and the columns that
-        converged."""
-        Xa, steps, converged = self._pcg(self._rows(R), atol, max_iters)
-        # Deflated as a C-ordered block: the column means of PCG's
-        # Fortran-ordered iterate would sum in another order.
-        return self._deflated(np.ascontiguousarray(self._spread(Xa))), steps, converged
 
     def _residual(self, X, B, mean, bnorm):
         """Each column's relative residual ||b - mean - L x|| / ||b - mean||
@@ -467,11 +377,7 @@ class GroundedSolver:
         measures no residual: the stats read one iteration, residual nan and
         converged true.  A b that is not finite raises ValueError.
         """
-        b = np.asarray(b, dtype=np.float64)
-        if b.ndim not in (1, 2) or b.shape[0] != self.n:
-            raise ValueError(f"rhs has shape {b.shape}, expected ({self.n},) or ({self.n}, k)")
-        if not np.isfinite(b).all():
-            raise ValueError("right-hand side must be finite")
+        b = _checked_rhs(b, self.n)
         B = b if b.ndim == 2 else b[:, None]
         if self._factor is None or not B.shape[1]:
             X = np.zeros(B.shape)

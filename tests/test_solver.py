@@ -21,7 +21,7 @@ from specsparse import (
 from specsparse import solver as solver_module
 from specsparse.solver import DENSE_MAX, build_hierarchy
 
-from conftest import nullity, random_digraph, strong_digraph
+from conftest import random_digraph, strong_digraph
 
 
 def connected_symmetrized(rng, n):
@@ -43,27 +43,23 @@ def shifted_factor_spy(monkeypatch):
 
 
 class TestSpsSolver:
-    # The one- and two-node systems take the dense Cholesky route.
-    def test_singular_two_node(self, monkeypatch):
-        calls = shifted_factor_spy(monkeypatch)
+    def test_singular_two_node(self):
         L = sp.csr_array(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         x, stats = SpsSolver(L, SolverParams()).solve(np.array([1.0, -1.0]))
         np.testing.assert_allclose(x, [0.5, -0.5], atol=1e-10)
         assert stats.converged and abs(x.sum()) < 1e-12
-        assert stats.iterations == 1 and not calls
+        assert stats.iterations == 1
 
-    def test_nonsingular_two_node(self, monkeypatch):
-        calls = shifted_factor_spy(monkeypatch)
+    def test_nonsingular_two_node(self):
         L = sp.csr_array(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         x, stats = SpsSolver(L, SolverParams()).solve(np.array([1.0, 0.0]))
         np.testing.assert_allclose(x, [2 / 3, 1 / 3], atol=1e-10)
-        assert stats.converged and stats.iterations == 1 and not calls
+        assert stats.converged and stats.iterations == 1
 
-    def test_one_node(self, monkeypatch):
-        calls = shifted_factor_spy(monkeypatch)
+    def test_one_node(self):
         x, stats = SpsSolver(sp.csr_array(np.array([[3.0]]))).solve(np.array([6.0]))
         np.testing.assert_allclose(x, [2.0], rtol=1e-15)
-        assert stats.converged and stats.iterations == 1 and not calls
+        assert stats.converged and stats.iterations == 1
 
     def test_zero_rhs(self, rng):
         Lu = connected_symmetrized(rng, 12)
@@ -84,7 +80,6 @@ class TestSpsSolver:
         assert SolverParams(max_iters=1).max_iters == 1
 
     def test_matches_pseudoinverse_on_random_systems(self, rng):
-        # small systems take the dense pseudo-inverse, the last few the factor
         tol = 1e-9
         sizes = [*rng.integers(4, 50, size=20), *rng.integers(DENSE_MAX + 1, 2 * DENSE_MAX, size=5)]
         for n in map(int, sizes):
@@ -154,17 +149,17 @@ class TestSpsSolver:
             x, stats = solver.solve(b)
             assert stats.converged
 
-    @pytest.mark.parametrize("n", [60, DENSE_MAX + 30])
-    def test_all_active_system_is_not_copied(self, rng, n):
+    def test_all_active_system_is_not_copied(self, rng):
         # Every diagonal entry is positive, so the reduced system is L
         # itself; solving through an np.ix_ copy gives the same bits.
+        n = 60
         Lu = connected_symmetrized(rng, n)
         solver = SpsSolver(Lu)
         assert solver.reduced is solver.L
         copied = SpsSolver(Lu)
         copied.reduced = Lu[np.ix_(copied.active, copied.active)].tocsr()
         assert copied.reduced is not copied.L
-        copied._precond = build_hierarchy(copied.reduced, copied.singular)
+        copied._precond = build_hierarchy(copied.reduced)
         B = Lu @ rng.standard_normal((n, 3))
         for b in (B, B[:, 0]):
             (x, stats), (x_copy, stats_copy) = solver.solve(b), copied.solve(b)
@@ -277,10 +272,10 @@ class TestBlockSolve:
             x, stats = solver.solve(np.zeros(shape))
             assert x.shape == shape and stats == SolveStats(0, 0.0, True)
 
-    @pytest.mark.parametrize("n", [12, DENSE_MAX + 30])
     @pytest.mark.parametrize("singular", [True, False])
-    def test_block_of_no_columns(self, rng, n, singular):
-        # Both preconditioner routes: an n x 0 block is solved at once.
+    def test_block_of_no_columns(self, rng, singular):
+        # An n x 0 block is solved at once.
+        n = 12
         Lu = connected_symmetrized(rng, n)
         if not singular:
             Lu = sp.csr_array(Lu + sp.eye_array(n))
@@ -293,12 +288,10 @@ class TestBlockSolve:
             with pytest.raises(ValueError, match="rhs has shape"):
                 solver.solve(np.zeros(shape))
 
-    @pytest.mark.parametrize("dense_max", [DENSE_MAX, 0])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rhs_rejected(self, monkeypatch, dense_max, bad):
+    def test_non_finite_rhs_rejected(self, bad):
         # A NaN norm of b made the relative residual 0: a NaN x was
         # reported as solved in one step.
-        monkeypatch.setattr(solver_module, "DENSE_MAX", dense_max)
         Lu = symmetrize(laplacian(DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])))
         solver = SpsSolver(Lu)
         for b in (np.array([bad, 1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 2.0], [2.0, bad]])):
@@ -321,90 +314,37 @@ def hub(rng, n):
 
 
 class TestShiftedFactor:
-    """Systems solved through the shifted factor, and their small versions.
+    """Every system with an active node is solved through one shifted factor.
 
     The shift keeps the factor of a singular system definite; it must stay
     small enough that a consistent right-hand side converges in one step on
     singular, disconnected, seed-like and hub systems alike (at a shift of
-    1e-8 of the largest diagonal each of these took two).  Every system above
-    DENSE_MAX takes the factor.  A small one takes it only when its dense
-    Cholesky factor is rejected: when its null space is wider than span(1),
-    as with several components or several sink components.  Isolated nodes
-    leave the active system, and a hub is connected, so their small versions
-    keep the dense route.  Each case maps to (graph, takes the factor).
+    1e-8 of the largest diagonal each of these took two), small or large.
     """
 
     CASES = {
-        "connected": (lambda rng: strong_digraph(rng, 600), True),
-        "three components": (lambda rng: disjoint_union(*(strong_digraph(rng, 250) for _ in range(3))), True),
-        "50 isolated nodes": (lambda rng: disjoint_union(strong_digraph(rng, 300), isolated=50), True),
-        "banded seed": (lambda rng: build_seed(banded_digraph(n=2000, seed=5)).graph, True),
-        "hub": (lambda rng: hub(rng, 400), True),
-        "small three components": (lambda rng: disjoint_union(*(strong_digraph(rng, 40) for _ in range(3))), True),
-        "small 10 isolated nodes": (lambda rng: disjoint_union(strong_digraph(rng, 50), isolated=10), False),
-        "small hub": (lambda rng: hub(rng, 60), False),
-        "small sink components": (lambda rng: random_digraph(np.random.default_rng(3), 150), True),
+        "connected": lambda rng: strong_digraph(rng, 600),
+        "three components": lambda rng: disjoint_union(*(strong_digraph(rng, 250) for _ in range(3))),
+        "50 isolated nodes": lambda rng: disjoint_union(strong_digraph(rng, 300), isolated=50),
+        "banded seed": lambda rng: build_seed(banded_digraph(n=2000, seed=5)).graph,
+        "hub": lambda rng: hub(rng, 400),
+        "small three components": lambda rng: disjoint_union(*(strong_digraph(rng, 40) for _ in range(3))),
+        "small 10 isolated nodes": lambda rng: disjoint_union(strong_digraph(rng, 50), isolated=10),
+        "small hub": lambda rng: hub(rng, 60),
+        "small sink components": lambda rng: random_digraph(np.random.default_rng(3), 150),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_consistent_rhs_converges_in_one_step(self, rng, monkeypatch, case):
-        make, factored = self.CASES[case]
-        Lu = symmetrize(laplacian(make(rng)))
+        Lu = symmetrize(laplacian(self.CASES[case](rng)))
         calls = shifted_factor_spy(monkeypatch)
         solver = SpsSolver(Lu, SolverParams(tol=1e-8))
-        assert len(calls) == factored
-        if solver.reduced.shape[0] <= DENSE_MAX:
-            assert solver.singular
-            assert (nullity(solver.reduced) > 1) == factored
+        assert len(calls) == 1
         b = Lu @ rng.standard_normal(Lu.shape[0])
         x, stats = solver.solve(b)
         assert stats.converged and stats.residual <= 1e-8
         assert np.linalg.norm(b - Lu @ x) <= 1e-8 * np.linalg.norm(b)
         assert stats.iterations == 1
-
-
-class TestCholeskyRoute:
-    """Systems up to DENSE_MAX nodes: the dense Cholesky factor, checked
-    against the pseudo-inverse."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(2, DENSE_MAX), singular=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_matches_the_pseudo_inverse(self, n, singular, seed):
-        rng = np.random.default_rng(seed)
-        Lu = connected_symmetrized(rng, n)
-        if not singular:
-            Lu = sp.csr_array(Lu + sp.diags_array(rng.uniform(0.1, 1.0, n)))
-        with pytest.MonkeyPatch.context() as mp:
-            calls = shifted_factor_spy(mp)
-            solver = SpsSolver(Lu, SolverParams(tol=1e-8))
-        assert solver.singular == singular and not calls
-        r = rng.standard_normal(n)
-        r -= r.mean()
-        ref = np.linalg.pinv(Lu.toarray(), hermitian=True) @ r
-        if singular:
-            ref -= ref.mean()  # pinv's rounding in the null direction
-        z = solver._precond(r)
-        assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)
-        b = Lu @ rng.standard_normal(n)
-        x, stats = solver.solve(b)
-        assert stats.converged and stats.iterations == 1
-
-    def test_empty_system_builds_without_lapack(self):
-        M = build_hierarchy(sp.csr_array((0, 0)), True)
-        assert M(np.zeros((0, 2))).shape == (0, 2)
-
-
-def pcg_spy(monkeypatch):
-    """Record the right-hand side widths of every ``SpsSolver._pcg`` call."""
-    widths = []
-    real = SpsSolver._pcg
-
-    def spy(self, R, *args):
-        widths.append(R.shape[1])
-        return real(self, R, *args)
-
-    monkeypatch.setattr(SpsSolver, "_pcg", spy)
-    return widths
 
 
 def weighted_path(rng, n, decades):
@@ -414,9 +354,32 @@ def weighted_path(rng, n, decades):
     return DirectedGraph(n, [(i, i + 1, float(w[i])) for i in range(n - 1)])
 
 
-class TestDirectRoute:
-    """Systems up to DENSE_MAX nodes are solved by their Cholesky factor,
-    without PCG unless a column misses the tolerance."""
+class TestSmallSystems:
+    """Systems of up to a few hundred nodes, checked against the
+    pseudo-inverse and the residual."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, DENSE_MAX), singular=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_pseudo_inverse(self, n, singular, seed):
+        rng = np.random.default_rng(seed)
+        Lu = connected_symmetrized(rng, n)
+        if not singular:
+            Lu = sp.csr_array(Lu + sp.diags_array(rng.uniform(0.1, 1.0, n)))
+        tol = 1e-8
+        solver = SpsSolver(Lu, SolverParams(tol=tol))
+        assert solver.singular == singular
+        r = rng.standard_normal(n)
+        r -= r.mean()
+        ref = np.linalg.pinv(Lu.toarray(), hermitian=True) @ r
+        if singular:
+            ref -= ref.mean()  # pinv's rounding in the null direction
+        x, stats = solver.solve(r)
+        assert stats.converged and stats.iterations == 1
+        assert np.linalg.norm(x - ref) <= 10 * tol * np.linalg.norm(ref)
+
+    def test_empty_system_builds_without_lapack(self):
+        M = build_hierarchy(sp.csr_array((0, 0)))
+        assert M(np.zeros((0, 2))).shape == (0, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -426,9 +389,9 @@ class TestDirectRoute:
         k=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    # A second eigenvalue at 8.3e-10 of the largest: the factor is accepted.
+    # A second eigenvalue at 8.3e-10 of the largest.
     @example(kind="random", n=25, isolated=0, k=1, seed=3137)
-    def test_agrees_with_the_sparse_route(self, kind, n, isolated, k, seed):
+    def test_converges_to_a_deflated_solution(self, kind, n, isolated, k, seed):
         rng = np.random.default_rng(seed)
         g = {
             "strong": lambda: strong_digraph(rng, n),
@@ -439,58 +402,37 @@ class TestDirectRoute:
         Lu = symmetrize(laplacian(disjoint_union(g, isolated=isolated)))
         B = Lu @ rng.standard_normal((Lu.shape[0], k))
         tol = 1e-8
-        dense = SpsSolver(Lu, SolverParams(tol=tol))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver_module, "DENSE_MAX", 0)
-            sparse = SpsSolver(Lu, SolverParams(tol=tol))
-        assert dense.partial or not isolated
-        direct = isinstance(dense._precond, solver_module._Cholesky)
-        # A null space wider than span(1) rejects the dense factor.  A random
-        # graph may take either route: it may have several sinks, or a
-        # second eigenvalue near zero that the factor's test still accepts.
-        expected = {"strong": True, "path": True, "two components": False}
-        if kind in expected:
-            assert direct == expected[kind]
-        (xd, sd), (xs, ss) = dense.solve(B), sparse.solve(B)
-        assert sd.converged and ss.converged
-        assert sd.residual <= tol and ss.residual <= tol
-        if direct:
-            assert sd.iterations == 1
-        else:
-            assert np.array_equal(xd, xs) and sd == ss  # the same sparse factor
-        # Both solutions are deflated and meet b to tol, so they agree to
-        # 2 tol through L_u.
-        assert np.abs(xd.sum(axis=0)).max() <= 1e-9 * np.abs(xd).max()
-        assert np.all(np.linalg.norm(Lu @ (xd - xs), axis=0) <= 2 * tol * np.linalg.norm(B, axis=0))
+        solver = SpsSolver(Lu, SolverParams(tol=tol))
+        assert solver.partial or not isolated
+        X, stats = solver.solve(B)
+        assert stats.converged and stats.residual <= tol
+        assert np.abs(X.sum(axis=0)).max() <= 1e-9 * np.abs(X).max()
 
-    def test_missed_column_continues_in_pcg(self, rng, monkeypatch):
+    def test_more_steps_never_worsen_a_column(self, rng):
         # Weights over four decades: a random right-hand side, rich in the
-        # lowest modes, misses 1e-10 after the direct solve; one from the
-        # range of L_u does not.
+        # lowest modes, misses 1e-10 after one step; one from the range of
+        # L_u does not.
         n = 60
         Lu = symmetrize(laplacian(weighted_path(rng, n, 2)))
         B = np.column_stack([Lu @ rng.standard_normal(n), rng.standard_normal(n)])
-        solver = SpsSolver(Lu, SolverParams(tol=1e-10, max_iters=50))
-        assert isinstance(solver._precond, solver_module._Cholesky)
         C = B - B.mean(axis=0)
-        Z = solver._precond(C)
-        Z -= Z.mean(axis=0)
-        direct = np.linalg.norm(C - Lu @ Z, axis=0) / np.linalg.norm(C, axis=0)
-        assert direct[0] <= 1e-10 < direct[1]
-        widths = pcg_spy(monkeypatch)
-        X, stats = solver.solve(B)
-        assert widths == [1] and stats.iterations >= 2
-        residual = np.linalg.norm(C - Lu @ X, axis=0) / np.linalg.norm(C, axis=0)
-        np.testing.assert_array_equal(X[:, 0], Z[:, 0])  # kept as the factor gave it
-        assert residual[1] <= direct[1] * (1 + 1e-6)  # PCG keeps its best iterate
-        assert stats.residual == pytest.approx(residual.max(), rel=1e-6)
 
-    def test_max_iters_one_is_the_direct_solve(self, rng, monkeypatch):
+        def solve(max_iters):
+            X, stats = SpsSolver(Lu, SolverParams(tol=1e-10, max_iters=max_iters)).solve(B)
+            residual = np.linalg.norm(C - Lu @ X, axis=0) / np.linalg.norm(C, axis=0)
+            assert stats.residual == pytest.approx(residual.max(), rel=1e-6)
+            return residual, stats
+
+        (first, one), (last, more) = solve(1), solve(50)
+        assert first[0] <= 1e-10 < first[1]
+        assert one.iterations == 1 and more.iterations >= 2
+        assert np.all(last <= first * (1 + 1e-6))  # PCG keeps each column's best iterate
+
+    def test_max_iters_one_stops_after_one_step(self, rng):
         n = 60
         Lu = symmetrize(laplacian(weighted_path(rng, n, 2)))
-        widths = pcg_spy(monkeypatch)
         x, stats = SpsSolver(Lu, SolverParams(tol=1e-10, max_iters=1)).solve(rng.standard_normal(n))
-        assert widths == [] and stats.iterations == 1 and not stats.converged
+        assert stats.iterations == 1 and not stats.converged
 
 
 def sinks_digraph(rng, body, sink_sizes, decades):

@@ -328,7 +328,7 @@ class TestCostGuards:
     """Work counts that do not depend on the hardware."""
 
     def test_bundled_run_makes_no_dense_eigendecomposition(self, monkeypatch):
-        # Systems of up to DENSE_MAX nodes are solved through a Cholesky
+        # Systems of up to DENSE_MAX nodes are solved through a dense LU
         # factor: no eigh, and no pinv (an eigh inside).
         calls = []
         for name in ("eigh", "pinv"):

@@ -3,8 +3,7 @@ self-loops, through ``sparsify``, the apps and the CLI.
 
 Each call gives a result or fails as documented: ``ValueError`` in the
 library, exit code 2 (data error) with one ``specsparse: error:`` line in the
-CLI.  No call may raise a RuntimeWarning or a UserWarning.  Active systems of 1 and 2 nodes take the solver's
-dense Cholesky route.
+CLI.  No call may raise a RuntimeWarning or a UserWarning.
 """
 
 import tempfile
