@@ -149,10 +149,10 @@ class TestSpsSolver:
             x, stats = solver.solve(b)
             assert stats.converged
 
-    def test_all_active_system_is_not_copied(self, rng):
+    @pytest.mark.parametrize("n", [60, DENSE_MAX + 30])
+    def test_all_active_system_is_not_copied(self, rng, n):
         # Every diagonal entry is positive, so the reduced system is L
         # itself; solving through an np.ix_ copy gives the same bits.
-        n = 60
         Lu = connected_symmetrized(rng, n)
         solver = SpsSolver(Lu)
         assert solver.reduced is solver.L
@@ -272,10 +272,10 @@ class TestBlockSolve:
             x, stats = solver.solve(np.zeros(shape))
             assert x.shape == shape and stats == SolveStats(0, 0.0, True)
 
+    @pytest.mark.parametrize("n", [12, DENSE_MAX + 30])
     @pytest.mark.parametrize("singular", [True, False])
-    def test_block_of_no_columns(self, rng, singular):
-        # An n x 0 block is solved at once.
-        n = 12
+    def test_block_of_no_columns(self, rng, n, singular):
+        # An n x 0 block is solved at once, small or large.
         Lu = connected_symmetrized(rng, n)
         if not singular:
             Lu = sp.csr_array(Lu + sp.eye_array(n))
@@ -288,15 +288,19 @@ class TestBlockSolve:
             with pytest.raises(ValueError, match="rhs has shape"):
                 solver.solve(np.zeros(shape))
 
+    @pytest.mark.parametrize("dense_max", [DENSE_MAX, 0])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rhs_rejected(self, bad):
+    def test_non_finite_rhs_rejected(self, monkeypatch, dense_max, bad):
         # A NaN norm of b made the relative residual 0: a NaN x was
-        # reported as solved in one step.
-        Lu = symmetrize(laplacian(DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])))
-        solver = SpsSolver(Lu)
-        for b in (np.array([bad, 1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 2.0], [2.0, bad]])):
-            with pytest.raises(ValueError, match="^right-hand side must be finite$"):
-                solver.solve(b)
+        # reported as solved in one step.  SpsSolver and GroundedSolver
+        # share the check; DENSE_MAX picks GroundedSolver's dense or
+        # sparse LU.
+        monkeypatch.setattr(solver_module, "DENSE_MAX", dense_max)
+        L = laplacian(DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]))
+        for solver in (SpsSolver(symmetrize(L)), GroundedSolver(L)):
+            for b in (np.array([bad, 1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 2.0], [2.0, bad]])):
+                with pytest.raises(ValueError, match="^right-hand side must be finite$"):
+                    solver.solve(b)
 
 
 def disjoint_union(*graphs, isolated=0):
