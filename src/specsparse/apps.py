@@ -35,8 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .graphs import DirectedGraph, adjacency, laplacian, symmetrize, symmetrized_operator
-from .seed import _scc_labels, _sink_flags
+from .graphs import DirectedGraph, _scc_labels, _sink_flags, adjacency, laplacian, symmetrize, symmetrized_operator
 from .sensitivity import RESIDUAL_CAP
 from .solver import SolverParams, SolveStats, _checked_rhs, _shifted_factor
 from .sparsify import Sparsifier

@@ -17,7 +17,7 @@ from .apps import _low_eigenpairs, _pagerank_comparison, directed_solve, pageran
 from .graphs import laplacian, symmetrized_operator
 from .mmio import ParseError, read_matrix_market, write_matrix_market
 from .sensitivity import power_iterate
-from .solver import GroundedSolver, SolverParams
+from .solver import GroundedSolver
 from .sparsify import SparsifyParams, sparsify
 
 __all__ = ["main", "console_main"]
@@ -59,8 +59,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t", type=int, default=3)
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--solver-tol", type=float, default=1e-8,
-                   help="validated only: the loop's subgraph solves are direct")
     p.add_argument("--no-timing", action="store_true", help="zero the wall-time column for reproducible reports")
 
     p = sub.add_parser("pagerank", help="PageRank on a graph and optionally its sparsifier")
@@ -111,7 +109,6 @@ def _cmd_sparsify(args):
         t=args.t,
         r=args.r,
         seed=args.seed,
-        solver=SolverParams(tol=args.solver_tol),
     )
     result = sparsify(g, params)
     if args.output:

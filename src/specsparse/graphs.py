@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 __all__ = [
     "DirectedGraph",
@@ -164,6 +165,25 @@ def _row_starts(n, tails):
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tails, minlength=n), out=starts[1:])
     return starts
+
+
+def _scc_labels(n, tails, heads):
+    """Strongly connected component labels of the edge set, whose
+    (tail, head) pairs must ascend as in a canonical graph: they are then
+    the CSR arrays of its adjacency as they stand."""
+    A = sp.csr_array(
+        (np.ones(len(tails), dtype=np.int8), heads, _row_starts(n, tails)), shape=(n, n)
+    )
+    n_comp, labels = csgraph.connected_components(A, directed=True, connection="strong")
+    return n_comp, labels
+
+
+def _sink_flags(n_comp, labels, tails, heads):
+    """Per component: does no edge leave it (True = sink)."""
+    has_exit = np.zeros(n_comp, dtype=bool)
+    cross = labels[tails] != labels[heads]
+    has_exit[labels[tails[cross]]] = True
+    return ~has_exit
 
 
 def adjacency(g: DirectedGraph) -> sp.csr_array:

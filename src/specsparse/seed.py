@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .graphs import DirectedGraph, _row_starts, adjacency
+from .graphs import DirectedGraph, _row_starts, _scc_labels, _sink_flags, adjacency
 
 __all__ = ["SeedSubgraph", "symmetrized_transition", "maximum_spanning_structure", "build_seed"]
 
@@ -75,25 +75,6 @@ def maximum_spanning_structure(P: sp.sparray) -> tuple[np.ndarray, np.ndarray]:
     pairs = ranked[np.sort(csgraph.minimum_spanning_tree(R).data).astype(np.int64) - 1]
     lo = np.searchsorted(W.indptr, pairs, side="right") - 1
     return lo.astype(np.int64), W.indices[pairs].astype(np.int64)
-
-
-def _scc_labels(n, tails, heads):
-    """Strongly connected component labels of the edge set, whose
-    (tail, head) pairs must ascend as in a canonical graph: they are then
-    the CSR arrays of its adjacency as they stand."""
-    A = sp.csr_array(
-        (np.ones(len(tails), dtype=np.int8), heads, _row_starts(n, tails)), shape=(n, n)
-    )
-    n_comp, labels = csgraph.connected_components(A, directed=True, connection="strong")
-    return n_comp, labels
-
-
-def _sink_flags(n_comp, labels, tails, heads):
-    """Per component: does no edge leave it (True = sink)."""
-    has_exit = np.zeros(n_comp, dtype=bool)
-    cross = labels[tails] != labels[heads]
-    has_exit[labels[tails[cross]]] = True
-    return ~has_exit
 
 
 def _run_starts(sorted_values):

@@ -28,8 +28,6 @@ import math
 
 import numpy as np
 
-from .solver import _coldot, _colnorm
-
 __all__ = [
     "power_iterate",
     "score_edges",
@@ -48,6 +46,15 @@ WINDOW_SLACK = 1e-9
 # Largest relative residual of an iterative solve that the power iteration
 # and ``apps.directed_solve`` accept.
 RESIDUAL_CAP = 1e-3
+
+
+def _coldot(U, V):
+    """Dot products of the matching columns of two n x k blocks."""
+    return np.einsum("ij,ij->j", U, V)
+
+
+def _colnorm(U):
+    return np.sqrt(_coldot(U, U))
 
 
 def power_iterate(L_Gu, L_Su, h0, t=3, *, solver):

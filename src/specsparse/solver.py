@@ -10,14 +10,13 @@ sink components is handled.
 
 ``SpsSolver`` solves a given SPS matrix.  Symmetrized Laplacians may carry
 positive off-diagonals, which rules out M-matrix-only methods.  It drops the
-all-zero rows and solves the remaining (active) system by preconditioned
-conjugate gradient, with one SuperLU factor of the system shifted by
+all-zero rows and solves the remaining (active) system by scipy's conjugate
+gradient (``cg``), one column of the right-hand side at a time,
+preconditioned by one SuperLU factor of the system shifted by
 ``FACTOR_SHIFT`` (1e-12) of its largest diagonal, built once per matrix.
 Singular systems with the all-ones null vector are handled by deflation onto
-the zero-mean subspace.
-The right-hand side may be an n x k block: its columns run through one
-column-wise conjugate gradient, one product and one preconditioner call per
-step for all columns still running.
+the zero-mean subspace.  Each column returns its iterate of least true
+residual, which costs one more product with the system per step.
 """
 
 from __future__ import annotations
@@ -29,6 +28,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 from scipy.sparse import csgraph
+
+from .graphs import _sink_flags
 
 __all__ = ["SolverParams", "SolveStats", "SpsSolver", "GroundedSolver"]
 
@@ -67,15 +68,6 @@ class SolveStats:
     converged: bool
 
 
-def _coldot(U, V):
-    """Dot products of the matching columns of two n x k blocks."""
-    return np.einsum("ij,ij->j", U, V)
-
-
-def _colnorm(U):
-    return np.sqrt(_coldot(U, U))
-
-
 def _checked_rhs(b, n):
     """b as a float64 array; ValueError unless it is an n-vector or an n x k
     block of finite entries."""
@@ -87,20 +79,24 @@ def _checked_rhs(b, n):
     return b
 
 
-def _shifted_factor(A, shift):
-    """SuperLU factor of A + shift I, for a symmetric A.
+def _symmetric_splu(A):
+    """SuperLU factor of the square sparse A, in a minimum-degree ordering on
+    A^T + A with diagonal pivots (``SymmetricMode``, ``diag_pivot_thresh=0``).
 
-    Minimum degree on A^T + A with diagonal pivots (``SymmetricMode``,
-    ``diag_pivot_thresh=0``) keeps the ordering symmetric; on symmetrized
-    Laplacians it fills far less than scipy's default COLAMD ordering.
+    The ordering stays symmetric; on symmetrized and grounded Laplacians it
+    fills far less than scipy's default COLAMD ordering.
     """
-    n = A.shape[0]
     return spla.splu(
-        (A + shift * sp.eye_array(n, format="csr")).tocsc(),
+        A.tocsc(),
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
+
+
+def _shifted_factor(A, shift):
+    """``_symmetric_splu`` factor of A + shift I, for a symmetric A."""
+    return _symmetric_splu(A + shift * sp.eye_array(A.shape[0], format="csr"))
 
 
 def build_hierarchy(L):
@@ -159,33 +155,23 @@ class SpsSolver:
         projected onto the zero-mean subspace and the solution deflated to
         1^T x = 0.
 
-        The block is solved column by column by PCG: each column has its own
-        step sizes, stopping test and best iterate, but every step makes one
-        product with L and one preconditioner call for all the columns still
-        running, and a column leaves the block when it stops.  A column that
-        does not converge returns its best iterate.  The stats cover the
-        whole block: ``iterations`` is the number of block steps (a zero
-        right-hand side takes none), ``residual`` the largest relative
-        residual of a column and ``converged`` true only if every column
-        converged.  A b that is not finite raises ValueError.
+        Each column is solved on its own by scipy's ``cg``.  After every step
+        the deflated iterate's true residual is measured, one more product
+        with L per step, and a column returns its iterate of least true
+        residual, x = 0 included.  The stats cover the whole block:
+        ``iterations`` is the most steps of any column (a zero right-hand
+        side takes none), ``residual`` the largest relative residual of a
+        column and ``converged`` true only if every column converged.  A b
+        that is not finite raises ValueError.
         """
         params = self.params
         b = _checked_rhs(b, self.n)
         B = b if b.ndim == 2 else b[:, None]
         mean = B.mean(axis=0) if self.singular else np.zeros(B.shape[1])
         C = B - mean  # the right-hand side solved for
-        bnorm = _colnorm(C)
-        if self.partial:
-            Xa, steps, converged = self._pcg(C[self.active], params.tol * bnorm, params.max_iters)
-            X = np.zeros(C.shape)
-            X[self.active] = Xa
-        else:
-            X, steps, converged = self._pcg(C, params.tol * bnorm, params.max_iters)
-            # Deflated as a C-ordered block: the column means of PCG's
-            # Fortran-ordered iterate would sum in another order.
-            X = np.ascontiguousarray(X)
-        if self.singular:
-            X -= X.mean(axis=0)
+        bnorm = np.linalg.norm(C, axis=0)
+        X = np.zeros(C.shape)
+        X[self.active], steps, converged = self._pcg(C[self.active], params.tol * bnorm, params.max_iters)
         residual = self._residual(X, B, mean, bnorm)
         converged &= residual <= params.tol * (1 + 1e-9)
         stats = SolveStats(steps, float(residual.max(initial=0.0)), bool(converged.all()))
@@ -198,75 +184,47 @@ class SpsSolver:
         T = self.L @ X
         T -= B
         T += mean
-        return np.divide(_colnorm(T), bnorm, out=np.zeros_like(bnorm), where=bnorm > 0)
+        return np.divide(np.linalg.norm(T, axis=0), bnorm, out=np.zeros_like(bnorm), where=bnorm > 0)
 
     def _pcg(self, R, atol, max_iters):
-        """Column-wise PCG on the active system from x = 0.
+        """scipy's ``cg`` on the active system from x = 0, for each column of R.
 
-        R holds one right-hand side per column and becomes the residual
-        block.  Returns (X, block steps, converged per column).  A column is
-        done when its residual reaches its ``atol``; it stops without
-        converging when its curvature p^T A p is not positive or after
-        ``max_iters`` steps, and then returns its best iterate.
+        Returns (X, the most steps of any column, converged per column).  A
+        column runs until cg's recurrence residual falls below its ``atol``
+        or for ``max_iters`` steps, and returns the deflated iterate of least
+        true residual, x = 0 included; it has converged when that residual
+        is at most its ``atol``.
         """
         A = self.reduced
-        precond = self._precond
-        deflate = self.singular and A.shape[0] > 0  # an empty block has no mean
+        n = A.shape[0]
+        deflate = self.singular and n > 0  # an empty vector has no mean
 
-        if deflate:
-            R -= R.mean(axis=0)
-        X = np.zeros(R.shape, order="F")
-        converged = np.zeros(R.shape[1], dtype=bool)
-        run = np.arange(R.shape[1])  # the columns still in the block
-        Xr = np.zeros_like(R)
-        Xbest = np.zeros_like(R)  # each column's iterate of least residual
-        P = np.zeros_like(R)  # with rz = 1, the first direction is z itself
-        rz = np.ones(run.size)
-        rn = _colnorm(R)
-        best_r = rn.copy()
-        curved = np.ones(run.size, dtype=bool)
+        def deflated(v):
+            """v projected onto the zero-mean subspace of a singular system,
+            as a new array."""
+            return v - v.mean() if deflate else v.copy()
+
+        M = spla.LinearOperator((n, n), matvec=lambda r: deflated(self._precond(r)), dtype=np.float64)
+        X = np.zeros(R.shape)
+        best = np.zeros(R.shape[1])  # each column's least true residual
         steps = 0
-        while run.size:
-            done = rn <= atol
-            stop = done | ~curved | (steps == max_iters)
-            if stop.any():
-                X[:, run[stop]] = Xbest[:, stop]
-                converged[run[done]] = True
-                keep = ~stop
-                run = run[keep]
-                if not run.size:
-                    break
-                Xr, Xbest, R, P = Xr[:, keep], Xbest[:, keep], R[:, keep], P[:, keep]
-                atol, rz, rn, best_r = atol[keep], rz[keep], rn[keep], best_r[keep]
+        for k in range(R.shape[1]):
+            r = deflated(R[:, k])
+            best[k] = np.linalg.norm(r)
+            taken = 0
 
-            Z = precond(R)
-            if deflate:
-                Z -= Z.mean(axis=0)
-            rz_new = _coldot(R, Z)
-            flat = rz_new <= 0  # no descent through the preconditioner: use r itself
-            if flat.any():
-                Z[:, flat] = R[:, flat]
-                rz_new[flat] = _coldot(R[:, flat], R[:, flat])
-            P *= rz_new / rz
-            P += Z
-            del Z
-            rz = rz_new
+            def track(x):
+                nonlocal taken
+                taken += 1
+                x = deflated(x)
+                res = np.linalg.norm(r - A @ x)
+                if res < best[k]:
+                    best[k] = res
+                    X[:, k] = x
 
-            AP = A @ P
-            pAp = _coldot(P, AP)
-            curved = pAp > 0
-            alpha = np.divide(rz, pAp, out=np.zeros_like(rz), where=curved)
-            AP *= alpha
-            R -= AP
-            rn = _colnorm(R)
-            np.multiply(P, alpha, out=AP)
-            Xr += AP
-            del AP
-            improved = curved & (rn < best_r)
-            Xbest[:, improved] = Xr[:, improved]
-            best_r = np.where(improved, rn, best_r)
-            steps += 1
-        return X, steps, converged
+            spla.cg(A, r, rtol=0.0, atol=atol[k], maxiter=max_iters, M=M, callback=track)
+            steps = max(steps, taken)
+        return X, steps, best <= atol
 
 
 class _DenseLU:
@@ -313,11 +271,9 @@ class GroundedSolver:
         self.L = L
         self.n = n = L.shape[0]
         ncomp, labels = csgraph.connected_components(L, directed=True, connection="strong")
-        # Entry (i, j, v) of L; off the diagonal it is the edge j -> i.  A
-        # component that an edge leaves is no sink.
+        # Entry (i, j, v) of L; off the diagonal it is the edge j -> i.
         i, j, v = np.repeat(np.arange(n), np.diff(L.indptr)), L.indices, L.data
-        sink = np.ones(ncomp, dtype=bool)
-        sink[labels[j[labels[i] != labels[j]]]] = False
+        sink = _sink_flags(ncomp, labels, j, i)
         self.ground = ground = np.sort(np.unique(labels, return_index=True)[1][sink])
         self._factor = None
         if ground.size == n:
@@ -338,12 +294,7 @@ class GroundedSolver:
                 raise RuntimeError("grounded Laplacian minor is singular")
             self._factor = _DenseLU(lu, piv)
         else:
-            self._factor = spla.splu(
-                sp.csc_array((vals, (rows, cols)), shape=(n, n)),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
+            self._factor = _symmetric_splu(sp.csc_array((vals, (rows, cols)), shape=(n, n)))
 
         def ground_block(cut, node, ground_node):
             """n x c block with 1 at (g_k, k) for the k-th ground node g_k,

@@ -177,9 +177,10 @@ class TestSparsifyCommand:
 
     @pytest.mark.parametrize("tol", ["0", "-1"])
     def test_nonpositive_solver_tol_is_data_error(self, capsys, graph_file, tol):
+        # --solver-tol is gone: the loop's subgraph solves are direct.
         code, stdout, err = run(capsys, "sparsify", "--input", graph_file, "--solver-tol", tol)
-        assert (code, stdout) == (2, "")
-        assert err == f"specsparse: error: tol must be positive, got {float(tol)}\n"
+        assert (code, stdout) == (1, "")
+        assert "usage" in err and "--solver-tol" in err
 
     def test_multi_attractor_graph_reports_no_nan(self, capsys, tmp_path):
         # Three sink components: the run sparsifies and reports finite mu.
