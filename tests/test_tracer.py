@@ -10,8 +10,6 @@ import importlib.util
 import math
 from pathlib import Path
 
-import numpy as np
-
 import specsparse as ss
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -33,6 +31,15 @@ def patched_originals(tracer_module):
     return [(owner, attr, getattr(owner, attr)) for owner, attr in owners]
 
 
+def ancestors(spans, span):
+    """Names of the spans that enclose ``span``, innermost first."""
+    names = []
+    while span[3] >= 0:
+        span = spans[span[3]]
+        names.append(span[0])
+    return names
+
+
 def test_tracer_spans_fire_and_uninstall_restores():
     tracer_module = load_tracer()
     originals = patched_originals(tracer_module)
@@ -44,10 +51,6 @@ def test_tracer_spans_fire_and_uninstall_restores():
         res = ss.sparsify(g, ss.SparsifyParams(mu_limit=1.0, iter_max=3, seed=0))
         ss.pagerank_correlation(g, res)
         ss.spectral_partition(res.graph, 4)
-        # sparsify solves through GroundedSolver, which the tracer does not
-        # wrap; the solver.* spans fire on an explicit SpsSolver solve.
-        b = np.arange(g.n, dtype=np.float64)
-        ss.SpsSolver(ss.symmetrize(ss.laplacian(res.graph))).solve(b - b.mean())
     finally:
         tracer.uninstall()
     assert all(getattr(owner, attr) is fn for owner, attr, fn in originals)
@@ -66,6 +69,9 @@ def test_tracer_spans_fire_and_uninstall_restores():
     ):
         assert totals.get(name, 0.0) > 0.0, name
     assert tracer.counters["solves"] > 0
+    # The solver.* spans measure the loop's own factors and solves.
+    for name in ("solver.hierarchy", "solver.solve"):
+        assert any(span[0] == name and "sparsify" in ancestors(tracer.spans, span) for span in tracer.spans), name
     # The tracer counts len(args[0]) as candidates and len(result) as kept
     # edges, so the filter's first argument must hold one row per candidate
     # and its result one entry per kept edge.
