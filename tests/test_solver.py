@@ -51,6 +51,19 @@ def hub(rng, n):
     return DirectedGraph(n, [e for i in range(1, n) for e in ((0, i, float(rng.uniform(0.5, 2.0))), (i, 0, 1.0))])
 
 
+def weighted_path(rng, n, decades):
+    """Directed path 0 -> 1 -> ... -> n-1, weights 10^u for u uniform in
+    [-decades, decades]."""
+    w = 10.0 ** rng.uniform(-decades, decades, n - 1)
+    return DirectedGraph(n, [(i, i + 1, float(w[i])) for i in range(n - 1)])
+
+
+def pinv_solve(L, b):
+    """(L L^T)^+ b from the dense pseudo-inverse."""
+    Ld = L.toarray()
+    return np.linalg.pinv(Ld @ Ld.T, hermitian=True) @ b
+
+
 def sinks_digraph(rng, body, sink_sizes, decades):
     """Digraph whose sink strongly connected components have the given
     sizes (a ring with chords, or a dangling node for size 1), plus
@@ -212,11 +225,16 @@ class TestGroundedSolver:
         assert specsparse.SpsSolver is GroundedSolver
 
     CASES = {
+        "connected": lambda rng: strong_digraph(rng, 600),
         "hub": lambda rng: hub(rng, 400),
         "three components": lambda rng: disjoint_union(*(strong_digraph(rng, 250) for _ in range(3))),
         "50 isolated nodes": lambda rng: disjoint_union(strong_digraph(rng, 300), isolated=50),
         "banded seed": lambda rng: build_seed(banded_digraph(n=2000, seed=5)).graph,
         "random sinks": lambda rng: random_digraph(np.random.default_rng(3), 150),
+        "small three components": lambda rng: disjoint_union(*(strong_digraph(rng, 40) for _ in range(3))),
+        "small 10 isolated nodes": lambda rng: disjoint_union(strong_digraph(rng, 50), isolated=10),
+        "small hub": lambda rng: hub(rng, 60),
+        "small sink components": lambda rng: sinks_digraph(rng, 40, [1, 3, 2, 4], 2.0),
     }
 
     @pytest.mark.parametrize("route", ["dense", "sparse"])
@@ -235,3 +253,143 @@ class TestGroundedSolver:
         x, _ = solver.solve(b)
         assert np.linalg.norm(L @ (L.T @ x) - b) <= 1e-8 * np.linalg.norm(b)
         assert np.linalg.norm(N.T @ x) <= 1e-12 * np.linalg.norm(x)
+
+    def test_singular_two_node(self):
+        # The 2-cycle: L_u = 2 [[1, -1], [-1, 1]], whose range is spanned by
+        # (1, -1) at eigenvalue 4.
+        L = laplacian(DirectedGraph(2, [(0, 1, 1.0), (1, 0, 1.0)]))
+        x, stats = GroundedSolver(L).solve(np.array([1.0, -1.0]))
+        np.testing.assert_allclose(x, [0.25, -0.25], rtol=0, atol=1e-15)
+        assert stats.converged and stats.iterations == 1
+
+    @pytest.mark.parametrize("dense_max", [DENSE_MAX, 0])
+    def test_zero_rhs(self, rng, monkeypatch, dense_max):
+        monkeypatch.setattr(solver_module, "DENSE_MAX", dense_max)
+        x, stats = GroundedSolver(laplacian(random_digraph(rng, 12))).solve(np.zeros(12))
+        np.testing.assert_array_equal(x, 0.0)
+        assert stats.converged
+
+    def test_matches_pseudoinverse_on_random_systems(self, rng):
+        sizes = [*rng.integers(4, 50, size=20), *rng.integers(DENSE_MAX + 1, 2 * DENSE_MAX, size=5)]
+        for n in map(int, sizes):
+            L = laplacian(strong_digraph(rng, n))
+            b = rng.standard_normal(n)
+            x, _ = GroundedSolver(L).solve(b)
+            ref = pinv_solve(L, b)
+            assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_weighted_path_matches_pinv(self, rng):
+        # A tree whose only sink is its last node, weights over two decades.
+        L = laplacian(weighted_path(rng, 30, 1))
+        b = rng.standard_normal(30)
+        x, _ = GroundedSolver(L).solve(b)
+        ref = pinv_solve(L, b)
+        assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_isolated_nodes(self):
+        # Nodes 2 and 3 are sinks of their own and are grounded with node 0.
+        L = laplacian(DirectedGraph(4, [(0, 1, 1.0), (1, 0, 1.0)]))
+        solver = GroundedSolver(L)
+        assert list(solver.ground) == [0, 2, 3]
+        b = np.array([1.0, -1.0, 0.0, 0.0])
+        x, _ = solver.solve(b)
+        np.testing.assert_allclose(L @ (L.T @ x), b, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x, pinv_solve(L, b), rtol=0, atol=1e-12)
+
+    def test_reusable_solver(self, rng):
+        L = laplacian(random_digraph(rng, 25))
+        solver = GroundedSolver(L)
+        for _ in range(3):
+            b = rng.standard_normal(25)
+            x, _ = solver.solve(b)
+            ref = pinv_solve(L, b)
+            assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_zero_matrix_solves_without_warnings(self, monkeypatch, n):
+        # The zero matrix grounds every node: no factor, and x = 0.
+        calls = lapack_and_splu_spy(monkeypatch)
+        solver = GroundedSolver(sp.csr_array((n, n)))
+        assert solver.ground.size == n
+        for b in (np.ones(n), np.arange(n, dtype=float)):
+            x, stats = solver.solve(b)
+            assert np.array_equal(x, np.zeros(n)) and stats.converged
+        assert calls == []
+
+    def test_seed_subgraph_through_factor(self, rng, monkeypatch):
+        # Seed subgraphs are nearly trees and badly conditioned; at 800
+        # nodes the system takes SuperLU's factor.
+        seed = build_seed(strong_digraph(rng, 800))
+        L = laplacian(seed.graph)
+        calls = lapack_and_splu_spy(monkeypatch)
+        solver = GroundedSolver(L)
+        assert calls == ["splu"]
+        b = L @ (L.T @ rng.standard_normal(800))
+        x, _ = solver.solve(b)
+        assert np.linalg.norm(L @ (L.T @ x) - b) <= 1e-8 * np.linalg.norm(b)
+
+    def test_empty_system(self):
+        solver = GroundedSolver(sp.csr_array((0, 0)))
+        for shape in [(0,), (0, 3)]:
+            x, stats = solver.solve(np.zeros(shape))
+            assert x.shape == shape and stats.converged
+
+    @pytest.mark.parametrize("n", [12, DENSE_MAX + 30])
+    @pytest.mark.parametrize("graph", ["strong", "random"])
+    def test_block_of_no_columns(self, rng, n, graph):
+        # An n x 0 block is solved at once, with one sink or several, small or large.
+        g = strong_digraph(rng, n) if graph == "strong" else random_digraph(rng, n)
+        x, stats = GroundedSolver(laplacian(g)).solve(np.zeros((n, 0)))
+        assert x.shape == (n, 0) and stats.converged
+
+    def test_shape_validated(self, rng):
+        solver = GroundedSolver(laplacian(strong_digraph(rng, 8)))
+        for shape in [(7,), (8, 2, 1), (9, 2)]:
+            with pytest.raises(ValueError, match="rhs has shape"):
+                solver.solve(np.zeros(shape))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.one_of(st.integers(4, 49), st.integers(DENSE_MAX + 1, 2 * DENSE_MAX - 1)),
+        k=st.integers(1, 4),
+        zero_at=st.integers(0, 4),
+        kind=st.sampled_from(["strong", "random"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_equals_column_solves(self, n, k, zero_at, kind, seed):
+        rng = np.random.default_rng(seed)
+        g = strong_digraph(rng, n) if kind == "strong" else random_digraph(rng, n)
+        solver = GroundedSolver(laplacian(g))
+        B = rng.standard_normal((n, k))
+        B = np.insert(B, min(zero_at, k), 0.0, axis=1)
+        X, stats = solver.solve(B)
+        assert X.shape == B.shape and stats.converged
+        assert np.all(X[:, min(zero_at, k)] == 0.0)
+        for j in range(B.shape[1]):
+            x, _ = solver.solve(B[:, j])
+            assert np.linalg.norm(X[:, j] - x) <= 1e-12 * max(np.linalg.norm(x), 1e-300)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["strong", "path", "two components", "random"]),
+        n=st.integers(2, 120),
+        isolated=st.integers(0, 4),
+        k=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_range_rhs_of_a_union_with_isolated_nodes(self, kind, n, isolated, k, seed):
+        rng = np.random.default_rng(seed)
+        g = {
+            "strong": lambda: strong_digraph(rng, n),
+            "path": lambda: weighted_path(rng, n, 0.5),
+            "two components": lambda: disjoint_union(strong_digraph(rng, n), strong_digraph(rng, 3)),
+            "random": lambda: random_digraph(rng, n),  # may have several sinks
+        }[kind]()
+        g = disjoint_union(g, isolated=isolated)
+        L = laplacian(g)
+        N = scipy.linalg.null_space(L.toarray().T)
+        B = L @ (L.T @ rng.standard_normal((g.n, k)))
+        X, _ = GroundedSolver(L).solve(B)
+        assert np.linalg.norm(L @ (L.T @ X) - B) <= 1e-8 * np.linalg.norm(B)
+        assert np.linalg.norm(N.T @ X) <= 1e-12 * np.linalg.norm(X)
