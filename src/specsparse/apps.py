@@ -14,17 +14,14 @@ with the low eigenvectors of the symmetrized Laplacian, collapsing repeated
 eigenvalues into distinct groups, and clusters them with k-means.
 
 ``_low_eigenpairs`` is the one eigensolve of L_u, for the partition and for
-``specsparse spectrum``.  It takes one of three routes: dense up to
-``DENSE_CUTOFF`` nodes, or when ARPACK's subspace would span every node;
-otherwise, when L_u has at most ``SHIFT_INVERT_NNZ_PER_ROW`` nonzeros per row
-(sparsifiers), Lanczos for the largest eigenvalues of L_u^+, applied by the
-loop's ``GroundedSolver`` of L, past the null vectors that solver holds;
-else plain Lanczos on the operator v -> L (L^T v) (dense inputs, where it is
-faster).  Both ARPACK routes run on a Lanczos basis of at least
-``ARPACK_MIN_NCV`` vectors.  The partition asks for c + k eigenpairs, c
-the number of sink strongly connected components, and doubles the request
-until they hold k + 1 distinct groups (or all n eigenvalues): only the
-first k columns and one value past them decide the grouping.
+``specsparse spectrum``: dense up to ``solver.DENSE_MAX`` nodes, plain
+Lanczos on v -> L (L^T v) for a dense L_u whose L has one sink strongly
+connected component, and otherwise Lanczos on L_u^+ through the loop's
+``GroundedSolver`` of L, which holds all c null vectors.  The partition asks
+for c + k eigenpairs, c the number of sink strongly connected components,
+and doubles the request until they hold k + 1 distinct groups (or all n
+eigenvalues): only the first k columns and one value past them decide the
+grouping.
 """
 
 from __future__ import annotations
@@ -36,7 +33,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .graphs import DirectedGraph, _scc_labels, _sink_flags, adjacency, laplacian, symmetrize, symmetrized_operator
+from . import solver
+from .graphs import DirectedGraph, _sink_grounds, adjacency, laplacian, symmetrize, symmetrized_operator
 from .sensitivity import RESIDUAL_CAP
 from .solver import GroundedSolver, SolverParams, SolveStats, _checked_rhs
 from .sparsify import Sparsifier
@@ -56,24 +54,23 @@ __all__ = [
 # spectral radius), collapse into one distinct value.
 EIGENVALUE_GROUP_TOL = 1e-8
 
-# Up to this many nodes the eigensolve of L_u is dense (all n eigenpairs).
-DENSE_CUTOFF = 2000
-
-# Above DENSE_CUTOFF, ARPACK runs on a Lanczos basis of max(2k + 1, this) vectors
-# (at most n) for k eigenpairs, where its default is 2k + 1: a wider basis
-# restarts less often.  On the 4000-node clustered benchmark graph's L_u (40
-# nonzeros per row), plain Lanczos for 9 pairs took about 3500 operator
-# products and 0.74-0.78 s with 19 vectors, 1850 and 0.43-0.44 s with 40, and
-# no less with 60 (one BLAS thread, 2-vCPU VM).
+# On the ARPACK routes of the eigensolve (above ``solver.DENSE_MAX`` nodes),
+# ARPACK runs on a Lanczos basis of max(2k + 1, this) vectors (at most n) for
+# k eigenpairs, where its default is 2k + 1: a wider basis restarts less
+# often.  On the 4000-node clustered benchmark graph's L_u (40 nonzeros per
+# row), plain Lanczos for 9 pairs took about 3500 operator products and
+# 0.74-0.78 s with 19 vectors, 1850 and 0.43-0.44 s with 40, and no less with
+# 60 (one BLAS thread, 2-vCPU VM).
 ARPACK_MIN_NCV = 40
 
-# Above DENSE_CUTOFF, the eigensolve runs on L_u^+ through a GroundedSolver of
-# L when L_u has at most this many nonzeros per row.  Sparsifiers from
+# Above ``solver.DENSE_MAX`` nodes, the eigensolve takes plain Lanczos on
+# v -> L (L^T v) when L_u has more than this many nonzeros per row and L one
+# sink component, and the grounded route otherwise.  Sparsifiers from
 # `sparsify` measure 5.7-6.7 per row and factor cheaply; the graphs they
-# sparsify measure 37-40 and stay on plain Lanczos, which took 0.51 s against
-# 1.21 s through the grounded factor on the 4000-node clustered benchmark graph
+# sparsify measure 37-40, where plain Lanczos took 0.51 s against 1.21 s
+# through the grounded factor on the 4000-node clustered benchmark graph
 # (2-vCPU VM).
-SHIFT_INVERT_NNZ_PER_ROW = 16
+LANCZOS_NNZ_PER_ROW = 16
 
 
 @dataclass
@@ -384,19 +381,22 @@ def _low_eigenpairs(L, want, seed, *, vectors=True, Lu=None):
     """Low eigenvalues of L_u = L L^T in ascending order, clamped at 0, with
     their eigenvectors as columns when ``vectors`` (else None).
 
-    Up to ``DENSE_CUTOFF`` nodes a dense ``eigh`` (``eigvalsh`` without
-    vectors) gives all n.  So it does above the cutoff when 2k + 1 >= n for
-    k = min(want, n - 1): ARPACK's default subspace of 2k + 1 vectors would
-    then span every node, at a cost far above the dense one.  Otherwise
-    the k smallest come through ARPACK, from a start drawn with ``seed``,
-    on a Lanczos basis of min(max(2m + 1, ``ARPACK_MIN_NCV``), n) vectors
-    for the m pairs it computes.  When L_u has at most
-    ``SHIFT_INVERT_NNZ_PER_ROW`` nonzeros per row, a ``GroundedSolver`` of
-    L, freed on return, gives the c vectors of null(L_u) first, at
+    Up to ``solver.DENSE_MAX`` nodes (read at each call) a dense ``eigh``
+    (``eigvalsh`` without vectors) gives all n.  So it does at any size when
+    2k + 1 >= n for k = min(want, n - 1): ARPACK's default subspace of
+    2k + 1 vectors would then span every node, at a cost far above the
+    dense one.  Otherwise the k smallest come through ARPACK, from a start
+    drawn with ``seed``, on a Lanczos basis of
+    min(max(2m + 1, ``ARPACK_MIN_NCV``), n) vectors for the m pairs it
+    computes.  When L_u has more than ``LANCZOS_NNZ_PER_ROW`` nonzeros per
+    row and L exactly one sink strongly connected component, ARPACK finds
+    the m = k smallest of v -> L (L^T v).  Otherwise a ``GroundedSolver``
+    of L, freed on return, gives the c vectors of null(L_u) first, at
     eigenvalue 0, and ARPACK finds the m = k - c largest eigenvalues theta
     of v -> L_u^+ v from a start projected off null(L_u), each giving the
-    eigenvalue 1 / theta; k <= c needs no ARPACK call.  Otherwise ARPACK
-    finds the m = k smallest of v -> L (L^T v).  want == 0 gives no pairs.
+    eigenvalue 1 / theta; k <= c needs no ARPACK call.  Plain Lanczos would
+    find only one copy of a repeated eigenvalue, so a null space of several
+    dimensions always takes the grounded route.  want == 0 gives no pairs.
     ``Lu`` is L_u when the caller has already formed it; omitted, it is
     formed here.
     """
@@ -406,22 +406,22 @@ def _low_eigenpairs(L, want, seed, *, vectors=True, Lu=None):
     if Lu is None:
         Lu = symmetrize(L)
     k = min(want, n - 1)
-    if n <= DENSE_CUTOFF or 2 * k + 1 >= n:
+    if n <= solver.DENSE_MAX or 2 * k + 1 >= n:
         if vectors:
             vals, vecs = np.linalg.eigh(Lu.toarray())
         else:
             vals, vecs = np.linalg.eigvalsh(Lu.toarray()), None
         return np.maximum(vals, 0.0), vecs
     v0 = np.random.default_rng(seed).standard_normal(n)
-    if Lu.nnz > SHIFT_INVERT_NNZ_PER_ROW * n:
+    if Lu.nnz > LANCZOS_NNZ_PER_ROW * n and _sink_grounds(L).size == 1:
         null, op, which = np.empty((n, 0)), symmetrized_operator(L), "SA"
     else:
-        solver = GroundedSolver(L)
-        null = solver.null_space()
+        grounded = GroundedSolver(L)
+        null = grounded.null_space()
         if k <= null.shape[1]:
             return np.zeros(k), (null[:, :k] if vectors else None)
         v0 -= null @ (null.T @ v0)
-        op = spla.LinearOperator((n, n), matvec=lambda v: solver.solve(v)[0], dtype=np.float64)
+        op = spla.LinearOperator((n, n), matvec=lambda v: grounded.solve(v)[0], dtype=np.float64)
         which = "LA"
     m = k - null.shape[1]  # the pairs ARPACK computes
     ncv = min(max(2 * m + 1, ARPACK_MIN_NCV), n)
@@ -446,24 +446,27 @@ def spectral_partition(g: DirectedGraph, k, seed=0) -> Partitioning:
     would give an arbitrary split.
 
     The eigenpairs come from ``_low_eigenpairs``: all n up to
-    ``DENSE_CUTOFF`` nodes, else the c + k smallest, where c, the
+    ``solver.DENSE_MAX`` nodes, else the c + k smallest, where c, the
     multiplicity of eigenvalue 0, is the number of sink strongly connected
     components of g.  While they fall into at most k distinct groups and
     are fewer than n, the request doubles and is asked again, with L and
     L_u formed once.  With k + 1 groups the k columns end before the last
     group returned, which ARPACK may have cut short, so the group they end
     in is whole.  Neither rule sees a repeated eigenvalue of which ARPACK
-    finds only some copies, except in the null space: an ARPACK route that
-    returns fewer than c eigenvalues in the lowest group raises
-    RuntimeError.
+    finds only some copies.  In the null space the route rule prevents it:
+    c > 1 takes the grounded route, whose solver holds all c null vectors;
+    an eigensolve that still returns fewer than c eigenvalues in the lowest
+    group raises RuntimeError.  ``seed``, which draws the ARPACK start and
+    the k-means seeding, must not be negative (ValueError).
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if g.n < k:
         raise ValueError(f"k={k} clusters need at least {k} nodes, the graph has {g.n}")
-    n_comp, labels = _scc_labels(g.n, g.tails, g.heads)
-    nullity = int(_sink_flags(n_comp, labels, g.tails, g.heads).sum())
+    if seed < 0:
+        raise ValueError(f"seed must not be negative, got {seed}")
     L = laplacian(g)
+    nullity = _sink_grounds(L).size
     Lu = symmetrize(L)
     scale = spla.norm(Lu, 1)
     want = nullity + k

@@ -56,7 +56,7 @@ def build_parser():
     p.add_argument("--alpha-percent", type=float, default=5.0)
     p.add_argument("--mu-limit", type=float, default=100.0)
     p.add_argument("--max-iters", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--t", type=int, default=3)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--no-timing", action="store_true", help="zero the wall-time column for reproducible reports")
@@ -77,14 +77,14 @@ def build_parser():
     p = sub.add_parser("partition", help="spectral partitioning of the symmetrized Laplacian")
     p.add_argument("--input", required=True)
     p.add_argument("-k", type=int, required=True, help="number of clusters")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--output", help="CSV destination (default stdout)")
 
     p = sub.add_parser("spectrum", help="leading eigenvalue estimates for plotting")
     p.add_argument("--input", required=True)
     p.add_argument("--top", type=_count, default=10)
     p.add_argument("--sparsifier", help="report generalized eigenvalue estimates against this subgraph")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--output", help="CSV destination (default stdout)")
     return parser
 

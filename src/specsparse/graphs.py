@@ -186,6 +186,19 @@ def _sink_flags(n_comp, labels, tails, heads):
     return ~has_exit
 
 
+def _sink_grounds(L):
+    """The lowest-numbered node of each sink strongly connected component of
+    the graph of a directed Laplacian L, ascending, found from L's pattern
+    (an off-diagonal entry (i, j) is the edge j -> i).  There is one per
+    dimension of null(L) and of null(L_u)."""
+    L = sp.csr_array(L)
+    n = L.shape[0]
+    n_comp, labels = csgraph.connected_components(L, directed=True, connection="strong")
+    heads = np.repeat(np.arange(n), np.diff(L.indptr))
+    sink = _sink_flags(n_comp, labels, L.indices, heads)
+    return np.sort(np.unique(labels, return_index=True)[1][sink])
+
+
 def adjacency(g: DirectedGraph) -> sp.csr_array:
     """Adjacency matrix A with A[i, j] = w for each directed edge (i, j).
 

@@ -6,9 +6,10 @@ strongly connected component, gives the pseudo-inverse solve as two solves
 with that factor and its transpose, between projections onto the
 complements of L's two null spaces.  Its condition number is that of L, not
 of L_u, and any number of sink components is handled.  The sparsification
-loop solves through it, and so does the eigensolve of sparse L_u in
-``apps``.  ``build_hierarchy`` makes its one factor: dense LAPACK up to
-``DENSE_MAX`` nodes, SuperLU above.
+loop solves through it, and so does ``apps``' eigensolve of L_u above
+``DENSE_MAX`` nodes, unless L_u is dense and null(L_u) one-dimensional.
+``build_hierarchy`` makes its one factor: dense LAPACK up to ``DENSE_MAX``
+nodes, SuperLU above.
 
 ``SpsSolver`` is another name of ``GroundedSolver``.
 """
@@ -21,14 +22,23 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
-from scipy.sparse import csgraph
 
-from .graphs import _sink_flags
+from .graphs import _sink_grounds
 
 __all__ = ["SolverParams", "SolveStats", "SpsSolver", "GroundedSolver"]
 
-# ``build_hierarchy`` factors systems up to this many nodes densely by LAPACK,
-# larger ones by SuperLU.
+# Up to this many nodes ``build_hierarchy`` factors densely by LAPACK and
+# ``apps._low_eigenpairs`` eigensolves L_u densely by ``eigh``; larger systems
+# take SuperLU and ARPACK.  Crossovers measured for both (one BLAS thread,
+# 2-vCPU VM): the LU of seed subgraphs, built and applied to 11 blocks of 16
+# columns, took 1.22 ms dense against 1.30 ms by SuperLU at 100 nodes, 2.1
+# against 1.5 ms at 150 and 3.1 against 2.0 ms at 200, yet the bundled
+# 115-node sparsifications ran 10-12 % slower with no dense factor, so the
+# threshold stays at or above 115.  Partitioning a sparsifier took 5.0 ms
+# dense against 6.1 ms by the grounded route at 150 nodes and 6.4 against
+# 5.3 ms at 200; a graph with dense L_u and one sink component, 22 ms dense
+# against 33 ms by plain Lanczos at 400 nodes and 0.11 against 0.04-0.05 s at
+# 800.
 DENSE_MAX = 200
 
 
@@ -110,13 +120,14 @@ class GroundedSolver:
     L is a directed Laplacian D - A^T: its columns sum to zero and its
     off-diagonals are not positive, so it is column diagonally dominant.
     One node per sink strongly connected component of its graph, found from
-    L's pattern, is grounded: the component's lowest-numbered node.  The
-    factor is of L with the ground rows and columns replaced by those of the
-    identity, which keeps a right-hand side's ground entries and solves the
-    minor M of the other nodes.  Every other node reaches a ground node, so
-    M is nonsingular and, being column diagonally dominant, needs no
-    pivoting.  The factor is ``build_hierarchy``'s.  An L with a positive
-    off-diagonal entry is not a directed Laplacian and raises ValueError.
+    L's pattern by ``graphs._sink_grounds``, is grounded: the component's
+    lowest-numbered node.  The factor is of L with the ground rows and
+    columns replaced by those of the identity, which keeps a right-hand
+    side's ground entries and solves the minor M of the other nodes.  Every
+    other node reaches a ground node, so M is nonsingular and, being column
+    diagonally dominant, needs no pivoting.  The factor is
+    ``build_hierarchy``'s.  An L with a positive off-diagonal entry is not a
+    directed Laplacian and raises ValueError.
 
     With c sink components, null(L) is spanned by the c stationary vectors,
     each supported on its sink, and null(L^T) = null(L_u) by the c
@@ -137,9 +148,7 @@ class GroundedSolver:
         i, j, v = np.repeat(np.arange(n), np.diff(L.indptr)), L.indices, L.data
         if (v[i != j] > 0).any():
             raise ValueError("L has a positive off-diagonal entry, so it is not a directed Laplacian D - A^T")
-        ncomp, labels = csgraph.connected_components(L, directed=True, connection="strong")
-        sink = _sink_flags(ncomp, labels, j, i)
-        self.ground = ground = np.sort(np.unique(labels, return_index=True)[1][sink])
+        self.ground = ground = _sink_grounds(L)
         self._factor = None
         if ground.size == n:
             return

@@ -40,9 +40,10 @@ class SparsifyParams:
 
     ``r`` defaults to ceil(log2 n) clamped to [4, 16].  ``mu_limit`` is the
     target for the dominant generalized eigenvalue: the loop keeps adding
-    edges while the estimate exceeds it and iterations remain.  ``solver``
-    does not affect the loop, whose solves are direct; the field stays for
-    callers that pass it.
+    edges while the estimate exceeds it and iterations remain.  ``seed``,
+    which draws every iteration's random starts, must not be negative.
+    ``solver`` does not affect the loop, whose solves are direct; the field
+    stays for callers that pass it.
     """
 
     d_out: int = 10
@@ -64,6 +65,8 @@ class SparsifyParams:
             raise ValueError(f"r must be >= 1, got {self.r}")
         if self.iter_max < 0:
             raise ValueError("iter_max must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
         if np.isnan(self.mu_limit):

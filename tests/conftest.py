@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from specsparse import DirectedGraph, laplacian
+from specsparse.synth import clustered_digraph
 
 
 def random_digraph(rng, n, extra_factor=2.5):
@@ -49,6 +50,14 @@ def multi_attractor_digraph(rng, core=30):
         edges[(int(rng.integers(0, core)), s)] = 1.0
         edges[(int(rng.integers(0, core)), s)] = 1.0
     return DirectedGraph(core + 3, [(t, h, w) for (t, h), w in edges.items()])
+
+
+def several_sink_digraph():
+    """``clustered_digraph(2000, 4, seed=11)`` (4 planted blocks of 500
+    nodes, one sink component, 40 nonzeros per row of L_u) with 3 isolated
+    nodes appended: 2003 nodes, 4 sink components."""
+    g = clustered_digraph(2000, 4, seed=11)
+    return DirectedGraph.from_arrays(g.n + 3, g.tails, g.heads, g.weights)
 
 
 def sink_components(g):

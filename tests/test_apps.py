@@ -26,9 +26,11 @@ from specsparse import (
 )
 
 from specsparse import apps
+from specsparse import solver as solver_module
+from specsparse.solver import DENSE_MAX
 from specsparse.synth import clustered_digraph
 
-from conftest import eigsh_spy, min_norm_error, random_digraph, strong_digraph
+from conftest import eigsh_spy, min_norm_error, random_digraph, several_sink_digraph, strong_digraph
 
 
 @st.composite
@@ -596,7 +598,8 @@ class TestDirectedSolve:
 
 
 def _sparse_matches_dense(monkeypatch, g, k, grounded, requests):
-    """Partition g through ARPACK (DENSE_CUTOFF = 0) and check it against eigh.
+    """Partition g through ARPACK (DENSE_MAX = 0) and check it against eigh,
+    with DENSE_MAX raised to n for the dense baseline.
 
     ARPACK must be asked for ``requests`` eigenpairs in turn, each on a basis
     of min(max(2k + 1, ARPACK_MIN_NCV), n) vectors by the expected route:
@@ -607,6 +610,7 @@ def _sparse_matches_dense(monkeypatch, g, k, grounded, requests):
     orthonormal basis of a repeated eigenvalue is valid, so the vectors
     themselves need not agree).  Returns both results.
     """
+    monkeypatch.setattr(solver_module, "DENSE_MAX", max(g.n, DENSE_MAX))
     dense = spectral_partition(g, k, seed=0)
     calls = eigsh_spy(monkeypatch)
     solved = []
@@ -617,7 +621,7 @@ def _sparse_matches_dense(monkeypatch, g, k, grounded, requests):
         return solved[-1]
 
     monkeypatch.setattr(apps, "_low_eigenpairs", recorded)
-    monkeypatch.setattr(apps, "DENSE_CUTOFF", 0)
+    monkeypatch.setattr(solver_module, "DENSE_MAX", 0)
     sparse = spectral_partition(g, k, seed=0)
     assert [call.k for call in calls] == requests
     for call in calls:
@@ -638,8 +642,8 @@ def _sparse_matches_dense(monkeypatch, g, k, grounded, requests):
 
 class TestSpectralPartition:
     def test_disconnected_cycles_separate_exactly(self, monkeypatch):
-        # Two directed rings of `size` nodes, of weights 1 and 2.  Above the
-        # cutoff, k = 2 asks for c + k = 4 eigenpairs, which the 32-node
+        # Two directed rings of `size` nodes, of weights 1 and 2.  Above
+        # DENSE_MAX, k = 2 asks for c + k = 4 eigenpairs, which the 32-node
         # graph's paired eigenvalues split into 2 groups, then for 8, on the
         # grounded route: ARPACK finds the 2 and then 6 past the c = 2 null
         # vectors.  The 4-node one is dense either way.
@@ -670,6 +674,10 @@ class TestSpectralPartition:
         with pytest.raises(ValueError, match="k"):
             spectral_partition(strong_digraph(rng, 6), 1)
 
+    def test_negative_seed_rejected(self, rng):
+        with pytest.raises(ValueError, match="seed must not be negative, got -5"):
+            spectral_partition(strong_digraph(rng, 6), 2, seed=-5)
+
     def test_graphs_with_fewer_nodes_than_k(self):
         for n in (0, 1):
             with pytest.raises(ValueError, match=f"k=2 clusters need at least 2 nodes, the graph has {n}"):
@@ -697,8 +705,8 @@ class TestSpectralPartition:
         # two disconnected 2-cycles: eigenvalue 0 has multiplicity 2 but is
         # one distinct value, so indices 0 and 1 are both used for k=2
         g = DirectedGraph(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)])
-        for dense_cutoff in (2000, 0):
-            monkeypatch.setattr(apps, "DENSE_CUTOFF", dense_cutoff)
+        for dense_max in (DENSE_MAX, 0):
+            monkeypatch.setattr(solver_module, "DENSE_MAX", dense_max)
             part = spectral_partition(g, 2, seed=0)
             assert part.eigvec_indices == [0, 1]
             np.testing.assert_allclose(part.eigenvalues, 0.0, atol=1e-9)
@@ -738,7 +746,7 @@ class TestSpectralPartition:
 
     def test_lanczos_route_matches_dense_on_dense_laplacian(self, rng, monkeypatch):
         g = strong_digraph(rng, 300, extra_factor=12)
-        assert symmetrize(laplacian(g)).nnz > apps.SHIFT_INVERT_NNZ_PER_ROW * g.n
+        assert symmetrize(laplacian(g)).nnz > apps.LANCZOS_NNZ_PER_ROW * g.n
         dense, sparse = _sparse_matches_dense(monkeypatch, g, 4, grounded=False, requests=[5])
         assert adjusted_rand_index(dense.assignment, sparse.assignment) == 1.0
 
@@ -746,7 +754,7 @@ class TestSpectralPartition:
         # clustered_digraph's L_u is too dense to factor, so plain Lanczos
         # runs once, for c + k = 5 eigenpairs on a basis of 40 vectors.
         g = clustered_digraph(n=400, k=4, seed=5)
-        assert symmetrize(laplacian(g)).nnz > apps.SHIFT_INVERT_NNZ_PER_ROW * g.n
+        assert symmetrize(laplacian(g)).nnz > apps.LANCZOS_NNZ_PER_ROW * g.n
         dense, sparse = _sparse_matches_dense(monkeypatch, g, 4, grounded=False, requests=[5])
         assert adjusted_rand_index(dense.assignment, sparse.assignment) == 1.0
 
@@ -760,19 +768,19 @@ class TestSpectralPartition:
         g = DirectedGraph(n, [(i, (i + d) % n, 1.0) for i in range(n) for d in (1, n - 1)])
         parts = {}
         calls = eigsh_spy(monkeypatch)
-        for dense_cutoff in (2000, 0):
-            monkeypatch.setattr(apps, "DENSE_CUTOFF", dense_cutoff)
+        for dense_max in (DENSE_MAX, 0):
+            monkeypatch.setattr(solver_module, "DENSE_MAX", dense_max)
             calls.clear()
             with pytest.raises(ValueError, match=r"k=4 would take 1 of the 2 eigenvectors"):
                 spectral_partition(g, 4)
-            assert [call.k for call in calls] == ([4, 9] if dense_cutoff == 0 else [])
-            parts[dense_cutoff] = [spectral_partition(g, k, seed=0) for k in (3, 5)]
-        for dense, sparse in zip(parts[2000], parts[0]):
+            assert [call.k for call in calls] == ([4, 9] if dense_max == 0 else [])
+            parts[dense_max] = [spectral_partition(g, k, seed=0) for k in (3, 5)]
+        for dense, sparse in zip(parts[DENSE_MAX], parts[0]):
             assert sparse.eigvec_indices == dense.eigvec_indices == list(range(dense.k))
             np.testing.assert_allclose(sparse.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("dense_cutoff", [2000, 0])
-    def test_requests_grow_past_a_whole_eigenspace(self, monkeypatch, dense_cutoff):
+    @pytest.mark.parametrize("dense_max", [DENSE_MAX, 0])
+    def test_requests_grow_past_a_whole_eigenspace(self, monkeypatch, dense_max):
         # The bidirected 6-cube: L_u has the eigenvalues 4 i^2 with
         # multiplicity C(6, i), 7 distinct in all.  For k = 2, ARPACK's 3 and
         # then 6 pairs show only two groups, the second cut short; the 12 of
@@ -780,16 +788,50 @@ class TestSpectralPartition:
         # grows the request until it goes dense.
         d = 6
         g = DirectedGraph(2**d, [(i, i ^ (1 << b), 1.0) for i in range(2**d) for b in range(d)])
-        monkeypatch.setattr(apps, "DENSE_CUTOFF", dense_cutoff)
+        monkeypatch.setattr(solver_module, "DENSE_MAX", dense_max)
         calls = eigsh_spy(monkeypatch)
         with pytest.raises(ValueError, match=r"k=2 would take 1 of the 6 eigenvectors"):
             spectral_partition(g, 2)
-        assert [call.k for call in calls] == ([3, 6, 12] if dense_cutoff == 0 else [])
+        assert [call.k for call in calls] == ([3, 6, 12] if dense_max == 0 else [])
         assert spectral_partition(g, 7).eigvec_indices == list(range(7))
         calls.clear()
         with pytest.raises(ValueError, match=r"requested 8 distinct eigenvalues but only 7 are available"):
             spectral_partition(g, 8)
-        assert [call.k for call in calls] == ([9, 18] if dense_cutoff == 0 else [])
+        assert [call.k for call in calls] == ([9, 18] if dense_max == 0 else [])
+
+    def test_several_sinks_take_the_grounded_route(self, monkeypatch):
+        # L_u is dense enough for plain Lanczos, which finds one copy of a
+        # repeated eigenvalue: 1 of the 4 null vectors here.  With c = 4 the
+        # grounded route runs instead, holds all 4 and asks ARPACK for the
+        # k = 7 pairs past them, which split the 4 planted blocks; the
+        # isolated nodes are clusters of their own.
+        g = several_sink_digraph()
+        assert symmetrize(laplacian(g)).nnz > apps.LANCZOS_NNZ_PER_ROW * g.n
+        calls = eigsh_spy(monkeypatch)
+        part = spectral_partition(g, 7, seed=0)
+        assert [(call[0], call.k) for call in calls] == [("LA", 7)]
+        assert part.eigvec_indices == list(range(7))
+        np.testing.assert_array_equal(part.eigenvalues[:4], 0.0)
+        truth = np.r_[np.arange(2000) // 500, 4, 5, 6]
+        assert adjusted_rand_index(part.assignment, truth) == 1.0
+
+    def test_graphs_above_dense_max_take_arpack(self, monkeypatch):
+        # A 600-node graph (one sink component, dense L_u) takes plain
+        # Lanczos, its sparsifier the grounded route; each partitions as the
+        # dense route does.
+        g = clustered_digraph(n=600, k=4, seed=5)
+        s = sparsify(g, SparsifyParams(iter_max=3)).graph
+        calls = eigsh_spy(monkeypatch)
+        for h, which in ((g, "SA"), (s, "LA")):
+            calls.clear()
+            part = spectral_partition(h, 4, seed=0)
+            assert [call[0] for call in calls] == [which]
+            with monkeypatch.context() as m:
+                m.setattr(solver_module, "DENSE_MAX", h.n)
+                dense = spectral_partition(h, 4, seed=0)
+            assert part.eigvec_indices == dense.eigvec_indices
+            np.testing.assert_allclose(part.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-10)
+            assert adjusted_rand_index(part.assignment, dense.assignment) == 1.0
 
     def test_multi_attractor_converges_on_the_grounded_route(self, monkeypatch):
         # Zero has multiplicity 20 here; plain Lanczos for the smallest
@@ -804,13 +846,13 @@ class TestSpectralPartition:
 
     @pytest.mark.parametrize("want", [17, 20, 39, 60])
     def test_wide_requests_above_the_cutoff_go_dense(self, rng, monkeypatch, want):
-        # Above the cutoff, ARPACK's default subspace of 2k + 1 vectors spans
+        # Above DENSE_MAX, ARPACK's default subspace of 2k + 1 vectors spans
         # every node once 2 min(want, n - 1) + 1 >= n; eigvalsh is then the
         # cheaper route.  Just below that, ARPACK still runs.
         g = strong_digraph(rng, 40)
         w = np.linalg.eigvalsh(symmetrize(laplacian(g)).toarray())
         calls = eigsh_spy(monkeypatch)
-        monkeypatch.setattr(apps, "DENSE_CUTOFF", 0)
+        monkeypatch.setattr(solver_module, "DENSE_MAX", 0)
         vals, vecs = apps._low_eigenpairs(laplacian(g), want, seed=0, vectors=False)
         assert vecs is None
         k = min(want, g.n - 1)
@@ -818,14 +860,14 @@ class TestSpectralPartition:
         assert vals.size == (k if calls else g.n)
         np.testing.assert_allclose(vals, np.maximum(w[: vals.size], 0.0), rtol=0, atol=1e-10 * w[-1])
 
-    @pytest.mark.parametrize("dense_cutoff", [2000, 0])
-    def test_k_inside_an_eigenvalue_group_raises(self, monkeypatch, dense_cutoff):
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_k_inside_an_eigenvalue_group_raises(self, monkeypatch, dense):
         # k = 4 would take 4 of the 20 null vectors, and the split would
         # depend on which basis the eigensolver returns.  The request of
-        # c + k = 24 holds all 20; above the cutoff they are the grounded
+        # c + k = 24 holds all 20; above DENSE_MAX they are the grounded
         # solver's.
         g = random_digraph(np.random.default_rng(3), 300)
-        monkeypatch.setattr(apps, "DENSE_CUTOFF", dense_cutoff)
+        monkeypatch.setattr(solver_module, "DENSE_MAX", g.n if dense else 0)
         with pytest.raises(ValueError, match=r"would take 4 of the 20 eigenvectors"):
             spectral_partition(g, 4)
 
@@ -836,7 +878,7 @@ class TestSpectralPartition:
         g = random_digraph(np.random.default_rng(3), 300)
         L = laplacian(g)
         calls = eigsh_spy(monkeypatch)
-        monkeypatch.setattr(apps, "DENSE_CUTOFF", 0)
+        monkeypatch.setattr(solver_module, "DENSE_MAX", 0)
         vals, vecs = apps._low_eigenpairs(L, want, seed=0)
         assert calls == []
         assert np.array_equal(vals, np.zeros(want)) and vecs.shape == (g.n, want)

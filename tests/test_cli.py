@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from specsparse import DirectedGraph, apps, build_seed, laplacian, read_matrix_market, symmetrize, write_matrix_market
+from specsparse import solver as solver_module
 from specsparse.cli import main
 from specsparse.synth import banded_digraph
 
-from conftest import eigsh_spy, multi_attractor_digraph, pinv_mu, strong_digraph
+from conftest import eigsh_spy, multi_attractor_digraph, pinv_mu, several_sink_digraph, strong_digraph
 
 
 @pytest.fixture
@@ -43,6 +44,19 @@ class TestUsageErrors:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+    @pytest.mark.parametrize("args", [
+        ["sparsify", "--seed", -1],
+        ["partition", "-k", 2, "--seed", -5],
+        ["spectrum", "--seed", -1],
+        ["spectrum", "--sparsifier", None, "--seed", -1],
+    ])
+    def test_negative_seed_is_usage_error(self, capsys, graph_file, args):
+        args = [graph_file if a is None else a for a in args]
+        code, out, err = run(capsys, args[0], "--input", graph_file, *args[1:])
+        assert code == 1
+        assert "usage" in err and "--seed" in err
+        assert out == ""
 
 
 class TestDataErrors:
@@ -428,9 +442,9 @@ class TestSpectrumCommand:
     def test_zero_top_writes_only_the_header(self, capsys, graph_file, tmp_path, monkeypatch, with_sparsifier):
         extra = ["--sparsifier", graph_file] if with_sparsifier else []
         out = tmp_path / "spec.csv"
-        # Below and above the dense cutoff (the 40-node graph is above 0).
-        for cutoff in (apps.DENSE_CUTOFF, 0):
-            monkeypatch.setattr(apps, "DENSE_CUTOFF", cutoff)
+        # Below and above DENSE_MAX (the 40-node graph is above 0).
+        for dense_max in (solver_module.DENSE_MAX, 0):
+            monkeypatch.setattr(solver_module, "DENSE_MAX", dense_max)
             code, _, _ = run(capsys, "spectrum", "--input", graph_file, "--top", 0, "--output", out, *extra)
             assert code == 0
             header = "index,mu_estimate" if with_sparsifier else "index,eigenvalue"
@@ -448,9 +462,9 @@ class TestSpectrumCommand:
             write_matrix_market(strong_digraph(np.random.default_rng(4), 300, extra_factor=12), path)
         g = read_matrix_market(path)
         Lu = symmetrize(laplacian(g))
-        assert (Lu.nnz <= apps.SHIFT_INVERT_NNZ_PER_ROW * g.n) == (route == "grounded")
+        assert (Lu.nnz <= apps.LANCZOS_NNZ_PER_ROW * g.n) == (route == "grounded")
         calls = eigsh_spy(monkeypatch)
-        monkeypatch.setattr(apps, "DENSE_CUTOFF", 0)
+        monkeypatch.setattr(solver_module, "DENSE_MAX", 0)
         out = tmp_path / "spec.csv"
         code, _, _ = run(capsys, "spectrum", "--input", path, "--top", 6, "--output", out)
         assert code == 0
@@ -460,6 +474,17 @@ class TestSpectrumCommand:
         got = [float(line.split(",")[1]) for line in lines[1:]]
         w = np.linalg.eigvalsh(Lu.toarray())
         np.testing.assert_allclose(got, np.maximum(w[:6], 0.0), rtol=0, atol=1e-10 * w[-1])
+
+    def test_several_sinks_list_every_zero(self, capsys, tmp_path):
+        # 4 sink components and an L_u dense enough for plain Lanczos, which
+        # listed one zero; the grounded route lists all 4, then 2 positive
+        # eigenvalues.
+        path, out = tmp_path / "g.mtx", tmp_path / "spec.csv"
+        write_matrix_market(several_sink_digraph(), path)
+        code, _, err = run(capsys, "spectrum", "--input", path, "--top", 6, "--output", out)
+        assert (code, err) == (0, "")
+        vals = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        assert vals[:4] == [0.0] * 4 and len(vals) == 6 and min(vals[4:]) > 0
 
     @pytest.mark.parametrize("with_sparsifier", [False, True])
     def test_negative_top_is_usage_error(self, capsys, graph_file, with_sparsifier):

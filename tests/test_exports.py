@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 import types
 from pathlib import Path
 
@@ -8,6 +9,12 @@ import specsparse
 
 # The command-line front end; the package does not re-export it.
 FRONT_END = {"cli"}
+
+README = Path(__file__).parent.parent / "README.md"
+
+# A backticked module constant, with its value given inside the backticks
+# (`NAME = value`) or right after them (`NAME` = value).
+README_CONSTANT = re.compile(r"`([A-Z][A-Z0-9]+(?:_[A-Z0-9]+)+)(?: = ([^`]+))?`(?: = ([-+.\w]+))?")
 
 
 def library_modules():
@@ -57,3 +64,17 @@ def test_no_private_scipy_module_is_imported():
                 if name.split(".")[0] == "scipy" and any(part.startswith("_") for part in name.split(".")[1:])
             ]
     assert private == []
+
+
+def test_readme_constants_exist_with_their_values():
+    # A constant renamed, removed or retuned in the code leaves README stale.
+    modules = [specsparse, *library_modules().values()]
+    stale = []
+    for name, inside, after in README_CONSTANT.findall(README.read_text(encoding="utf-8")):
+        values = [getattr(module, name) for module in modules if hasattr(module, name)]
+        given = (inside or after).rstrip(".")
+        if not values:
+            stale.append(f"{name} is not an attribute of specsparse or its modules")
+        elif given and ast.literal_eval(given) not in values:
+            stale.append(f"README gives {name} = {given}, the code {values[0]!r}")
+    assert stale == []

@@ -45,6 +45,11 @@ class TestParams:
         with pytest.raises(ValueError, match="mu_limit must be a number, got nan"):
             SparsifyParams(mu_limit=float("nan"))
 
+    def test_negative_seed_rejected(self):
+        # numpy's generators take no negative seed.
+        with pytest.raises(ValueError, match="seed must not be negative, got -1"):
+            SparsifyParams(seed=-1)
+
     @pytest.mark.parametrize("r", [0, -2])
     def test_r_below_one_rejected(self, r):
         with pytest.raises(ValueError, match=f"r must be >= 1, got {r}"):
